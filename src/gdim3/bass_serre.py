@@ -297,11 +297,6 @@ def ball(spec: FreeProductSpec, radius: int, max_vertices: int = 50000) -> TreeB
 # ---------------------------------------------------------------------------
 # axes
 
-def translation_syllables(spec: FreeProductSpec, w: Sequence[Syllable]) -> int:
-    """Translation length in syllable units (half the graph displacement)."""
-    return len(cyclically_reduce(spec, w))
-
-
 def axis_of(spec_ball: TreeBall, w: Sequence[Syllable]) -> Optional[Tuple[Vertex, ...]]:
     """Visible part of the axis line of a hyperbolic word.
 
@@ -351,7 +346,8 @@ def axis_of(spec_ball: TreeBall, w: Sequence[Syllable]) -> Optional[Tuple[Vertex
         for x in spec_ball.vertices
         if spec_ball.distance(end_a, x) + spec_ball.distance(end_b, x) == span
     ]
-    assert points <= set(line), "axis translates are not collinear"
+    if not points <= set(line):
+        raise AssertionError("axis translates are not collinear")
     line.sort(key=lambda x: spec_ball.distance(end_a, x))
     return tuple(line)
 
@@ -400,22 +396,6 @@ def _order_path(tree: TreeBall, vertices: Sequence[Vertex]) -> Tuple[Vertex, ...
 
 # ---------------------------------------------------------------------------
 # stabilisers
-
-def path_stabilizer(spec_ball: TreeBall, path: Sequence[Vertex],
-                    budget: int = 6) -> List[Word]:
-    """Words of syllable length <= budget fixing every vertex of the path.
-
-    Any path containing an element vertex, in particular any path with
-    at least one edge, is fixed by the identity alone; a single coset
-    vertex w * Z_n is fixed by the n conjugates w * s * w^-1.
-    """
-    spec = spec_ball.spec
-    stabilising = []
-    for g in words_up_to(spec, budget):
-        if all(act(spec, g, v) == v for v in path):
-            stabilising.append(g)
-    return stabilising
-
 
 @dataclass(frozen=True)
 class AxisStabilizerReport:

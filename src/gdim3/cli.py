@@ -30,7 +30,7 @@ from .bass_serre import (
     word_str,
     words_up_to,
 )
-from .dimension import RULES, DimensionReport, FamilyIndex, compute, torus_bundle_gd
+from .dimension import RULES, TABLE, DimensionReport, FamilyIndex, compute, piece_rule
 from .gl2z import (
     InvalidDeterminant,
     Mat2Z,
@@ -45,6 +45,7 @@ from .model import (
     InvalidDescription,
     ManifoldDescription,
     NormalizationAmbiguous,
+    TorusBundle,
     description_from_json,
     description_to_json,
     load_description,
@@ -205,10 +206,8 @@ def _cmd_classify_matrix(args: argparse.Namespace) -> int:
         print(f"invariant axis: {vector}, eigenvalue {eigenvalue}")
         print(f"quotient by the axis: {parabolic_quotient_type(matrix).value}")
     print(f"mapping torus geometry: {geometry_of_monodromy(matrix)}")
-    print(
-        f"mapping torus gd: k = 2 -> {torus_bundle_gd(matrix, 2).value}, "
-        f"k >= 3 -> {torus_bundle_gd(matrix, 3).value}"
-    )
+    at2, at3, _ = TABLE[piece_rule(TorusBundle(matrix))[0]]
+    print(f"mapping torus gd: k = 2 -> {at2}, k >= 3 -> {at3}")
     return EX_OK
 
 

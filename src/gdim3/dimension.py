@@ -1,46 +1,25 @@
 """The dimension engine.
 
-For a closed oriented 3-manifold M with fundamental group G and an
-integer k >= 2, the quantity computed here is the minimal dimension of a
-classifying space for G relative to the family of subgroups that are
-virtually Z^r with r <= k.  The families stabilise at k = 3 (a
-3-manifold group has no Z^4 subgroup), so there are exactly two columns:
-k = 2 and k >= 3.  The possible values are 0, 2, 3 and 5; the value 1
-never occurs because a finitely generated group outside the family
-cannot act on a tree with all stabilisers in the family without a fixed
-point obstruction in dimension 2.
+For the fundamental group G of a closed oriented 3-manifold and k >= 2,
+the value is the minimal dimension of a classifying space for G relative
+to the family of virtually Z^r subgroups, r <= k: 0, 2, 3 or 5.  G has no
+Z^4, so the families stabilise at k = 3 and a report has two columns.
 
-The computation is table driven.  Every prime piece gets a value from
-the piece table (keyed by geometry, by base orbifold class and Euler
-number for Seifert pieces, and by monodromy type for torus bundles);
-graph pieces take the maximum over their vertices; the prime
-decomposition is combined by a three-case rule (an infinite dihedral
-connected sum collapses to 0, a free product of family members costs 2,
-anything else is a maximum).  Each step is recorded in a derivation
-trace whose rule identifiers are documented in the README rule table.
+Each geometric piece is one lookup in `TABLE`, which holds its value in
+both columns; a graph piece takes the maximum over its vertices.  A
+connected sum is combined per column by Thm 1.1: the infinite dihedral
+sum is virtually cyclic (0); any other free product of family members
+acts on its Bass-Serre tree with family stabilisers (2); else the maximum.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .geometry import Geometry
-from .gl2z import Mat2Z, MatKind, classify, geometry_of_monodromy
-from .model import (
-    Geometric,
-    HyperbolicCusped,
-    JsjGraph,
-    JsjVertex,
-    KleinDouble,
-    ManifoldDescription,
-    PrimePiece,
-    SeifertBounded,
-    SeifertClosed,
-    SeifertData,
-    Spherical,
-    TorusBundle,
-    normalize,
-)
+from .gl2z import classify
+from .model import (Geometric, HyperbolicCusped, JsjGraph, KleinDouble, ManifoldDescription,
+                    PrimePiece, SeifertBounded, SeifertClosed, Spherical, TorusBundle, normalize)
 from .orbifold2 import OrbifoldClass, classify_base
 
 
@@ -53,12 +32,14 @@ ALLOWED_VALUES = frozenset({0, 2, 3, 5})
 
 @dataclass(frozen=True)
 class FamilyIndex:
-    """Family selector.  All k >= 4 collapse to the stabilised column k = 3."""
+    """Family selector for k, an int or a FamilyIndex.  All k >= 4 share the column k = 3."""
 
     requested: int
     k: int = field(init=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.requested, FamilyIndex):
+            object.__setattr__(self, "requested", self.requested.requested)
         if self.requested < 2:
             raise ValueError(f"family index must be >= 2, got {self.requested}")
         object.__setattr__(self, "k", min(self.requested, 3))
@@ -69,10 +50,6 @@ class FamilyIndex:
 
     def __str__(self) -> str:
         return f"k={self.requested}" if not self.clamped else f"k={self.requested} (= k=3)"
-
-
-def family(k: Union[int, FamilyIndex]) -> FamilyIndex:
-    return k if isinstance(k, FamilyIndex) else FamilyIndex(k)
 
 
 @dataclass(frozen=True)
@@ -95,234 +72,127 @@ class GdResult:
             raise AssertionError("trace must end in the step producing the value")
 
 
-#: Rule catalogue.  Every rule identifier emitted in a trace is a key here,
-#: and every key appears in the README rule table (tested).
-RULES = {
-    "Table1-row1": "closed hyperbolic piece: value 3 in both columns",
-    "Table1-row2": "finite-volume hyperbolic piece with cusps: value 3 in both columns",
-    "Table1-row3": "piece with finite or virtually cyclic group "
-                   "(spherical space form, S2xE, or a Seifert fibration over a bad "
-                   "or spherical base): value 0 in both columns",
-    "Table1-row4": "Seifert piece over a hyperbolic base, closed or bounded: "
-                   "value 2 in both columns",
-    "Table1-row5": "closed Seifert piece over a flat base with Euler number 0 "
-                   "(flat geometry): value 5 at k = 2 and 0 at k >= 3",
-    "Table1-row6": "closed Seifert piece over a flat base with nonzero Euler number "
-                   "(Nil geometry): value 3 in both columns",
-    "Table1-row7": "bounded Seifert piece over a flat base: value 0 in both columns",
-    "Elementary-piece": "bounded Seifert piece over an elementary base "
-                        "(virtually cyclic group): value 0 in both columns",
-    "Thm4.5-elliptic": "torus bundle with elliptic monodromy (flat geometry): "
-                       "value 5 at k = 2 and 0 at k >= 3",
-    "Thm4.5-parabolic": "torus bundle with parabolic monodromy (Nil geometry): "
-                        "value 3 in both columns",
-    "Thm4.5-hyperbolic": "torus bundle with hyperbolic monodromy (Sol geometry): "
-                         "value 2 in both columns",
-    "Prop5.1-sol": "Sol-geometric piece (Anosov mapping torus or Klein bottle double): "
-                   "value 2 in both columns",
-    "Thm1.2-max": "prime piece with a torus decomposition graph: "
-                  "maximum of the vertex values",
-    "Thm1.1-case1": "connected sum of two order-2 spherical pieces "
-                    "(infinite dihedral group): value 0",
-    "Thm1.1-case2": "connected sum with every factor in the family and the total "
-                    "group not virtually cyclic: value 2",
-    "Thm1.1-case3": "connected sum, remaining case: maximum of the factor values",
+#: The rule table: rule id -> (value at k = 2, value at k >= 3, text), in the
+#: order of the README rule table; RULES is its id -> text view.  Combination
+#: rows (Thm1.2, Thm1.1) have equal columns; MAX is the maximum of their parts.
+MAX = None
+TABLE: Dict[str, Tuple[Optional[int], Optional[int], str]] = {
+    "Table1-row1": (3, 3, "closed hyperbolic piece: value 3 in both columns"),
+    "Table1-row2": (3, 3, "finite-volume hyperbolic piece with cusps: value 3 in both columns"),
+    "Table1-row3": (0, 0, "piece with finite or virtually cyclic group (spherical space form, "
+                          "S2xE, or a Seifert fibration over a bad or spherical base): "
+                          "value 0 in both columns"),
+    "Table1-row4": (2, 2, "Seifert piece over a hyperbolic base, closed or bounded: "
+                          "value 2 in both columns"),
+    "Table1-row5": (5, 0, "closed Seifert piece over a flat base with Euler number 0 "
+                          "(flat geometry): value 5 at k = 2 and 0 at k >= 3"),
+    "Table1-row6": (3, 3, "closed Seifert piece over a flat base with nonzero Euler number "
+                          "(Nil geometry): value 3 in both columns"),
+    "Table1-row7": (0, 0, "bounded Seifert piece over a flat base: value 0 in both columns"),
+    "Elementary-piece": (0, 0, "bounded Seifert piece over an elementary base "
+                               "(virtually cyclic group): value 0 in both columns"),
+    "Thm4.5-elliptic": (5, 0, "torus bundle with elliptic monodromy (flat geometry): "
+                              "value 5 at k = 2 and 0 at k >= 3"),
+    "Thm4.5-parabolic": (3, 3, "torus bundle with parabolic monodromy (Nil geometry): "
+                               "value 3 in both columns"),
+    "Thm4.5-hyperbolic": (2, 2, "torus bundle with hyperbolic monodromy (Sol geometry): "
+                                "value 2 in both columns"),
+    "Prop5.1-sol": (2, 2, "Sol-geometric piece (Anosov mapping torus or Klein bottle double): "
+                          "value 2 in both columns"),
+    "Thm1.2-max": (MAX, MAX, "prime piece with a torus decomposition graph: "
+                             "maximum of the vertex values"),
+    "Thm1.1-case1": (0, 0, "connected sum of two order-2 spherical pieces "
+                           "(infinite dihedral group): value 0"),
+    "Thm1.1-case2": (2, 2, "connected sum with every factor in the family and the total "
+                           "group not virtually cyclic: value 2"),
+    "Thm1.1-case3": (MAX, MAX, "connected sum, remaining case: maximum of the factor values"),
+}
+
+RULES = {rule: text for rule, (_, _, text) in TABLE.items()}
+
+_GEOMETRY_RULES = {
+    Geometry.S3: "Table1-row3", Geometry.S2xE: "Table1-row3", Geometry.H3: "Table1-row1",
+    Geometry.E3: "Table1-row5", Geometry.NIL: "Table1-row6", Geometry.H2xE: "Table1-row4",
+    Geometry.PSL2R: "Table1-row4", Geometry.SOL: "Prop5.1-sol",
 }
 
 
-def _result(steps: Sequence[TraceStep]) -> GdResult:
-    return GdResult(steps[-1].value, tuple(steps))
-
-
-def _step(path: str, rule: str, inputs: str, value: int) -> TraceStep:
-    assert rule in RULES, f"unregistered rule {rule}"
-    return TraceStep(path, rule, inputs, value)
-
-
-def torus_bundle_gd(monodromy: Mat2Z, k: Union[int, FamilyIndex], path: str = "piece") -> GdResult:
-    """Value of a torus bundle from the type of its monodromy.
-
-    Elliptic monodromy gives a flat manifold: the group is virtually Z^3,
-    so the value is 5 at k = 2 and the group itself lies in the family
-    once k >= 3.  Parabolic monodromy gives Nil (value 3), hyperbolic
-    gives Sol (value 2), in both columns.
-    """
-    k = family(k)
-    cls = classify(monodromy)
-    inputs = f"monodromy {monodromy} is {cls}"
-    if cls.kind is MatKind.ELLIPTIC:
-        value = 5 if k.k == 2 else 0
-        return _result([_step(path, "Thm4.5-elliptic", inputs, value)])
-    if cls.kind is MatKind.PARABOLIC:
-        return _result([_step(path, "Thm4.5-parabolic", inputs, 3)])
-    return _result([_step(path, "Thm4.5-hyperbolic", inputs, 2)])
-
-
-def _seifert_gd(data: SeifertData, k: FamilyIndex, path: str) -> GdResult:
-    base_class = classify_base(data.base)
-    label = data.base.label()
-    if base_class in (OrbifoldClass.BAD, OrbifoldClass.SPHERICAL):
-        inputs = f"Seifert piece, {base_class} base {label}"
-        return _result([_step(path, "Table1-row3", inputs, 0)])
-    if base_class is OrbifoldClass.HYPERBOLIC:
-        inputs = f"Seifert piece, hyperbolic base {label}"
-        return _result([_step(path, "Table1-row4", inputs, 2)])
-    if base_class is OrbifoldClass.ELEMENTARY:
-        inputs = f"bounded Seifert piece, elementary base {label}"
-        return _result([_step(path, "Elementary-piece", inputs, 0)])
-    # flat base
-    if data.base.boundary_count > 0:
-        inputs = f"bounded Seifert piece, flat base {label}"
-        return _result([_step(path, "Table1-row7", inputs, 0)])
-    e = data.euler_number()
-    if e == 0:
-        inputs = f"closed Seifert piece, flat base {label}, Euler number 0"
-        value = 5 if k.k == 2 else 0
-        return _result([_step(path, "Table1-row5", inputs, value)])
-    inputs = f"closed Seifert piece, flat base {label}, Euler number {e}"
-    return _result([_step(path, "Table1-row6", inputs, 3)])
-
-
-def piece_gd(piece: Union[PrimePiece, JsjVertex], k: Union[int, FamilyIndex],
-             path: str = "piece") -> GdResult:
-    """Value of a single geometric piece or graph vertex.
-
-    Graph pieces are not accepted here; they are combined by
-    jsj_combine.  Use evaluate_piece for uniform dispatch.
-    """
-    k = family(k)
+def piece_rule(piece: PrimePiece) -> Tuple[str, str]:
+    """The table row of a geometric piece or graph vertex, and the inputs that chose it."""
     if isinstance(piece, HyperbolicCusped):
-        inputs = f"finite-volume hyperbolic piece with {piece.cusps} cusp(s)"
-        return _result([_step(path, "Table1-row2", inputs, 3)])
+        return "Table1-row2", f"finite-volume hyperbolic piece with {piece.cusps} cusp(s)"
     if isinstance(piece, Spherical):
-        inputs = f"spherical space form, group of order {piece.pi1_order}"
-        return _result([_step(path, "Table1-row3", inputs, 0)])
+        return "Table1-row3", f"spherical space form, group of order {piece.pi1_order}"
     if isinstance(piece, Geometric):
-        return _geometric_gd(piece.geometry, k, path)
+        rule = _GEOMETRY_RULES[piece.geometry]
+        note = " (Seifert over a hyperbolic base)" if rule == "Table1-row4" else ""
+        return rule, f"closed piece with geometry {piece.geometry}{note}"
     if isinstance(piece, KleinDouble):
-        inputs = "double of the twisted I-bundle over the Klein bottle (Sol)"
-        return _result([_step(path, "Prop5.1-sol", inputs, 2)])
+        return "Prop5.1-sol", "double of the twisted I-bundle over the Klein bottle (Sol)"
     if isinstance(piece, TorusBundle):
-        return torus_bundle_gd(piece.monodromy, k, path)
-    if isinstance(piece, (SeifertClosed, SeifertBounded)):
-        return _seifert_gd(piece.data, k, path)
+        cls = classify(piece.monodromy)
+        return f"Thm4.5-{cls.kind}", f"monodromy {piece.monodromy} is {cls}"
+    if not isinstance(piece, (SeifertClosed, SeifertBounded)):
+        raise UnsupportedPiece(f"unknown piece type {type(piece).__name__}")
+    base, base_class = piece.data.base, classify_base(piece.data.base)
+    seifert = f"Seifert piece, {base_class} base {base.label()}"
+    if base_class in (OrbifoldClass.BAD, OrbifoldClass.SPHERICAL):
+        return "Table1-row3", seifert
+    if base_class is OrbifoldClass.HYPERBOLIC:
+        return "Table1-row4", seifert
+    if base_class is OrbifoldClass.ELEMENTARY:
+        return "Elementary-piece", f"bounded {seifert}"
+    if base.boundary_count > 0:
+        return "Table1-row7", f"bounded {seifert}"
+    e = piece.data.euler_number()
+    return ("Table1-row6" if e else "Table1-row5"), f"closed {seifert}, Euler number {e}"
+
+
+def _combine(parts: Sequence[GdResult], path: str, rule: str, inputs: str) -> GdResult:
+    """Append a combination step, valued from the table, to the traces of the parts."""
+    value = TABLE[rule][0] if TABLE[rule][0] is not MAX else max(p.value for p in parts)
+    steps = tuple(step for part in parts for step in part.trace)
+    return GdResult(value, steps + (TraceStep(path, rule, inputs, value),))
+
+
+def _prime(piece: PrimePiece, path: str) -> Tuple[GdResult, GdResult]:
+    """Both columns of one prime piece, classifying each geometric piece once."""
     if isinstance(piece, JsjGraph):
-        raise UnsupportedPiece("graph pieces are combined by jsj_combine")
-    raise UnsupportedPiece(f"unknown piece type {type(piece).__name__}")
+        vertices = [_prime(v, f"{path}.vertices[{i}]") for i, v in enumerate(piece.vertices)]
+        return tuple(_combine(col, path, "Thm1.2-max", f"vertex values {[p.value for p in col]}")
+                     for col in zip(*vertices))
+    rule, inputs = piece_rule(piece)
+    return tuple(GdResult(v, (TraceStep(path, rule, inputs, v),)) for v in TABLE[rule][:2])
 
 
-def _geometric_gd(geometry: Geometry, k: FamilyIndex, path: str) -> GdResult:
-    inputs = f"closed piece with geometry {geometry}"
-    if geometry in (Geometry.S3, Geometry.S2xE):
-        return _result([_step(path, "Table1-row3", inputs, 0)])
-    if geometry is Geometry.H3:
-        return _result([_step(path, "Table1-row1", inputs, 3)])
-    if geometry is Geometry.E3:
-        value = 5 if k.k == 2 else 0
-        return _result([_step(path, "Table1-row5", inputs, value)])
-    if geometry is Geometry.NIL:
-        return _result([_step(path, "Table1-row6", inputs, 3)])
-    if geometry in (Geometry.H2xE, Geometry.PSL2R):
-        inputs += " (Seifert over a hyperbolic base)"
-        return _result([_step(path, "Table1-row4", inputs, 2)])
-    if geometry is Geometry.SOL:
-        return _result([_step(path, "Prop5.1-sol", inputs, 2)])
-    raise UnsupportedPiece(f"unknown geometry {geometry!r}")
+def _sum(pieces: Sequence[PrimePiece], parts: Sequence[GdResult], family: FamilyIndex,
+         path: str) -> GdResult:
+    """Thm 1.1 on one column; `family` names the column in the case-2 inputs."""
+    values = [part.value for part in parts]
+    if len(parts) == 1:
+        return _combine(parts, path, "Thm1.1-case3", "single prime piece")
+    # a free product of nontrivial groups is virtually cyclic only when both
+    # factors have order two; spherical pieces are detected by their pi1_order
+    if len(pieces) == 2 and all(p == Spherical(2) for p in pieces):
+        inputs = "two order-2 spherical factors, infinite dihedral group"
+        return _combine(parts, path, "Thm1.1-case1", inputs)
+    if all(v == 0 for v in values):
+        inputs = f"all {len(parts)} factors lie in the family at {family}"
+        return _combine(parts, path, "Thm1.1-case2", inputs)
+    return _combine(parts, path, "Thm1.1-case3", f"factor values {values}")
 
 
-def jsj_combine(graph: JsjGraph, k: Union[int, FamilyIndex], path: str = "piece") -> GdResult:
-    """Maximum of the vertex values over a torus decomposition graph."""
-    k = family(k)
-    steps: List[TraceStep] = []
-    values = []
-    for i, vertex in enumerate(graph.vertices):
-        part = piece_gd(vertex, k, f"{path}.vertices[{i}]")
-        steps.extend(part.trace)
-        values.append(part.value)
-    inputs = f"vertex values {values}"
-    steps.append(_step(path, "Thm1.2-max", inputs, max(values)))
-    return _result(steps)
-
-
-def evaluate_piece(piece: PrimePiece, k: Union[int, FamilyIndex],
-                   path: str = "piece") -> GdResult:
-    """Uniform per-piece evaluation: graphs via jsj_combine, all else via piece_gd."""
-    if isinstance(piece, JsjGraph):
-        return jsj_combine(piece, k, path)
-    return piece_gd(piece, k, path)
-
-
-def in_family(piece: PrimePiece, k: Union[int, FamilyIndex]) -> bool:
-    """Whether the piece's group lies in the k-th family.
-
-    A group lies in the family exactly when its value is 0, so membership
-    is read off the piece evaluation.  At k = 2 that means spherical
-    space forms, S3 and S2xE pieces (and their Seifert-fibred spellings
-    over bad or spherical bases); at k >= 3 the flat pieces join them.
-    """
-    return evaluate_piece(piece, k).value == 0
-
-
-def is_virtually_cyclic_free_product(pieces: Sequence[PrimePiece]) -> bool:
-    """True exactly for the connected sum of two order-2 spherical pieces.
-
-    A free product of nontrivial groups is virtually cyclic only when
-    both factors have order two (the infinite dihedral group); spherical
-    pieces must be spelled with pi1_order for this detection to apply.
-    """
-    return len(pieces) == 2 and all(p == Spherical(2) for p in pieces)
+def evaluate_piece(piece: PrimePiece, k: Union[int, FamilyIndex], path: str = "piece") -> GdResult:
+    """Value of one prime piece or graph vertex in the column of k."""
+    return _prime(piece, path)[FamilyIndex(k).k - 2]
 
 
 def prime_combine(pieces: Sequence[PrimePiece], k: Union[int, FamilyIndex],
                   path: str = "pieces") -> GdResult:
-    """Combine a normalized prime decomposition.
-
-    With one piece the value is the piece's value.  With several, the
-    group is the free product of the piece groups and three cases apply:
-    the infinite dihedral sum is virtually cyclic (value 0); a free
-    product of family members that is not virtually cyclic acts on its
-    Bass-Serre tree with family stabilisers and costs exactly 2; in the
-    remaining case the answer is the maximum of the piece values, using
-    the values at the same k.
-    """
-    k = family(k)
-    steps: List[TraceStep] = []
-    parts: List[GdResult] = []
-    for i, piece in enumerate(pieces):
-        part = evaluate_piece(piece, k, f"{path}[{i}]")
-        steps.extend(part.trace)
-        parts.append(part)
-    values = [p.value for p in parts]
-    if len(parts) == 1:
-        steps.append(_step(path, "Thm1.1-case3", "single prime piece", values[0]))
-        return _result(steps)
-    if is_virtually_cyclic_free_product(pieces):
-        inputs = "two order-2 spherical factors, infinite dihedral group"
-        steps.append(_step(path, "Thm1.1-case1", inputs, 0))
-        return _result(steps)
-    if all(v == 0 for v in values):
-        inputs = f"all {len(parts)} factors lie in the family at {k}"
-        steps.append(_step(path, "Thm1.1-case2", inputs, 2))
-        return _result(steps)
-    inputs = f"factor values {values}"
-    steps.append(_step(path, "Thm1.1-case3", inputs, max(values)))
-    return _result(steps)
-
-
-def models_euclidean(piece: PrimePiece) -> bool:
-    """Whether the prime piece is modelled on E^3 (carries a Z^3 subgroup)."""
-    if isinstance(piece, Geometric):
-        return piece.geometry is Geometry.E3
-    if isinstance(piece, TorusBundle):
-        return classify(piece.monodromy).kind is MatKind.ELLIPTIC
-    if isinstance(piece, SeifertClosed):
-        base = piece.data.base
-        return (
-            classify_base(base) is OrbifoldClass.FLAT
-            and base.boundary_count == 0
-            and piece.data.euler_number() == 0
-        )
-    return False
+    """Combine a normalized prime decomposition by Thm 1.1 in the column of k."""
+    family = FamilyIndex(k)
+    parts = [evaluate_piece(p, family, f"{path}[{i}]") for i, p in enumerate(pieces)]
+    return _sum(pieces, parts, family, path)
 
 
 @dataclass(frozen=True)
@@ -336,23 +206,15 @@ class DimensionReport:
     rank_cap: int
 
     def value(self, k: Union[int, FamilyIndex]) -> int:
-        return self.k2.value if family(k).k == 2 else self.k3plus.value
+        return self.k2.value if FamilyIndex(k).k == 2 else self.k3plus.value
 
 
 def compute(desc: ManifoldDescription) -> DimensionReport:
-    """Validate, normalize, and evaluate both family columns with full traces.
-
-    The rank indicator is 3 when some prime piece is modelled on E^3
-    (only then does the group contain Z^3) and 2 otherwise.
-    """
+    """Validate, normalize, and evaluate both family columns in one pass."""
     normalized = normalize(desc)
-    k2 = prime_combine(normalized.pieces, FamilyIndex(2))
-    k3plus = prime_combine(normalized.pieces, FamilyIndex(3))
-    rank_cap = 3 if any(models_euclidean(p) for p in normalized.pieces) else 2
-    return DimensionReport(
-        name=normalized.name,
-        description=normalized,
-        k2=k2,
-        k3plus=k3plus,
-        rank_cap=rank_cap,
-    )
+    parts = [_prime(p, f"pieces[{i}]") for i, p in enumerate(normalized.pieces)]
+    k2, k3plus = (_sum(normalized.pieces, column, FamilyIndex(index), "pieces")
+                  for index, column in zip((2, 3), zip(*parts)))
+    # only the flat rows differ between the columns, and only flat pieces contain Z^3
+    rank_cap = 3 if any(two.value != three.value for two, three in parts) else 2
+    return DimensionReport(normalized.name, normalized, k2, k3plus, rank_cap)

@@ -346,9 +346,6 @@ def validate(desc: ManifoldDescription) -> List[Violation]:
 # ---------------------------------------------------------------------------
 # normalization
 
-_REWRITABLE_MARK = "non-minimal/geometric: Klein double, use KleinDouble"
-
-
 def _rewrite_jsj(graph: JsjGraph) -> PrimePiece:
     n = len(graph.vertices)
     flat_one = [

@@ -21,16 +21,9 @@ from gdim3.bass_serre import (
     cone_off,
     normalizer_probe,
     parse_word,
-    path_stabilizer,
     pushout_dimension_bound,
 )
-from gdim3.dimension import (
-    compute,
-    evaluate_piece,
-    piece_gd,
-    prime_combine,
-    torus_bundle_gd,
-)
+from gdim3.dimension import compute, evaluate_piece, prime_combine
 from gdim3.geometry import Geometry
 from gdim3.gl2z import IDENTITY, Mat2Z, MatKind, classify
 from gdim3.model import (
@@ -46,6 +39,7 @@ from gdim3.model import (
 )
 from gdim3.orbifold2 import disk, mobius_band, sphere
 
+from oracles import path_stabilizer
 from randgen import random_description
 
 
@@ -74,7 +68,7 @@ def criterion(request):
 
 
 def both(piece):
-    return (piece_gd(piece, 2).value, piece_gd(piece, 3).value)
+    return (evaluate_piece(piece, 2).value, evaluate_piece(piece, 3).value)
 
 
 def unimodular_matrices(bound=3):
@@ -121,10 +115,9 @@ def test_02_torus_bundles(criterion):
         elliptic = Mat2Z(0, -1, 1, 0)
         parabolic = Mat2Z(1, 3, 0, 1)
         anosov = Mat2Z(2, 1, 1, 1)
-        assert [torus_bundle_gd(m, 2).value for m in (elliptic, parabolic, anosov)] \
-            == [5, 3, 2]
-        assert [torus_bundle_gd(m, 3).value for m in (elliptic, parabolic, anosov)] \
-            == [0, 3, 2]
+        bundles = [TorusBundle(m) for m in (elliptic, parabolic, anosov)]
+        assert [evaluate_piece(b, 2).value for b in bundles] == [5, 3, 2]
+        assert [evaluate_piece(b, 3).value for b in bundles] == [0, 3, 2]
 
 
 def test_03_connected_sums(criterion):

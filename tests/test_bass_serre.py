@@ -25,15 +25,15 @@ from gdim3.bass_serre import (
     normal_form,
     normalizer_probe,
     parse_word,
-    path_stabilizer,
     pushout_dimension_bound,
     setwise_axis_stabilizer,
-    translation_syllables,
     word_str,
     words_up_to,
     _order_path,
 )
 from gdim3.gl2z import Mat2Z, MatKind, classify
+
+from oracles import path_stabilizer, translation_syllables
 
 Z22 = FreeProductSpec((2, 2))
 Z23 = FreeProductSpec((2, 3))

@@ -1,11 +1,13 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from gdim3 import corpus
 from gdim3.cli import EX_DATA, EX_OK, EX_RESOURCE, report_to_json, run
-from gdim3.dimension import RULES, compute
+from gdim3.dimension import MAX, RULES, TABLE, compute
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -278,10 +280,69 @@ def test_rules_listing(capsys):
         assert rule in stdout
 
 
-def test_every_rule_id_appears_in_the_readme_rule_table():
+def readme_rule_table():
+    """Rule id -> (k = 2, k >= 3) value pair, read from the README rule table."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| rule id | meaning | value |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rule, _, value = (cell.strip() for cell in line.strip("|").split("|"))
+        if value == "max":
+            pair = (MAX, MAX)
+        elif "/" in value:
+            pair = tuple(int(v) for v in value.split("/"))
+        else:
+            pair = (int(value), int(value))
+        table[rule.strip("`")] = pair
+    return table
+
+
+def test_readme_rule_table_matches_the_engine_table():
+    readme = readme_rule_table()
+    assert list(readme) == list(TABLE)
+    for rule, pair in readme.items():
+        assert pair == TABLE[rule][:2], rule
+
+
+def readme_blocks(language):
     text = README.read_text(encoding="utf-8")
-    for rule in RULES:
-        assert rule in text, f"rule {rule} missing from README"
+    return re.findall(rf"```{language}\n(.*?)```", text, flags=re.S)
+
+
+def readme_examples():
+    """(argv, lines shown before `...`, lines shown after it) per `$ gdim3` example."""
+    examples = []
+    for block in readme_blocks("sh"):
+        for chunk in re.split(r"^\$ ", block.replace("\\\n", " "), flags=re.M)[1:]:
+            command, *shown = chunk.rstrip("\n").split("\n")
+            lexer = shlex.shlex(command, posix=True, punctuation_chars=True)
+            lexer.whitespace_split = True
+            argv = list(lexer)
+            assert argv[0] == "gdim3", command
+            assert not any(set(arg) <= set(lexer.punctuation_chars) for arg in argv), command
+            marker = [i for i, line in enumerate(shown) if line.strip() == "..."]
+            if marker:
+                examples.append((argv[1:], shown[:marker[0]], shown[marker[0] + 1:]))
+            else:
+                examples.append((argv[1:], shown, None))
+    return examples
+
+
+def test_readme_examples_match_the_cli(capsys):
+    examples = readme_examples()
+    assert len(examples) == 7
+    for argv, head, tail in examples:
+        assert run(argv) == EX_OK, argv
+        lines = out(capsys)[0].splitlines()
+        if tail is None:
+            assert lines == head, argv
+        else:
+            assert lines[:len(head)] == head, argv
+            assert lines[len(lines) - len(tail):] == tail, argv
+    (python,) = readme_blocks("python")
+    exec(python, {})
 
 
 def test_every_corpus_trace_rule_is_documented():

@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdim3 import corpus
+from gdim3 import corpus, dimension
 from gdim3.dimension import (
     ALLOWED_VALUES,
     RULES,
@@ -12,11 +14,7 @@ from gdim3.dimension import (
     UnsupportedPiece,
     compute,
     evaluate_piece,
-    in_family,
-    jsj_combine,
-    piece_gd,
     prime_combine,
-    torus_bundle_gd,
 )
 from gdim3.geometry import Geometry
 from gdim3.gl2z import Mat2Z
@@ -39,7 +37,7 @@ from randgen import random_description
 
 
 def both(piece):
-    return (piece_gd(piece, 2).value, piece_gd(piece, 3).value)
+    return (evaluate_piece(piece, 2).value, evaluate_piece(piece, 3).value)
 
 
 SEIFERT_SPHERICAL = SeifertClosed(
@@ -94,7 +92,7 @@ def test_geometric_pieces_cover_all_eight_geometries():
 
 def test_elementary_base_costs_nothing():
     solid = SeifertBounded(SeifertData(base=disk(3), cone_pairs=((3, 1),)))
-    result = piece_gd(solid, 2)
+    result = evaluate_piece(solid, 2)
     assert result.value == 0
     assert result.trace[-1].rule == "Elementary-piece"
 
@@ -107,18 +105,15 @@ def test_spherical_pieces_are_free():
 # --- torus bundles ---
 
 def test_monodromy_class_decides_the_value():
-    assert torus_bundle_gd(ELLIPTIC, 2).value == 5
-    assert torus_bundle_gd(ELLIPTIC, 3).value == 0
-    assert torus_bundle_gd(PARABOLIC, 2).value == 3
-    assert torus_bundle_gd(PARABOLIC, 3).value == 3
-    assert torus_bundle_gd(ANOSOV, 2).value == 2
-    assert torus_bundle_gd(ANOSOV, 3).value == 2
+    assert both(TorusBundle(ELLIPTIC)) == (5, 0)
+    assert both(TorusBundle(PARABOLIC)) == (3, 3)
+    assert both(TorusBundle(ANOSOV)) == (2, 2)
 
 
 def test_torus_bundle_rules_are_named_for_their_class():
-    assert torus_bundle_gd(ELLIPTIC, 2).trace[-1].rule == "Thm4.5-elliptic"
-    assert torus_bundle_gd(PARABOLIC, 2).trace[-1].rule == "Thm4.5-parabolic"
-    assert torus_bundle_gd(ANOSOV, 2).trace[-1].rule == "Thm4.5-hyperbolic"
+    assert evaluate_piece(TorusBundle(ELLIPTIC), 2).trace[-1].rule == "Thm4.5-elliptic"
+    assert evaluate_piece(TorusBundle(PARABOLIC), 2).trace[-1].rule == "Thm4.5-parabolic"
+    assert evaluate_piece(TorusBundle(ANOSOV), 2).trace[-1].rule == "Thm4.5-hyperbolic"
 
 
 # --- family index ---
@@ -139,7 +134,7 @@ def test_family_index_clamps_at_three():
 @given(st.integers(3, 50))
 def test_values_stabilise_from_k_equals_three(k):
     for piece in (SEIFERT_FLAT_E0, Geometric(Geometry.E3), TorusBundle(ELLIPTIC)):
-        assert piece_gd(piece, k).value == piece_gd(piece, 3).value
+        assert evaluate_piece(piece, k).value == evaluate_piece(piece, 3).value
 
 
 def test_corpus_values_stabilise():
@@ -149,6 +144,11 @@ def test_corpus_values_stabilise():
 
 
 # --- family membership ---
+
+def in_family(piece, k):
+    """A group lies in the family exactly when its value is 0."""
+    return evaluate_piece(piece, k).value == 0
+
 
 def test_in_family():
     assert in_family(Spherical(8), 2)
@@ -170,17 +170,15 @@ def test_jsj_takes_the_maximum_over_vertices():
         vertices=(HyperbolicCusped(1), SEIFERT_BOUNDED_HYP),
         edges=((0, 1),),
     )
-    result = jsj_combine(graph, 2)
+    result = evaluate_piece(graph, 2)
     assert result.value == 3
     assert result.trace[-1].rule == "Thm1.2-max"
     assert [s.value for s in result.trace[:-1]] == [3, 2]
 
 
-def test_piece_gd_refuses_graphs():
-    graph = JsjGraph(vertices=(HyperbolicCusped(2),), edges=((0, 0),))
-    with pytest.raises(UnsupportedPiece):
-        piece_gd(graph, 2)
-    assert evaluate_piece(graph, 2).value == 3
+def test_unknown_piece_types_are_unsupported():
+    with pytest.raises(UnsupportedPiece, match="unknown piece type str"):
+        evaluate_piece("S3", 2)
 
 
 # --- connected sums ---
@@ -303,3 +301,30 @@ def test_rank_cap_detects_euclidean_pieces():
     assert compute(ManifoldDescription("x", (TorusBundle(ANOSOV),))).rank_cap == 2
     mixed = ManifoldDescription("x", (Geometric(Geometry.H3), Geometric(Geometry.E3)))
     assert compute(mixed).rank_cap == 3
+
+
+# --- one pass ---
+
+def test_compute_classifies_each_piece_at_most_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, classifier):
+        def wrapper(argument):
+            calls[name] += 1
+            return classifier(argument)
+        return wrapper
+
+    monkeypatch.setattr(dimension, "classify_base", counted("base", dimension.classify_base))
+    monkeypatch.setattr(dimension, "classify", counted("matrix", dimension.classify))
+    descriptions = [corpus.load(name) for name in corpus.names()]
+    descriptions += [random_description(seed) for seed in range(300)]
+    seen = Counter()
+    for desc in descriptions:
+        calls.clear()
+        pieces = compute(desc).description.pieces
+        vertices = [v for p in pieces if isinstance(p, JsjGraph) for v in p.vertices]
+        seifert = sum(isinstance(p, (SeifertClosed, SeifertBounded)) for p in pieces + tuple(vertices))
+        bundles = sum(isinstance(p, TorusBundle) for p in pieces)
+        assert calls["base"] <= seifert and calls["matrix"] <= bundles, desc.name
+        seen.update(calls)
+    assert seen["base"] and seen["matrix"]
