@@ -3,23 +3,23 @@
 Two independent gadgets live here.
 
 The first is the Bass-Serre tree of a free product of finite cyclic
-groups, Z_{n_1} * ... * Z_{n_m}.  The tree realised is the one for the
-star-shaped splitting with a central trivial vertex group: its vertices
-are the group elements (one per reduced word) together with the cosets
-w * Z_{n_i}, and each element w is joined to its m cosets.  Edge
-stabilisers are trivial, the stabiliser of a coset vertex is the
-conjugate of the finite factor, and an element vertex is stabilised by
-the identity alone, so the action is acylindrical in the strongest
-sense: every path with at least one edge has trivial stabiliser.  For
-two factors the element vertices have degree two and the tree draws as
-the familiar line or biregular tree.  balls are explored breadth first
-from the identity vertex; hyperbolic elements are recognised by
-symbolic cyclic reduction but their axes are found by honest
-displacement minimisation inside the ball, so equivariance is a
-testable fact rather than an assumption.  Coning each axis to a point
-produces a two-complex whose cells carry setwise stabiliser records,
-and the push-out dimension bound max(gd(stabiliser class) + dim cell)
-can be evaluated against any assignment of values to cell classes.
+groups, Z_{n_1} * ... * Z_{n_m}, for the star-shaped splitting with a
+central trivial vertex group: its vertices are the group elements (one
+per reduced word) and the cosets w * Z_{n_i}, and each element w is
+joined to its m cosets.  Every geometric fact is read off normal forms
+(Serre, *Trees*, I.4) rather than searched for.  An element vertex w
+lies at distance 2|w| from the identity vertex and a coset vertex w<i>
+at 2|w| + 1.  A hyperbolic word h c h^-1, with c cyclically reduced of
+L >= 2 syllables, translates by 2L along the line through the elements
+h c^k (prefix of c).  Element vertices and edges have trivial
+stabilisers and a coset vertex w<i> has stabiliser w Z_{n_i} w^-1, so
+every path with at least one edge has trivial stabiliser.  Coning each
+axis to a point produces a two-complex whose cells carry setwise
+stabiliser records, and the push-out dimension bound
+max(gd(stabiliser class) + dim cell) can be evaluated against any
+assignment of values to cell classes.  The breadth-first distances,
+displacement-minimising axis search and enumerated stabilisers these
+closed forms replace are kept as test oracles in tests/oracles.py.
 
 The second gadget is algebraic: in Gamma = Z^2 x|_A Z with hyperbolic
 monodromy A, the normaliser of the infinite cyclic subgroup generated
@@ -32,8 +32,7 @@ statement "within radius r" or "for words of syllable length <= B".
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gl2z import Mat2Z, MatKind, classify
@@ -101,20 +100,57 @@ def normal_form(spec: FreeProductSpec, syllables: Sequence[Syllable]) -> Word:
     return tuple((f, e) for f, e in out)
 
 
+def _join(spec: FreeProductSpec, u: Word, v: Word) -> Word:
+    """Product of two normal forms: only syllables at the junction can merge."""
+    orders = spec.factor_orders
+    i, j = len(u), 0
+    while i and j < len(v) and u[i - 1][0] == v[j][0]:
+        factor = v[j][0]
+        exponent = (u[i - 1][1] + v[j][1]) % orders[factor]
+        i -= 1
+        j += 1
+        if exponent:
+            return u[:i] + ((factor, exponent),) + v[j:]
+    return u[:i] + v[j:]
+
+
 def mul(spec: FreeProductSpec, u: Sequence[Syllable], v: Sequence[Syllable]) -> Word:
-    return normal_form(spec, tuple(u) + tuple(v))
+    return _join(spec, normal_form(spec, u), normal_form(spec, v))
 
 
 def inverse(spec: FreeProductSpec, w: Sequence[Syllable]) -> Word:
     return normal_form(spec, tuple((f, -e) for f, e in reversed(tuple(w))))
 
 
+def _peel(spec: FreeProductSpec, g: Word) -> Tuple[Word, Word, int]:
+    """Split a normal form as g = h c h^-1 with c cyclically reduced.
+
+    Returns (h, c, t0).  When |c| >= 2 the axis of g is the line through
+    the elements h c^k (prefix of c), numbered so that h sits at 0; the
+    identity vertex is nearest to the point t0 of it (the element h, or
+    the coset just before it), at distance 2|h| + t0.
+    """
+    orders = spec.factor_orders
+    i, j = 0, len(g) - 1
+    while i < j and g[i][0] == g[j][0] and (g[i][1] + g[j][1]) % orders[g[i][0]] == 0:
+        i += 1
+        j -= 1
+    if i < j and g[i][0] == g[j][0]:
+        # g = h x m y h^-1 with x y != 1 in one factor: conjugate x to the end
+        factor = g[i][0]
+        merged = (factor, (g[j][1] + g[i][1]) % orders[factor])
+        return g[:i + 1], g[i + 1:j] + (merged,), -1
+    return g[:i], g[i:j + 1], 0
+
+
 def cyclically_reduce(spec: FreeProductSpec, w: Sequence[Syllable]) -> Word:
-    """A cyclically reduced conjugate of w (length <= 1 means elliptic)."""
-    word = normal_form(spec, w)
-    while len(word) >= 2 and word[0][0] == word[-1][0]:
-        word = normal_form(spec, word[-1:] + word[:-1])
-    return word
+    """A cyclically reduced conjugate of w (length <= 1 means elliptic).
+
+    This is the conjugate reached by moving the last syllable to the front
+    until the ends lie in different factors.
+    """
+    _, c, t0 = _peel(spec, normal_form(spec, w))
+    return c[-1:] + c[:-1] if t0 else c
 
 
 def words_up_to(spec: FreeProductSpec, length: int) -> Iterator[Word]:
@@ -195,12 +231,17 @@ def coset_canonical(word: Word, factor: int) -> Word:
     return word
 
 
-def act(spec: FreeProductSpec, g: Sequence[Syllable], v: Vertex) -> Vertex:
-    """Left translation action on vertex labels (defined on the whole tree)."""
-    moved = mul(spec, g, v.word)
+def _act(spec: FreeProductSpec, g: Word, v: Vertex) -> Vertex:
+    """act for a normal-form g and a canonical vertex."""
+    moved = _join(spec, g, v.word)
     if v.factor is None:
         return Vertex(moved, None)
     return Vertex(coset_canonical(moved, v.factor), v.factor)
+
+
+def act(spec: FreeProductSpec, g: Sequence[Syllable], v: Vertex) -> Vertex:
+    """Left translation action on vertex labels (defined on the whole tree)."""
+    return _act(spec, normal_form(spec, g), Vertex(normal_form(spec, v.word), v.factor))
 
 
 BASE_VERTEX = Vertex((), None)
@@ -208,14 +249,17 @@ BASE_VERTEX = Vertex((), None)
 
 @dataclass
 class TreeBall:
-    """Ball of given radius around the identity vertex, with BFS structure."""
+    """Ball of given radius around the identity vertex.
+
+    vertices are listed level by level, each edge is (nearer, farther) and
+    each adjacency list starts with the neighbour nearer to the identity.
+    """
 
     spec: FreeProductSpec
     radius: int
     vertices: Tuple[Vertex, ...]
     edges: Tuple[Tuple[Vertex, Vertex], ...]
     adjacency: Dict[Vertex, Tuple[Vertex, ...]]
-    _distance_cache: Dict[Vertex, Dict[Vertex, int]] = field(default_factory=dict)
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self.adjacency
@@ -224,36 +268,40 @@ class TreeBall:
         return len(self.adjacency[v])
 
     def distance(self, u: Vertex, v: Vertex) -> int:
-        """Graph distance inside the ball (BFS, cached per source)."""
-        table = self._distance_cache.get(u)
-        if table is None:
-            table = {u: 0}
-            queue = deque([u])
-            while queue:
-                current = queue.popleft()
-                for neighbour in self.adjacency[current]:
-                    if neighbour not in table:
-                        table[neighbour] = table[current] + 1
-                        queue.append(neighbour)
-            self._distance_cache[u] = table
-        return table[v]
+        """Tree distance between two vertices of the ball (KeyError outside it).
+
+        The path from the identity vertex to w or w<i> runs through the
+        prefixes of w, leaving w[:p] through the coset of the factor of
+        w[p]; two such paths share the common prefix of the words, and one
+        step more when both leave it through the same coset.
+        """
+        for x in (u, v):
+            if x not in self.adjacency:
+                raise KeyError(x)
+        a, b = u.word, v.word
+        p = 0
+        while p < len(a) and p < len(b) and a[p] == b[p]:
+            p += 1
+        leave_u = a[p][0] if p < len(a) else u.factor
+        leave_v = b[p][0] if p < len(b) else v.factor
+        shared = 2 * p + (leave_u is not None and leave_u == leave_v)
+        depth = 2 * (len(a) + len(b)) + (u.factor is not None) + (v.factor is not None)
+        return depth - 2 * shared
 
 
-def _neighbours(spec: FreeProductSpec, v: Vertex) -> List[Vertex]:
+def _children(spec: FreeProductSpec, v: Vertex) -> List[Vertex]:
+    """Neighbours of v one step farther from the identity vertex."""
     if v.factor is None:
-        return [
-            Vertex(coset_canonical(v.word, i), i)
-            for i in range(spec.num_factors)
-        ]
-    factor = v.factor
-    out = [Vertex(v.word, None)]
-    for exponent in range(1, spec.factor_orders[factor]):
-        out.append(Vertex(mul(spec, v.word, ((factor, exponent),)), None))
-    return out
+        last = v.word[-1][0] if v.word else None
+        return [Vertex(v.word, i) for i in range(spec.num_factors) if i != last]
+    return [
+        Vertex(v.word + ((v.factor, exponent),), None)
+        for exponent in range(1, spec.factor_orders[v.factor])
+    ]
 
 
 def ball(spec: FreeProductSpec, radius: int, max_vertices: int = 50000) -> TreeBall:
-    """Breadth-first ball around the identity vertex.
+    """The ball around the identity vertex, one distance level at a time.
 
     Element vertices sit at even distance 2 * (syllable length), coset
     vertices at odd distance 2 * (syllable length of the canonical
@@ -261,30 +309,22 @@ def ball(spec: FreeProductSpec, radius: int, max_vertices: int = 50000) -> TreeB
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    dist: Dict[Vertex, int] = {BASE_VERTEX: 0}
     order: List[Vertex] = [BASE_VERTEX]
     adjacency: Dict[Vertex, List[Vertex]] = {BASE_VERTEX: []}
     edges: List[Tuple[Vertex, Vertex]] = []
-    queue = deque([BASE_VERTEX])
-    while queue:
-        v = queue.popleft()
-        if dist[v] == radius:
-            continue
-        for neighbour in _neighbours(spec, v):
-            if neighbour not in dist:
-                if len(dist) >= max_vertices:
+    start = 0
+    for _ in range(radius):
+        level, start = order[start:], len(order)
+        for v in level:
+            for child in _children(spec, v):
+                if len(order) >= max_vertices:
                     raise BallLimitExceeded(
                         f"ball of radius {radius} exceeds {max_vertices} vertices"
                     )
-                dist[neighbour] = dist[v] + 1
-                order.append(neighbour)
-                adjacency[neighbour] = []
-                queue.append(neighbour)
-                edges.append((v, neighbour))
-                adjacency[v].append(neighbour)
-                adjacency[neighbour].append(v)
-            # the graph is a tree: the only previously seen neighbour is the
-            # BFS parent, whose edge is already recorded
+                order.append(child)
+                edges.append((v, child))
+                adjacency[v].append(child)
+                adjacency[child] = [v]
     return TreeBall(
         spec=spec,
         radius=radius,
@@ -300,98 +340,41 @@ def ball(spec: FreeProductSpec, radius: int, max_vertices: int = 50000) -> TreeB
 def axis_of(spec_ball: TreeBall, w: Sequence[Syllable]) -> Optional[Tuple[Vertex, ...]]:
     """Visible part of the axis line of a hyperbolic word.
 
-    Elliptic words (cyclic reduction of syllable length <= 1, conjugate
-    into a factor) have no axis and return None.  Hyperbolic words whose
-    axis is not visible at this radius also return None; enlarge the
-    ball.
-
-    The displacement d(v, w.v) can only be measured where both endpoints
-    lie in the ball, so the raw minimizer set is a window strictly inside
-    the visible line; the window is checked to be a path and then grown
-    to the geodesic hull of its w- and w^-1-translates, which is the full
-    intersection of the axis with the ball.  The result is ordered along
-    the line with a deterministic orientation.
+    Elliptic words (conjugate into a factor) have no axis and return
+    None.  So do hyperbolic words g = h c h^-1 whose axis meets the ball
+    in fewer than 2|c| edges, too few to show one translation; enlarge
+    the ball.  The axis is the line through h c^k (prefix of c), with
+    the coset of the next syllable between consecutive elements, and the
+    distance to the identity vertex grows by one per step either way
+    from its nearest point.  The result is the line inside the ball,
+    starting at the end with the smaller (word, factor) key.
     """
     spec = spec_ball.spec
-    g = normal_form(spec, w)
-    reduced = cyclically_reduce(spec, g)
-    if len(reduced) <= 1:
+    h, c, t0 = _peel(spec, normal_form(spec, w))
+    length = len(c)
+    if length <= 1:
         return None
-    expected = 2 * len(reduced)
-    window: List[Vertex] = []
-    for v in spec_ball.vertices:
-        image = act(spec, g, v)
-        if image not in spec_ball:
-            continue
-        displacement = spec_ball.distance(v, image)
-        if displacement < expected:
-            raise AssertionError(
-                f"displacement below the translation length for {word_str(g)}"
-            )
-        if displacement == expected:
-            window.append(v)
-    if not window:
+    reach = spec_ball.radius - (2 * len(h) + t0)
+    if reach < length:
         return None
-    _order_path(spec_ball, window)   # minimal displacement set must be a path
-    points = set(window)
-    for direction in (g, inverse(spec, g)):
-        for v in window:
-            image = act(spec, direction, v)
-            if image in spec_ball:
-                points.add(image)
-    end_a, end_b = _farthest_pair(spec_ball, points)
-    span = spec_ball.distance(end_a, end_b)
-    line = [
-        x
-        for x in spec_ball.vertices
-        if spec_ball.distance(end_a, x) + spec_ball.distance(end_b, x) == span
-    ]
-    if not points <= set(line):
-        raise AssertionError("axis translates are not collinear")
-    line.sort(key=lambda x: spec_ball.distance(end_a, x))
-    return tuple(line)
-
-
-def _vertex_key(v: Vertex) -> tuple:
-    return (v.word, -1 if v.factor is None else v.factor)
-
-
-def _farthest_pair(tree: TreeBall, points: set) -> Tuple[Vertex, Vertex]:
-    ordered = sorted(points, key=_vertex_key)
-    best = (ordered[0], ordered[0], 0)
-    for i, u in enumerate(ordered):
-        for v in ordered[i:]:
-            d = tree.distance(u, v)
-            if d > best[2]:
-                best = (u, v, d)
-    return best[0], best[1]
-
-
-def _order_path(tree: TreeBall, vertices: Sequence[Vertex]) -> Tuple[Vertex, ...]:
-    vertex_set = set(vertices)
-    local = {
-        v: [n for n in tree.adjacency[v] if n in vertex_set]
-        for v in vertices
-    }
-    ends = sorted(
-        (v for v in vertices if len(local[v]) <= 1),
-        key=lambda v: (v.factor is not None, v.factor if v.factor is not None else -1, v.word),
-    )
-    if len(vertices) == 1:
-        return (vertices[0],)
-    if len(ends) != 2:
-        raise AssertionError("minimal-displacement set is not a path segment")
-    path = [ends[0]]
-    previous = None
-    while True:
-        candidates = [n for n in local[path[-1]] if n != previous]
-        if not candidates:
-            break
-        previous = path[-1]
-        path.append(candidates[0])
-    if len(path) != len(vertices):
-        raise AssertionError("minimal-displacement set is not connected")
-    return tuple(path)
+    first, last = t0 - reach, t0 + reach
+    # the element at the even point 2s of the line is h c^k c[:j], s = kL + j
+    k, j = divmod(first // 2, length)
+    power = c * k if k >= 0 else inverse(spec, c) * -k
+    word = _join(spec, h, _join(spec, power, c[:j]))
+    line: List[Vertex] = []
+    for t in range(first - first % 2, last + 1):
+        if t % 2 == 0:
+            vertex = Vertex(word, None)
+        else:
+            factor = c[j][0]
+            vertex = Vertex(coset_canonical(word, factor), factor)
+            word = _join(spec, word, c[j:j + 1])
+            j = (j + 1) % length
+        if t >= first:
+            line.append(vertex)
+    ends = [(v.word, -1 if v.factor is None else v.factor) for v in (line[0], line[-1])]
+    return tuple(reversed(line) if ends[1] < ends[0] else line)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +413,7 @@ def setwise_axis_stabilizer(spec_ball: TreeBall, axis: Sequence[Vertex],
         pairs: List[Tuple[int, Optional[int]]] = []
         off_axis = False
         for i, v in enumerate(axis):
-            image = act(spec, g, v)
+            image = _act(spec, g, v)
             if image not in spec_ball:
                 continue
             target = index.get(image)
@@ -455,6 +438,41 @@ def setwise_axis_stabilizer(spec_ball: TreeBall, axis: Sequence[Vertex],
         reflections=tuple(reflections),
         violations=tuple(violations),
     )
+
+
+def _vertex_stabilizer(spec: FreeProductSpec, v: Vertex, budget: int) -> Tuple[Word, ...]:
+    """Words of syllable length <= budget fixing v, in words_up_to order.
+
+    An element vertex is fixed by the identity alone; a coset vertex
+    w<i> by w Z_{n_i} w^-1, whose nontrivial words all have 2|w| + 1
+    syllables.
+    """
+    if v.factor is None or 2 * len(v.word) + 1 > budget:
+        return ((),)
+    back = inverse(spec, v.word)
+    return ((),) + tuple(
+        v.word + ((v.factor, exponent),) + back
+        for exponent in range(1, spec.factor_orders[v.factor])
+    )
+
+
+def _preserving(spec_ball: TreeBall, axis: Tuple[Vertex, ...], words: Sequence[Word]) -> set:
+    """Words carrying the axis into itself wherever its image is visible, on >= 2 vertices."""
+    spec, axis_set = spec_ball.spec, set(axis)
+    keep = set()
+    for g in words:
+        assessed = 0
+        for v in axis:
+            image = _act(spec, g, v)
+            if image not in spec_ball:
+                continue
+            if image not in axis_set:
+                break
+            assessed += 1
+        else:
+            if assessed >= 2:
+                keep.add(g)
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -497,70 +515,39 @@ class ConedComplex:
                 yield Cell("face", 2, (i, u, v))
 
     def cell_classes(self) -> Tuple[str, ...]:
-        seen = []
-        for cell in self.cells():
-            if cell.cell_class not in seen:
-                seen.append(cell.cell_class)
-        return tuple(seen)
+        return tuple(dict.fromkeys(cell.cell_class for cell in self.cells()))
 
 
 def cone_off(spec_ball: TreeBall, axes: Sequence[Sequence[Vertex]],
              budget: int = 4) -> ConedComplex:
     """Attach a cone over each axis and record setwise cell stabilisers.
 
-    The stabiliser of a cone vertex is the setwise stabiliser of its
-    axis; a cone edge is preserved by elements fixing its tree vertex
-    and preserving the axis; a face by elements fixing both tree
-    vertices.  Tree cells are included for completeness: element
-    vertices and all edges are rigid (trivial records beyond identity),
-    coset vertices carry their finite conjugated factor.
+    Tree cells take their stabilisers in closed form: element vertices
+    and all edges are fixed by the identity alone, and a coset vertex
+    w<i> carries the words of w Z_{n_i} w^-1 within the budget.  The
+    stabiliser of a cone vertex is the set of budgeted words carrying the
+    visible axis into itself; a cone edge keeps those fixing its tree
+    vertex, and a face those fixing both of its tree vertices.
     """
     spec = spec_ball.spec
     axis_tuples = tuple(tuple(a) for a in axes)
     words = list(words_up_to(spec, budget))
-    axis_sets = [set(a) for a in axis_tuples]
-    preserve_axis: List[set] = []
-    for axis, axis_set in zip(axis_tuples, axis_sets):
-        keep = set()
-        for g in words:
-            ok = True
-            assessed = 0
-            for v in axis:
-                image = act(spec, g, v)
-                if image not in spec_ball:
-                    continue
-                assessed += 1
-                if image not in axis_set:
-                    ok = False
-                    break
-            if ok and assessed >= 2:
-                keep.add(g)
-        preserve_axis.append(keep)
-
     records: Dict[Cell, Tuple[Word, ...]] = {}
     for v in spec_ball.vertices:
-        fixing = tuple(g for g in words if act(spec, g, v) == v)
-        records[Cell("vertex", 0, (v,))] = fixing
+        records[Cell("vertex", 0, (v,))] = _vertex_stabilizer(spec, v, budget)
     for i, axis in enumerate(axis_tuples):
-        records[Cell("cone_vertex", 0, (i,))] = tuple(sorted(preserve_axis[i]))
+        keep = _preserving(spec_ball, axis, words)
+        records[Cell("cone_vertex", 0, (i,))] = tuple(sorted(keep))
         for v in axis:
-            fixing = tuple(
-                g for g in preserve_axis[i] if act(spec, g, v) == v
+            records[Cell("cone_edge", 1, (i, v))] = tuple(
+                g for g in keep if _act(spec, g, v) == v
             )
-            records[Cell("cone_edge", 1, (i, v))] = fixing
         for u, v in zip(axis, axis[1:]):
-            fixing = tuple(
-                g
-                for g in preserve_axis[i]
-                if {act(spec, g, u), act(spec, g, v)} == {u, v}
+            records[Cell("face", 2, (i, u, v))] = tuple(
+                g for g in keep if {_act(spec, g, u), _act(spec, g, v)} == {u, v}
             )
-            records[Cell("face", 2, (i, u, v))] = fixing
     for e in spec_ball.edges:
-        u, v = e
-        fixing = tuple(
-            g for g in words if {act(spec, g, u), act(spec, g, v)} == {u, v}
-        )
-        records[Cell("edge", 1, e)] = fixing
+        records[Cell("edge", 1, e)] = ((),)
     return ConedComplex(
         tree=spec_ball,
         axes=axis_tuples,
@@ -585,6 +572,8 @@ def pushout_dimension_bound(complex_: ConedComplex, cell_gd: Dict[str, int]) -> 
     if best is None:
         raise ValueError("the complex has no cells")
     return best
+
+
 
 
 # ---------------------------------------------------------------------------

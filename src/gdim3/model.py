@@ -28,7 +28,15 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .geometry import Geometry
 from .gl2z import Mat2Z
-from .orbifold2 import OrbifoldBase, OrbifoldClass, classify_base
+from .orbifold2 import (
+    OrbifoldBase,
+    OrbifoldClass,
+    classify_base,
+    klein_bottle,
+    projective_plane,
+    sphere,
+    torus,
+)
 
 
 class DescriptionFormatError(ValueError):
@@ -403,14 +411,56 @@ def _base_to_json(base: OrbifoldBase) -> dict:
     return obj
 
 
+_NAMED_SURFACES = {
+    "sphere": sphere(),
+    "torus": torus(),
+    "projective-plane": projective_plane(),
+    "klein-bottle": klein_bottle(),
+}
+_BASE_QUANTITIES = {   # base field -> (OrbifoldBase field it sets, reader)
+    "genus": ("genus", int),
+    "orientable": ("orientable", bool),
+    "nonorientable": ("orientable", lambda value: not value),
+    "boundary": ("boundary_count", int),
+    "boundary_count": ("boundary_count", int),
+}
+_BASE_FIELDS = frozenset(_BASE_QUANTITIES) | {"surface", "cone_orders"}
+
+
 def _base_from_json(obj: dict, cone_pairs: Tuple[Tuple[int, int], ...]) -> OrbifoldBase:
+    """Read a base given by `surface` or by `genus` / `nonorientable` / `boundary`.
+
+    `orientable` and `boundary_count` (the spelling of `description_to_json`)
+    are read as well.  Unknown fields are refused, and so are fields that
+    give the same quantity different values.
+    """
     if not isinstance(obj, dict):
         raise DescriptionFormatError(f"base must be an object, got {obj!r}")
+    unknown = obj.keys() - _BASE_FIELDS
+    if unknown:
+        raise DescriptionFormatError(f"unknown base field(s) {sorted(unknown)} in {obj!r}")
+    found = {}   # OrbifoldBase field -> (base field, value)
+    if "surface" in obj:
+        surface = obj["surface"]
+        if not isinstance(surface, str) or surface not in _NAMED_SURFACES:
+            raise DescriptionFormatError(
+                f"unknown surface {surface!r}, expected one of {sorted(_NAMED_SURFACES)}"
+            )
+        named = _NAMED_SURFACES[surface]
+        found = {"genus": ("surface", named.genus), "orientable": ("surface", named.orientable)}
+    for key, (quantity, read) in _BASE_QUANTITIES.items():
+        if key in obj:
+            value = read(obj[key])
+            earlier = found.setdefault(quantity, (key, value))
+            if earlier[1] != value:
+                raise DescriptionFormatError(
+                    f"base fields {earlier[0]!r} and {key!r} disagree on {quantity} in {obj!r}"
+                )
     default_orders = sorted(alpha for alpha, _ in cone_pairs)
     return OrbifoldBase(
-        genus=int(obj.get("genus", 0)),
-        orientable=bool(obj.get("orientable", True)),
-        boundary_count=int(obj.get("boundary_count", 0)),
+        genus=found.get("genus", (None, 0))[1],
+        orientable=found.get("orientable", (None, True))[1],
+        boundary_count=found.get("boundary_count", (None, 0))[1],
         cone_orders=tuple(int(a) for a in obj.get("cone_orders", default_orders)),
     )
 

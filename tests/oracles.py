@@ -1,27 +1,40 @@
 """Brute-force oracles for the Bass-Serre tests.
 
 The package measures tree geometry in closed form; these helpers recompute
-the same facts by enumeration so the tests can compare the two.
+the same facts by search and enumeration (breadth-first distances inside
+the ball, displacement minimisation over every vertex, stabilisers by
+testing every budgeted word) so the tests can compare the two.
 """
 from __future__ import annotations
 
-from typing import List, Sequence
+from collections import deque
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from gdim3.bass_serre import (
+    Cell,
     FreeProductSpec,
     Syllable,
     TreeBall,
     Vertex,
     Word,
     act,
-    cyclically_reduce,
+    inverse,
+    normal_form,
     words_up_to,
 )
 
 
 def translation_syllables(spec: FreeProductSpec, w: Sequence[Syllable]) -> int:
     """Translation length in syllable units (half the graph displacement)."""
-    return len(cyclically_reduce(spec, w))
+    return len(rotate_to_cyclically_reduced(spec, w))
+
+
+def rotate_to_cyclically_reduced(spec: FreeProductSpec, w: Sequence[Syllable]) -> Word:
+    """Move the last syllable to the front until the ends lie in different factors."""
+    word = normal_form(spec, w)
+    while len(word) >= 2 and word[0][0] == word[-1][0]:
+        word = normal_form(spec, word[-1:] + word[:-1])
+    return word
 
 
 def path_stabilizer(spec_ball: TreeBall, path: Sequence[Vertex],
@@ -34,3 +47,121 @@ def path_stabilizer(spec_ball: TreeBall, path: Sequence[Vertex],
     """
     spec = spec_ball.spec
     return [g for g in words_up_to(spec, budget) if all(act(spec, g, v) == v for v in path)]
+
+
+class BfsDistances:
+    """Graph distances inside a ball, one breadth-first search per source."""
+
+    def __init__(self, tree: TreeBall) -> None:
+        self.tree = tree
+        self.tables: Dict[Vertex, Dict[Vertex, int]] = {}
+
+    def __call__(self, u: Vertex, v: Vertex) -> int:
+        table = self.tables.get(u)
+        if table is None:
+            table = {u: 0}
+            queue = deque([u])
+            while queue:
+                current = queue.popleft()
+                for neighbour in self.tree.adjacency[current]:
+                    if neighbour not in table:
+                        table[neighbour] = table[current] + 1
+                        queue.append(neighbour)
+            self.tables[u] = table
+        return table[v]
+
+
+def _vertex_key(v: Vertex) -> tuple:
+    return (v.word, -1 if v.factor is None else v.factor)
+
+
+def axis_by_displacement(tree: TreeBall, w: Sequence[Syllable],
+                         distance: Optional[BfsDistances] = None
+                         ) -> Optional[Tuple[Vertex, ...]]:
+    """Visible axis of w found by minimising the displacement d(v, w.v).
+
+    The displacement can only be measured where both endpoints lie in the
+    ball, so the minimiser set is a window strictly inside the visible
+    line; the window must be a path, and the geodesic hull of it and its
+    w- and w^-1-translates is the axis inside the ball, ordered from the
+    end with the smaller (word, factor) key.
+    """
+    spec = tree.spec
+    distance = distance or BfsDistances(tree)
+    g = normal_form(spec, w)
+    reduced = rotate_to_cyclically_reduced(spec, g)
+    if len(reduced) <= 1:
+        return None
+    expected = 2 * len(reduced)
+    window: List[Vertex] = []
+    for v in tree.vertices:
+        image = act(spec, g, v)
+        if image not in tree:
+            continue
+        displacement = distance(v, image)
+        if displacement < expected:
+            raise AssertionError(f"displacement below the translation length for {g}")
+        if displacement == expected:
+            window.append(v)
+    if not window:
+        return None
+    order_path(tree, window)   # the minimal displacement set must be a path
+    points = set(window)
+    for direction in (g, inverse(spec, g)):
+        for v in window:
+            image = act(spec, direction, v)
+            if image in tree:
+                points.add(image)
+    ordered = sorted(points, key=_vertex_key)
+    end_a, end_b, span = ordered[0], ordered[0], 0
+    for i, u in enumerate(ordered):
+        for v in ordered[i:]:
+            if distance(u, v) > span:
+                end_a, end_b, span = u, v, distance(u, v)
+    line = [x for x in tree.vertices if distance(end_a, x) + distance(end_b, x) == span]
+    if not points <= set(line):
+        raise AssertionError("axis translates are not collinear")
+    line.sort(key=lambda x: distance(end_a, x))
+    return tuple(line)
+
+
+def order_path(tree: TreeBall, vertices: Sequence[Vertex]) -> Tuple[Vertex, ...]:
+    """The vertices in path order; AssertionError unless they form a path."""
+    vertex_set = set(vertices)
+    local = {
+        v: [n for n in tree.adjacency[v] if n in vertex_set]
+        for v in vertices
+    }
+    ends = sorted(
+        (v for v in vertices if len(local[v]) <= 1),
+        key=lambda v: (v.factor is not None, v.factor if v.factor is not None else -1, v.word),
+    )
+    if len(vertices) == 1:
+        return (vertices[0],)
+    if len(ends) != 2:
+        raise AssertionError("vertex set is not a path segment")
+    path = [ends[0]]
+    previous = None
+    while True:
+        candidates = [n for n in local[path[-1]] if n != previous]
+        if not candidates:
+            break
+        previous = path[-1]
+        path.append(candidates[0])
+    if len(path) != len(vertices):
+        raise AssertionError("vertex set is not connected")
+    return tuple(path)
+
+
+def tree_cell_records(tree: TreeBall, budget: int) -> Dict[Cell, Tuple[Word, ...]]:
+    """Stabiliser records of the tree's vertices and edges, word by word."""
+    spec = tree.spec
+    words = list(words_up_to(spec, budget))
+    records: Dict[Cell, Tuple[Word, ...]] = {}
+    for v in tree.vertices:
+        records[Cell("vertex", 0, (v,))] = tuple(g for g in words if act(spec, g, v) == v)
+    for u, v in tree.edges:
+        records[Cell("edge", 1, (u, v))] = tuple(
+            g for g in words if {act(spec, g, u), act(spec, g, v)} == {u, v}
+        )
+    return records

@@ -29,11 +29,18 @@ from gdim3.bass_serre import (
     setwise_axis_stabilizer,
     word_str,
     words_up_to,
-    _order_path,
 )
 from gdim3.gl2z import Mat2Z, MatKind, classify
 
-from oracles import path_stabilizer, translation_syllables
+from oracles import (
+    BfsDistances,
+    axis_by_displacement,
+    order_path,
+    path_stabilizer,
+    rotate_to_cyclically_reduced,
+    translation_syllables,
+    tree_cell_records,
+)
 
 Z22 = FreeProductSpec((2, 2))
 Z23 = FreeProductSpec((2, 3))
@@ -84,6 +91,21 @@ def test_inverse_law(w):
     w = normal_form(Z23, w)
     assert mul(Z23, w, inverse(Z23, w)) == ()
     assert mul(Z23, inverse(Z23, w), w) == ()
+
+
+@given(st.sampled_from([Z22, Z23, Z33, Z222]).flatmap(
+    lambda spec: st.tuples(st.just(spec), syllables(spec), syllables(spec))))
+def test_mul_merges_at_the_junction_like_a_full_normal_form(case):
+    # arbitrary syllable lists: unreduced, with negative and zero exponents
+    spec, u, v = case
+    assert mul(spec, u, v) == normal_form(spec, u + v)
+
+
+@given(st.sampled_from([Z22, Z23, Z33, Z222]).flatmap(
+    lambda spec: st.tuples(st.just(spec), syllables(spec))))
+def test_cyclic_reduction_matches_rotating_the_last_syllable_forward(case):
+    spec, w = case
+    assert cyclically_reduce(spec, w) == rotate_to_cyclically_reduced(spec, w)
 
 
 @given(syllables(Z23))
@@ -324,7 +346,7 @@ def test_no_commuting_hyperbolics_with_crossing_axes_within_budget():
             if axis_g is None or axis_h is None:
                 continue
             union = list(set(axis_g) | set(axis_h))
-            assert _order_path(tree, union)
+            assert order_path(tree, union)
 
 
 # --- coned complexes ---
@@ -465,3 +487,64 @@ def test_fibre_vectors_commute():
     group = SemidirectSpec(ANOSOV)
     u, v = ((1, 0), 0), ((0, 1), 0)
     assert group.mul(u, v) == group.mul(v, u)
+
+
+# --- closed forms against the search oracles ---
+
+ORACLE_BALLS = {
+    (spec, radius): ball(spec, radius)
+    for spec, radii in ((Z22, (2, 5, 8)), (Z23, (3, 6, 9)), (Z33, (3, 5)), (Z222, (3, 4, 6)))
+    for radius in radii
+}
+ORACLE_DISTANCES = {key: BfsDistances(tree) for key, tree in ORACLE_BALLS.items()}
+
+
+@st.composite
+def ball_and_word(draw):
+    spec, radius = draw(st.sampled_from(list(ORACLE_BALLS)))
+    raw = draw(st.lists(
+        st.tuples(st.integers(0, spec.num_factors - 1), st.integers(-3, 3)), max_size=5))
+    return (spec, radius), raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(ball_and_word())
+def test_axis_matches_displacement_minimisation(case):
+    key, w = case
+    tree = ORACLE_BALLS[key]
+    assert axis_of(tree, w) == axis_by_displacement(tree, w, ORACLE_DISTANCES[key])
+
+
+@pytest.mark.parametrize("key", [(Z22, 8), (Z23, 6), (Z33, 3), (Z222, 4)])
+def test_every_axis_of_short_words_matches_displacement_minimisation(key):
+    tree = ORACLE_BALLS[key]
+    words = list(words_up_to(key[0], 4))
+    axes = [axis_of(tree, w) for w in words]
+    assert axes == [axis_by_displacement(tree, w, ORACLE_DISTANCES[key]) for w in words]
+    assert any(axis is None for axis in axes) and any(axis is not None for axis in axes)
+
+
+@pytest.mark.parametrize("spec,radius", [(Z22, 8), (Z23, 6), (Z33, 4), (Z222, 4)])
+def test_distance_matches_breadth_first_search_on_every_pair(spec, radius):
+    tree = ball(spec, radius)
+    bfs = BfsDistances(tree)
+    for u in tree.vertices:
+        for v in tree.vertices:
+            assert tree.distance(u, v) == bfs(u, v)
+
+
+def test_distance_refuses_vertices_outside_the_ball():
+    tree = ball(Z23, 2)
+    outside = Vertex(parse_word(Z23, "aba"), None)
+    with pytest.raises(KeyError):
+        tree.distance(BASE_VERTEX, outside)
+    with pytest.raises(KeyError):
+        tree.distance(outside, BASE_VERTEX)
+
+
+@pytest.mark.parametrize("spec,radius", [(Z22, 6), (Z23, 6), (Z23, 9), (Z33, 5), (Z222, 4), (Z222, 6)])
+def test_tree_cell_records_match_enumeration(spec, radius):
+    tree = ball(spec, radius)
+    for budget in range(0, 6):
+        records = cone_off(tree, [], budget=budget).stabilizer_records
+        assert records == tree_cell_records(tree, budget)

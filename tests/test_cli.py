@@ -351,3 +351,25 @@ def test_every_corpus_trace_rule_is_documented():
         report = report_to_json(compute(corpus.load(name)))
         for entry in report["trace"]:
             assert entry["rule"] in text
+
+
+def test_compute_reads_the_readme_surface_field(tmp_path, capsys):
+    path = tmp_path / "t3.json"
+    path.write_text(json.dumps({"name": "t3", "pieces": [{
+        "kind": "seifert_closed", "base": {"surface": "torus", "cone_orders": []},
+        "cone_pairs": [], "b": 0,
+    }]}), encoding="utf-8")
+    assert run(["compute", str(path)]) == EX_OK
+    stdout, _ = out(capsys)
+    assert "gd(k = 2) = 5" in stdout and "gd(k >= 3) = 0" in stdout
+
+
+def test_compute_refuses_conflicting_base_fields(tmp_path, capsys):
+    path = tmp_path / "conflict.json"
+    path.write_text(json.dumps({"name": "c", "pieces": [{
+        "kind": "seifert_closed", "base": {"surface": "torus", "nonorientable": True},
+        "cone_pairs": [], "b": 0,
+    }]}), encoding="utf-8")
+    assert run(["compute", str(path)]) == EX_DATA
+    _, stderr = out(capsys)
+    assert "disagree on orientable" in stderr

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gdim3 import corpus
+from gdim3 import compute, corpus
 from gdim3.gl2z import Mat2Z
 from gdim3.model import (
     DescriptionFormatError,
@@ -287,3 +287,45 @@ def test_base_cone_orders_default_from_pairs():
     piece = d.pieces[0]
     assert piece.data.base.cone_orders == (2, 3)
     assert validate(d) == []
+
+
+def closed_over(base: dict, b: int = 0) -> dict:
+    return {"name": "x", "pieces": [
+        {"kind": "seifert_closed", "base": base, "cone_pairs": [], "b": b},
+    ]}
+
+
+@pytest.mark.parametrize("base,expected", [
+    ({"surface": "sphere"}, OrbifoldBase(genus=0, orientable=True)),
+    ({"surface": "torus", "cone_orders": []}, OrbifoldBase(genus=1, orientable=True)),
+    ({"surface": "projective-plane"}, OrbifoldBase(genus=1, orientable=False)),
+    ({"surface": "klein-bottle"}, OrbifoldBase(genus=2, orientable=False)),
+    ({"genus": 1, "nonorientable": True}, OrbifoldBase(genus=1, orientable=False)),
+    ({"genus": 2, "nonorientable": False, "boundary": 1},
+     OrbifoldBase(genus=2, orientable=True, boundary_count=1)),
+    ({"surface": "sphere", "boundary": 1}, OrbifoldBase(genus=0, orientable=True, boundary_count=1)),
+    ({"surface": "torus", "genus": 1, "orientable": True, "boundary_count": 0},
+     OrbifoldBase(genus=1, orientable=True)),
+])
+def test_readme_base_fields_are_read(base, expected):
+    (piece,) = description_from_json(closed_over(base)).pieces
+    assert piece.data.base == expected
+
+
+def test_three_torus_over_the_readme_torus_base_is_flat():
+    report = compute(description_from_json(closed_over({"surface": "torus", "cone_orders": []})))
+    assert (report.value(2), report.value(3)) == (5, 0)
+
+
+@pytest.mark.parametrize("base", [
+    {"surface": "donut"},
+    {"surface": ["torus"]},
+    {"genus": 1, "colour": "red"},
+    {"surface": "torus", "genus": 2},
+    {"surface": "klein-bottle", "nonorientable": False},
+    {"orientable": True, "nonorientable": True},
+    {"boundary": 1, "boundary_count": 2},
+])
+def test_unknown_or_conflicting_base_fields_are_refused(base):
+    with pytest.raises(DescriptionFormatError):
+        description_from_json(closed_over(base))

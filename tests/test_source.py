@@ -14,3 +14,20 @@ def test_the_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_bass_serre_measures_the_tree_without_breadth_first_search():
+    """Distances and axes come from normal forms; the search versions are test oracles."""
+    tree = ast.parse((PACKAGE / "bass_serre.py").read_text(encoding="utf-8"))
+    names: set = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    found = names & {"deque", "_distance_cache", "_farthest_pair", "_order_path"}
+    assert not found, f"breadth-first search machinery in bass_serre.py: {sorted(found)}"
