@@ -17,8 +17,17 @@ every path with at least one edge has trivial stabiliser.  Coning each
 axis to a point produces a two-complex whose cells carry setwise
 stabiliser records, and the push-out dimension bound
 max(gd(stabiliser class) + dim cell) can be evaluated against any
-assignment of values to cell classes.  The breadth-first distances,
-displacement-minimising axis search and enumerated stabilisers these
+assignment of values to cell classes.
+
+Axes must be geodesics of the ball.  How a word g moves one is read off
+a few vertices: along a geodesic v_0 ... v_{n-1} the distance from the
+point g^-1 * (identity vertex) is |t - s| + delta, so the depths of the
+images of the two ends give s and delta, hence the window v_lo ... v_hi
+of vertices whose images stay in the ball.  g maps that segment onto
+the geodesic between the images of its ends, so it carries the visible
+axis into itself exactly when those two images lie on the axis, and it
+then shifts or reflects the indices.  The breadth-first distances,
+displacement-minimising axis search and word-by-word stabilisers these
 closed forms replace are kept as test oracles in tests/oracles.py.
 
 The second gadget is algebraic: in Gamma = Z^2 x|_A Z with hyperbolic
@@ -247,6 +256,11 @@ def act(spec: FreeProductSpec, g: Sequence[Syllable], v: Vertex) -> Vertex:
 BASE_VERTEX = Vertex((), None)
 
 
+def _depth(v: Vertex) -> int:
+    """Distance from the identity vertex: 2|w| for w, 2|w| + 1 for w<i>."""
+    return 2 * len(v.word) + (v.factor is not None)
+
+
 @dataclass
 class TreeBall:
     """Ball of given radius around the identity vertex.
@@ -385,10 +399,13 @@ class AxisStabilizerReport:
     """Setwise stabiliser of an axis, classified element by element.
 
     Every recorded element acts on the ordered axis as an index
-    translation or an index reflection; the report is consistent when no
-    element escapes that dichotomy (the virtually cyclic picture).
-    Elements whose action cannot be assessed inside the ball (fewer than
-    two axis vertices with images in the ball) are skipped.
+    translation (recorded with its shift) or an index reflection
+    (recorded with the index sum it preserves).  Elements whose action
+    cannot be assessed inside the ball (fewer than two axis vertices with
+    images in the ball) are skipped.  On a tree every element carrying a
+    geodesic segment into itself does one or the other, so violations is
+    always empty; it is kept so that the report states its own
+    consistency.
     """
 
     elements: Tuple[Word, ...]
@@ -401,42 +418,93 @@ class AxisStabilizerReport:
         return not self.violations
 
 
+def _geodesic(spec_ball: TreeBall, axis: Sequence[Vertex]) -> Tuple[Vertex, ...]:
+    """The axis as a tuple; ValueError unless it is a geodesic path in the ball."""
+    axis = tuple(axis)
+    for v in axis:
+        if v not in spec_ball:
+            raise ValueError(f"axis vertex {v.label()} lies outside the ball")
+    for u, v in zip(axis, axis[1:]):
+        if v not in spec_ball.adjacency[u]:
+            raise ValueError(f"axis vertices {u.label()} and {v.label()} are not adjacent")
+    if axis and spec_ball.distance(axis[0], axis[-1]) != len(axis) - 1:
+        raise ValueError(
+            f"the axis from {axis[0].label()} to {axis[-1].label()} is not a geodesic"
+        )
+    return axis
+
+
+class _AxisAction(NamedTuple):
+    """How a word moves the visible part of a geodesic axis v_0 ... v_{n-1}.
+
+    The images of v_lo ... v_hi lie in the ball, and v_t goes to
+    v_{t + value} (a translation) or to v_{value - t} (a reflection).
+    """
+
+    lo: int
+    hi: int
+    reflection: bool
+    value: int
+
+
+def _axis_action(spec_ball: TreeBall, axis: Tuple[Vertex, ...],
+                 g: Word) -> Optional[_AxisAction]:
+    """The action of g on a geodesic axis, or None unless g preserves it.
+
+    g preserves the axis when at least two axis vertices have images in
+    the ball and all of those images lie on the axis.  The image of v_t
+    lies at depth |t - s| + delta, where v_s is the axis vertex nearest to
+    g^-1 * (identity vertex) at distance delta, so the two ends give s and
+    delta and the vertices with images in the ball are v_lo ... v_hi.  The
+    image of that segment is the geodesic between the images of v_lo and
+    v_hi, which lies on the axis when both of them do.  At most four
+    _act calls per word.
+    """
+    spec, last = spec_ball.spec, len(axis) - 1
+    if last < 1:
+        return None
+    head, tail = _act(spec, g, axis[0]), _act(spec, g, axis[last])
+    depth = _depth(head)
+    s = (depth - _depth(tail) + last) // 2
+    reach = spec_ball.radius - (depth - s)
+    lo, hi = max(0, s - reach), min(last, s + reach)
+    if hi <= lo:
+        return None
+    ja = _axis_position(spec_ball, axis, head if lo == 0 else _act(spec, g, axis[lo]))
+    jb = _axis_position(spec_ball, axis, tail if hi == last else _act(spec, g, axis[hi]))
+    if ja is None or jb is None:
+        return None
+    if jb - ja == hi - lo:
+        return _AxisAction(lo, hi, False, ja - lo)
+    return _AxisAction(lo, hi, True, ja + lo)
+
+
+def _axis_position(spec_ball: TreeBall, axis: Tuple[Vertex, ...], v: Vertex) -> Optional[int]:
+    """The index of a ball vertex on a geodesic axis, None when it is off the axis."""
+    t = spec_ball.distance(axis[0], v)
+    return t if t < len(axis) and axis[t] == v else None
+
+
 def setwise_axis_stabilizer(spec_ball: TreeBall, axis: Sequence[Vertex],
                             budget: int = 6) -> AxisStabilizerReport:
-    spec = spec_ball.spec
-    index = {v: i for i, v in enumerate(axis)}
+    """Words of syllable length <= budget preserving a geodesic axis, by action."""
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    axis = _geodesic(spec_ball, axis)
     elements: List[Word] = []
     translations: List[Tuple[Word, int]] = []
     reflections: List[Tuple[Word, int]] = []
-    violations: List[Word] = []
-    for g in words_up_to(spec, budget):
-        pairs: List[Tuple[int, Optional[int]]] = []
-        off_axis = False
-        for i, v in enumerate(axis):
-            image = _act(spec, g, v)
-            if image not in spec_ball:
-                continue
-            target = index.get(image)
-            if target is None:
-                off_axis = True
-                break
-            pairs.append((i, target))
-        if off_axis or len(pairs) < 2:
+    for g in words_up_to(spec_ball.spec, budget):
+        action = _axis_action(spec_ball, axis, g)
+        if action is None:
             continue
         elements.append(g)
-        deltas = {j - i for i, j in pairs}
-        sums = {j + i for i, j in pairs}
-        if len(deltas) == 1:
-            translations.append((g, deltas.pop()))
-        elif len(sums) == 1:
-            reflections.append((g, sums.pop()))
-        else:
-            violations.append(g)
+        (reflections if action.reflection else translations).append((g, action.value))
     return AxisStabilizerReport(
         elements=tuple(elements),
         translations=tuple(translations),
         reflections=tuple(reflections),
-        violations=tuple(violations),
+        violations=(),
     )
 
 
@@ -454,25 +522,6 @@ def _vertex_stabilizer(spec: FreeProductSpec, v: Vertex, budget: int) -> Tuple[W
         v.word + ((v.factor, exponent),) + back
         for exponent in range(1, spec.factor_orders[v.factor])
     )
-
-
-def _preserving(spec_ball: TreeBall, axis: Tuple[Vertex, ...], words: Sequence[Word]) -> set:
-    """Words carrying the axis into itself wherever its image is visible, on >= 2 vertices."""
-    spec, axis_set = spec_ball.spec, set(axis)
-    keep = set()
-    for g in words:
-        assessed = 0
-        for v in axis:
-            image = _act(spec, g, v)
-            if image not in spec_ball:
-                continue
-            if image not in axis_set:
-                break
-            assessed += 1
-        else:
-            if assessed >= 2:
-                keep.add(g)
-    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -515,37 +564,74 @@ class ConedComplex:
                 yield Cell("face", 2, (i, u, v))
 
     def cell_classes(self) -> Tuple[str, ...]:
-        return tuple(dict.fromkeys(cell.cell_class for cell in self.cells()))
+        """The classes present, in the order cells() first yields them."""
+        present = {
+            "vertex": bool(self.tree.vertices),
+            "cone_vertex": bool(self.axes),
+            "edge": bool(self.tree.edges),
+            "cone_edge": any(self.axes),
+            "face": any(len(axis) >= 2 for axis in self.axes),
+        }
+        return tuple(cell_class for cell_class, here in present.items() if here)
+
+
+_CELL_DIMS = {"vertex": 0, "cone_vertex": 0, "edge": 1, "cone_edge": 1, "face": 2}
 
 
 def cone_off(spec_ball: TreeBall, axes: Sequence[Sequence[Vertex]],
              budget: int = 4) -> ConedComplex:
-    """Attach a cone over each axis and record setwise cell stabilisers.
+    """Attach a cone over each geodesic axis and record setwise cell stabilisers.
 
     Tree cells take their stabilisers in closed form: element vertices
     and all edges are fixed by the identity alone, and a coset vertex
     w<i> carries the words of w Z_{n_i} w^-1 within the budget.  The
     stabiliser of a cone vertex is the set of budgeted words carrying the
-    visible axis into itself; a cone edge keeps those fixing its tree
-    vertex, and a face those fixing both of its tree vertices.
+    visible axis into itself (_axis_action).  Such a word fixes the axis
+    vertex v_t when it is the identity on a window containing t or a
+    reflection with index sum 2t, and the face over v_t v_{t+1} when it is
+    the identity there or a reflection with index sum 2t + 1 (which would
+    swap the ends of an edge; the action keeps element and coset vertices
+    apart, so only the identity fixes a face here).
     """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     spec = spec_ball.spec
-    axis_tuples = tuple(tuple(a) for a in axes)
+    axis_tuples = tuple(_geodesic(spec_ball, a) for a in axes)
     words = list(words_up_to(spec, budget))
     records: Dict[Cell, Tuple[Word, ...]] = {}
     for v in spec_ball.vertices:
         records[Cell("vertex", 0, (v,))] = _vertex_stabilizer(spec, v, budget)
     for i, axis in enumerate(axis_tuples):
-        keep = _preserving(spec_ball, axis, words)
+        # cone-edge and face records list words in the iteration order of
+        # keep, a set filled by add in words_up_to order
+        keep = set()
+        actions: Dict[Word, _AxisAction] = {}
+        for g in words:
+            action = _axis_action(spec_ball, axis, g)
+            if action is not None:
+                keep.add(g)
+                actions[g] = action
+        on_vertex: List[List[Word]] = [[] for _ in axis]
+        on_edge: List[List[Word]] = [[] for _ in axis[1:]]
+        for g in keep:
+            lo, hi, reflection, value = actions[g]
+            if not reflection:
+                if value == 0:
+                    for t in range(lo, hi + 1):
+                        on_vertex[t].append(g)
+                    for t in range(lo, hi):
+                        on_edge[t].append(g)
+                continue
+            t, odd = divmod(value, 2)
+            if not odd and lo <= t <= hi:
+                on_vertex[t].append(g)
+            elif odd and lo <= t < hi:
+                on_edge[t].append(g)
         records[Cell("cone_vertex", 0, (i,))] = tuple(sorted(keep))
-        for v in axis:
-            records[Cell("cone_edge", 1, (i, v))] = tuple(
-                g for g in keep if _act(spec, g, v) == v
-            )
-        for u, v in zip(axis, axis[1:]):
-            records[Cell("face", 2, (i, u, v))] = tuple(
-                g for g in keep if {_act(spec, g, u), _act(spec, g, v)} == {u, v}
-            )
+        for v, fixing in zip(axis, on_vertex):
+            records[Cell("cone_edge", 1, (i, v))] = tuple(fixing)
+        for u, v, fixing in zip(axis, axis[1:], on_edge):
+            records[Cell("face", 2, (i, u, v))] = tuple(fixing)
     for e in spec_ball.edges:
         records[Cell("edge", 1, e)] = ((),)
     return ConedComplex(
@@ -560,20 +646,16 @@ def pushout_dimension_bound(complex_: ConedComplex, cell_gd: Dict[str, int]) -> 
     """max over cells of (assigned value of the cell's class + cell dimension).
 
     Every cell class present in the complex must be assigned; classes
-    that do not occur need no value.
+    that do not occur need no value.  The cells of one class share a
+    dimension, so the maximum runs over the classes present.
     """
-    best: Optional[int] = None
-    for cell in complex_.cells():
-        if cell.cell_class not in cell_gd:
-            raise MissingAssignment(cell.cell_class)
-        candidate = cell_gd[cell.cell_class] + cell.dim
-        if best is None or candidate > best:
-            best = candidate
-    if best is None:
+    classes = complex_.cell_classes()
+    if not classes:
         raise ValueError("the complex has no cells")
-    return best
-
-
+    for cell_class in classes:
+        if cell_class not in cell_gd:
+            raise MissingAssignment(cell_class)
+    return max(cell_gd[cell_class] + _CELL_DIMS[cell_class] for cell_class in classes)
 
 
 # ---------------------------------------------------------------------------

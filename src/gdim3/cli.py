@@ -244,6 +244,17 @@ def _parse_factors(text: str) -> FreeProductSpec:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _count(text: str) -> int:
+    """An integer >= 0: a radius or a word budget."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _cmd_ball(args: argparse.Namespace) -> int:
     try:
         tree = ball(args.factors, args.radius, max_vertices=args.max_vertices)
@@ -488,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ball", help="explore a Bass-Serre tree ball")
     p.add_argument("--factors", type=_parse_factors, required=True,
                    help="cyclic factor orders, e.g. 2,3")
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=_count, required=True)
     p.add_argument("--max-vertices", type=int, default=50000)
     p.add_argument("--list", action="store_true", help="list every vertex")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -496,11 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cone-off", help="cone the axes in a tree ball and bound the dimension")
     p.add_argument("--factors", type=_parse_factors, required=True)
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=_count, required=True)
     p.add_argument("--max-vertices", type=int, default=50000)
     p.add_argument("--axes", default="auto",
                    help="'auto' or comma-separated words like ab,ab2")
-    p.add_argument("--budget", type=int, default=4,
+    p.add_argument("--budget", type=_count, default=4,
                    help="syllable-length cap for stabiliser enumeration")
     p.add_argument("--assign", action="append", default=[],
                    help="cell-class value, e.g. --assign vertex=0 (repeatable)")

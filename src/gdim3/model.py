@@ -411,6 +411,50 @@ def _base_to_json(base: OrbifoldBase) -> dict:
     return obj
 
 
+def _at(path: str, keys: tuple) -> str:
+    """The JSON path of a field: `path` followed by keys (names) and indices (ints)."""
+    return path + "".join(f"[{key}]" if type(key) is int else f".{key}" for key in keys)
+
+
+def _integer(value, path: str, *keys) -> int:
+    """An integer field: a JSON integer, never a boolean, a float or a string."""
+    if type(value) is not int:
+        raise DescriptionFormatError(f"{_at(path, keys)}: expected an integer, got {value!r}")
+    return value
+
+
+def _boolean(value, path: str, *keys) -> bool:
+    """A boolean field: JSON true or false, never 0, 1 or a string."""
+    if type(value) is not bool:
+        raise DescriptionFormatError(f"{_at(path, keys)}: expected true or false, got {value!r}")
+    return value
+
+
+def _integers(value, path: str, key: str) -> Tuple[int, ...]:
+    """A list of integers, each read by _integer."""
+    if not isinstance(value, (list, tuple)):
+        raise DescriptionFormatError(f"{path}.{key}: expected a list, got {value!r}")
+    for i, entry in enumerate(value):
+        if type(entry) is not int:   # only a bad entry pays for building its path
+            _integer(entry, path, key, i)
+    return tuple(value)
+
+
+def _integer_rows(value, path: str, key: str, width: int) -> Tuple[Tuple[int, ...], ...]:
+    """A list of rows of `width` integers (cone pairs, edges, matrix rows), read by _integer."""
+    if not isinstance(value, (list, tuple)):
+        raise DescriptionFormatError(f"{path}.{key}: expected a list, got {value!r}")
+    for i, row in enumerate(value):
+        if not isinstance(row, (list, tuple)) or len(row) != width:
+            raise DescriptionFormatError(
+                f"{path}.{key}[{i}]: expected a list of {width} integers, got {row!r}"
+            )
+        for j, entry in enumerate(row):
+            if type(entry) is not int:   # only a bad entry pays for building its path
+                _integer(entry, path, key, i, j)
+    return tuple(tuple(row) for row in value)
+
+
 _NAMED_SURFACES = {
     "sphere": sphere(),
     "torus": torus(),
@@ -418,16 +462,17 @@ _NAMED_SURFACES = {
     "klein-bottle": klein_bottle(),
 }
 _BASE_QUANTITIES = {   # base field -> (OrbifoldBase field it sets, reader)
-    "genus": ("genus", int),
-    "orientable": ("orientable", bool),
-    "nonorientable": ("orientable", lambda value: not value),
-    "boundary": ("boundary_count", int),
-    "boundary_count": ("boundary_count", int),
+    "genus": ("genus", _integer),
+    "orientable": ("orientable", _boolean),
+    "nonorientable": ("orientable", lambda value, path, key: not _boolean(value, path, key)),
+    "boundary": ("boundary_count", _integer),
+    "boundary_count": ("boundary_count", _integer),
 }
 _BASE_FIELDS = frozenset(_BASE_QUANTITIES) | {"surface", "cone_orders"}
 
 
-def _base_from_json(obj: dict, cone_pairs: Tuple[Tuple[int, int], ...]) -> OrbifoldBase:
+def _base_from_json(obj: dict, cone_pairs: Tuple[Tuple[int, int], ...],
+                    path: str) -> OrbifoldBase:
     """Read a base given by `surface` or by `genus` / `nonorientable` / `boundary`.
 
     `orientable` and `boundary_count` (the spelling of `description_to_json`)
@@ -435,96 +480,100 @@ def _base_from_json(obj: dict, cone_pairs: Tuple[Tuple[int, int], ...]) -> Orbif
     give the same quantity different values.
     """
     if not isinstance(obj, dict):
-        raise DescriptionFormatError(f"base must be an object, got {obj!r}")
+        raise DescriptionFormatError(f"{path}: base must be an object, got {obj!r}")
     unknown = obj.keys() - _BASE_FIELDS
     if unknown:
-        raise DescriptionFormatError(f"unknown base field(s) {sorted(unknown)} in {obj!r}")
+        raise DescriptionFormatError(f"{path}: unknown base field(s) {sorted(unknown)} in {obj!r}")
     found = {}   # OrbifoldBase field -> (base field, value)
     if "surface" in obj:
         surface = obj["surface"]
         if not isinstance(surface, str) or surface not in _NAMED_SURFACES:
             raise DescriptionFormatError(
-                f"unknown surface {surface!r}, expected one of {sorted(_NAMED_SURFACES)}"
+                f"{path}.surface: unknown surface {surface!r}, "
+                f"expected one of {sorted(_NAMED_SURFACES)}"
             )
         named = _NAMED_SURFACES[surface]
         found = {"genus": ("surface", named.genus), "orientable": ("surface", named.orientable)}
     for key, (quantity, read) in _BASE_QUANTITIES.items():
         if key in obj:
-            value = read(obj[key])
+            value = read(obj[key], path, key)
             earlier = found.setdefault(quantity, (key, value))
             if earlier[1] != value:
                 raise DescriptionFormatError(
-                    f"base fields {earlier[0]!r} and {key!r} disagree on {quantity} in {obj!r}"
+                    f"{path}: base fields {earlier[0]!r} and {key!r} disagree on {quantity} "
+                    f"in {obj!r}"
                 )
     default_orders = sorted(alpha for alpha, _ in cone_pairs)
     return OrbifoldBase(
         genus=found.get("genus", (None, 0))[1],
         orientable=found.get("orientable", (None, True))[1],
         boundary_count=found.get("boundary_count", (None, 0))[1],
-        cone_orders=tuple(int(a) for a in obj.get("cone_orders", default_orders)),
+        cone_orders=_integers(obj.get("cone_orders", default_orders), path, "cone_orders"),
     )
 
 
-def _pairs_from_json(obj) -> Tuple[Tuple[int, int], ...]:
-    try:
-        return tuple((int(a), int(b)) for a, b in obj)
-    except (TypeError, ValueError) as exc:
-        raise DescriptionFormatError(f"cone_pairs must be a list of [alpha, beta]: {obj!r}") from exc
+def _matrix_from_json(obj, path: str) -> Mat2Z:
+    rows = _integer_rows(obj, path, "monodromy", 2)
+    if len(rows) != 2:
+        raise DescriptionFormatError(
+            f"{path}.monodromy: monodromy must be [[a, b], [c, d]], got {obj!r}"
+        )
+    return Mat2Z.from_rows(rows)
 
 
-def _matrix_from_json(obj) -> Mat2Z:
-    try:
-        return Mat2Z.from_rows(obj)
-    except (TypeError, ValueError) as exc:
-        raise DescriptionFormatError(f"monodromy must be [[a, b], [c, d]]: {obj!r}") from exc
-
-
-def _seifert_from_json(obj: dict) -> SeifertData:
-    pairs = _pairs_from_json(obj.get("cone_pairs", []))
-    base = _base_from_json(obj.get("base", {}), pairs)
+def _seifert_from_json(obj: dict, path: str) -> SeifertData:
+    pairs = _integer_rows(obj.get("cone_pairs", []), path, "cone_pairs", 2)
+    base = _base_from_json(obj.get("base", {}), pairs, f"{path}.base")
     b = obj.get("b")
-    return SeifertData(base=base, cone_pairs=pairs, b=None if b is None else int(b))
+    if b is not None:
+        b = _integer(b, path, "b")
+    return SeifertData(base=base, cone_pairs=pairs, b=b)
 
 
-def _vertex_from_json(obj: dict) -> JsjVertex:
+def _vertex_from_json(obj: dict, path: str) -> JsjVertex:
+    if not isinstance(obj, dict):
+        raise DescriptionFormatError(f"{path}: vertex must be an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "hyperbolic_cusped":
-        return HyperbolicCusped(cusps=int(obj.get("cusps", 0)))
+        return HyperbolicCusped(cusps=_integer(obj.get("cusps", 0), path, "cusps"))
     if kind == "seifert_bounded":
-        return SeifertBounded(_seifert_from_json(obj))
-    raise DescriptionFormatError(f"unknown vertex kind {kind!r}")
+        return SeifertBounded(_seifert_from_json(obj, path))
+    raise DescriptionFormatError(f"{path}.kind: unknown vertex kind {kind!r}")
 
 
-def piece_from_json(obj: dict) -> PrimePiece:
+def piece_from_json(obj: dict, path: str = "piece") -> PrimePiece:
+    """Decode one prime piece; errors name the JSON path, starting at `path`."""
     if not isinstance(obj, dict):
-        raise DescriptionFormatError(f"piece must be an object, got {obj!r}")
+        raise DescriptionFormatError(f"{path}: piece must be an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "spherical":
-        return Spherical(pi1_order=int(obj["pi1_order"]))
+        if "pi1_order" not in obj:
+            raise DescriptionFormatError(f"{path}.pi1_order: missing")
+        return Spherical(pi1_order=_integer(obj["pi1_order"], path, "pi1_order"))
     if kind == "geometric":
         try:
             return Geometric(Geometry(obj["geometry"]))
         except (KeyError, ValueError) as exc:
-            raise DescriptionFormatError(f"unknown geometry in {obj!r}") from exc
+            raise DescriptionFormatError(f"{path}.geometry: unknown geometry in {obj!r}") from exc
     if kind == "torus_bundle":
-        return TorusBundle(_matrix_from_json(obj.get("monodromy")))
+        return TorusBundle(_matrix_from_json(obj.get("monodromy"), path))
     if kind == "klein_double":
         return KleinDouble()
     if kind == "seifert_closed":
-        return SeifertClosed(_seifert_from_json(obj))
+        return SeifertClosed(_seifert_from_json(obj, path))
     if kind == "jsj":
-        vertices = tuple(_vertex_from_json(v) for v in obj.get("vertices", []))
-        try:
-            edges = tuple((int(u), int(v)) for u, v in obj.get("edges", []))
-        except (TypeError, ValueError) as exc:
-            raise DescriptionFormatError(f"edges must be index pairs: {obj.get('edges')!r}") from exc
+        vertices = obj.get("vertices", [])
+        if not isinstance(vertices, list):
+            raise DescriptionFormatError(f"{path}.vertices: expected a list, got {vertices!r}")
         monodromy = obj.get("monodromy")
         return JsjGraph(
-            vertices=vertices,
-            edges=edges,
-            monodromy=None if monodromy is None else _matrix_from_json(monodromy),
+            vertices=tuple(
+                _vertex_from_json(v, f"{path}.vertices[{i}]") for i, v in enumerate(vertices)
+            ),
+            edges=_integer_rows(obj.get("edges", []), path, "edges", 2),
+            monodromy=None if monodromy is None else _matrix_from_json(monodromy, path),
         )
-    raise DescriptionFormatError(f"unknown piece kind {kind!r}")
+    raise DescriptionFormatError(f"{path}.kind: unknown piece kind {kind!r}")
 
 
 def piece_to_json(piece: PrimePiece) -> dict:
@@ -579,7 +628,7 @@ def description_from_json(obj: dict) -> ManifoldDescription:
         raise DescriptionFormatError("description needs a 'pieces' list")
     return ManifoldDescription(
         name=str(obj.get("name", "")),
-        pieces=tuple(piece_from_json(p) for p in pieces),
+        pieces=tuple(piece_from_json(p, f"pieces[{i}]") for i, p in enumerate(pieces)),
     )
 
 

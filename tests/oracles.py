@@ -3,15 +3,18 @@
 The package measures tree geometry in closed form; these helpers recompute
 the same facts by search and enumeration (breadth-first distances inside
 the ball, displacement minimisation over every vertex, stabilisers by
-testing every budgeted word) so the tests can compare the two.
+testing every budgeted word on every vertex, the push-out bound by
+walking every cell) so the tests can compare the two.
 """
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from gdim3.bass_serre import (
+    AxisStabilizerReport,
     Cell,
+    ConedComplex,
     FreeProductSpec,
     Syllable,
     TreeBall,
@@ -165,3 +168,97 @@ def tree_cell_records(tree: TreeBall, budget: int) -> Dict[Cell, Tuple[Word, ...
             g for g in words if {act(spec, g, u), act(spec, g, v)} == {u, v}
         )
     return records
+
+
+def preserving_words(tree: TreeBall, axis: Sequence[Vertex], words: Sequence[Word]) -> Set[Word]:
+    """Words carrying the axis into itself wherever its image is visible, on >= 2 vertices.
+
+    The set is filled with add in the order of words, as cone_off fills its own.
+    """
+    spec, axis_set = tree.spec, set(axis)
+    keep = set()
+    for g in words:
+        assessed = 0
+        for v in axis:
+            image = act(spec, g, v)
+            if image not in tree:
+                continue
+            if image not in axis_set:
+                break
+            assessed += 1
+        else:
+            if assessed >= 2:
+                keep.add(g)
+    return keep
+
+
+def setwise_by_scan(tree: TreeBall, axis: Sequence[Vertex], budget: int) -> AxisStabilizerReport:
+    """The setwise axis stabiliser from the image of every axis vertex under every word."""
+    spec = tree.spec
+    index = {v: i for i, v in enumerate(axis)}
+    elements: List[Word] = []
+    translations: List[Tuple[Word, int]] = []
+    reflections: List[Tuple[Word, int]] = []
+    violations: List[Word] = []
+    for g in words_up_to(spec, budget):
+        pairs: List[Tuple[int, int]] = []
+        off_axis = False
+        for i, v in enumerate(axis):
+            image = act(spec, g, v)
+            if image not in tree:
+                continue
+            target = index.get(image)
+            if target is None:
+                off_axis = True
+                break
+            pairs.append((i, target))
+        if off_axis or len(pairs) < 2:
+            continue
+        elements.append(g)
+        deltas = {j - i for i, j in pairs}
+        sums = {j + i for i, j in pairs}
+        if len(deltas) == 1:
+            translations.append((g, deltas.pop()))
+        elif len(sums) == 1:
+            reflections.append((g, sums.pop()))
+        else:
+            violations.append(g)
+    return AxisStabilizerReport(
+        elements=tuple(elements),
+        translations=tuple(translations),
+        reflections=tuple(reflections),
+        violations=tuple(violations),
+    )
+
+
+def cone_cell_records(tree: TreeBall, axes: Sequence[Sequence[Vertex]],
+                      budget: int) -> List[Tuple[Cell, Tuple[Word, ...]]]:
+    """Cone-vertex, cone-edge and face records, in cone_off's order, by testing every word."""
+    spec = tree.spec
+    words = list(words_up_to(spec, budget))
+    records: List[Tuple[Cell, Tuple[Word, ...]]] = []
+    for i, axis in enumerate(axes):
+        keep = preserving_words(tree, axis, words)
+        records.append((Cell("cone_vertex", 0, (i,)), tuple(sorted(keep))))
+        for v in axis:
+            records.append((Cell("cone_edge", 1, (i, v)),
+                            tuple(g for g in keep if act(spec, g, v) == v)))
+        for u, v in zip(axis, axis[1:]):
+            records.append((Cell("face", 2, (i, u, v)), tuple(
+                g for g in keep if {act(spec, g, u), act(spec, g, v)} == {u, v}
+            )))
+    return records
+
+
+def pushout_bound_by_walk(complex_: ConedComplex, cell_gd: Dict[str, int]) -> int:
+    """max(assigned value + dim) over every cell; KeyError names the first unassigned one."""
+    best: Optional[int] = None
+    for cell in complex_.cells():
+        if cell.cell_class not in cell_gd:
+            raise KeyError(cell.cell_class)
+        candidate = cell_gd[cell.cell_class] + cell.dim
+        if best is None or candidate > best:
+            best = candidate
+    if best is None:
+        raise ValueError("the complex has no cells")
+    return best

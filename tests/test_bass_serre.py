@@ -1,10 +1,12 @@
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdim3 import bass_serre
 from gdim3.bass_serre import (
     BASE_VERTEX,
     BallLimitExceeded,
@@ -35,9 +37,12 @@ from gdim3.gl2z import Mat2Z, MatKind, classify
 from oracles import (
     BfsDistances,
     axis_by_displacement,
+    cone_cell_records,
     order_path,
     path_stabilizer,
+    pushout_bound_by_walk,
     rotate_to_cyclically_reduced,
+    setwise_by_scan,
     translation_syllables,
     tree_cell_records,
 )
@@ -46,6 +51,7 @@ Z22 = FreeProductSpec((2, 2))
 Z23 = FreeProductSpec((2, 3))
 Z33 = FreeProductSpec((3, 3))
 Z222 = FreeProductSpec((2, 2, 2))
+Z234 = FreeProductSpec((2, 3, 4))
 
 
 def syllables(spec):
@@ -548,3 +554,144 @@ def test_tree_cell_records_match_enumeration(spec, radius):
     for budget in range(0, 6):
         records = cone_off(tree, [], budget=budget).stabilizer_records
         assert records == tree_cell_records(tree, budget)
+
+
+# --- axis stabilisers by the endpoint test against the vertex scan ---
+
+SCAN_SPECS = (Z22, Z23, Z33, Z222, Z234)
+scan_ball = lru_cache(maxsize=None)(ball)
+
+
+def cone_records(complex_):
+    """The cone-vertex, cone-edge and face records, in record order."""
+    return [(cell, record) for cell, record in complex_.stabilizer_records.items()
+            if cell.cell_class in ("cone_vertex", "cone_edge", "face")]
+
+
+@st.composite
+def axes_case(draw):
+    spec = draw(st.sampled_from(SCAN_SPECS))
+    radius = draw(st.integers(3, 10))
+    budget = draw(st.integers(0, 6 if spec is not Z234 else 5))   # 6,077 words at 6
+    tree = scan_ball(spec, radius)
+    cores = [w for w in words_up_to(spec, 3) if len(w) >= 2 and w[0][0] != w[-1][0]]
+    axes = []
+    for _ in range(draw(st.integers(1, 3))):
+        core = draw(st.sampled_from(cores))
+        conjugator = draw(st.sampled_from(list(words_up_to(spec, 2))))
+        g = mul(spec, mul(spec, conjugator, core), inverse(spec, conjugator))
+        axis = axis_of(tree, g) or axis_of(tree, core)
+        if axis is not None:
+            axes.append(axis)
+    return tree, axes, budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(axes_case())
+def test_axis_stabilisers_match_the_vertex_scan(case):
+    tree, axes, budget = case
+    for axis in axes:
+        assert setwise_axis_stabilizer(tree, axis, budget) == setwise_by_scan(tree, axis, budget)
+    assert cone_records(cone_off(tree, axes, budget)) == cone_cell_records(tree, axes, budget)
+
+
+@pytest.mark.parametrize("spec,radius,words", [
+    (Z22, 10, ("ab",)),
+    (Z23, 9, ("ab", "bab", "ab2ab")),
+    (Z33, 7, ("ab", "ab2", "bab")),
+    (Z222, 8, ("ab", "bc", "ac", "cabc", "abcb")),
+    (Z234, 6, ("ab", "bc3", "cabc", "abc")),
+])
+def test_conjugate_axes_that_miss_the_base_match_the_vertex_scan(spec, radius, words):
+    tree = ball(spec, radius)
+    axes = [axis_of(tree, parse_word(spec, w)) for w in words]
+    assert all(axis is not None for axis in axes)
+    assert spec is Z22 or any(BASE_VERTEX not in axis for axis in axes)
+    for budget in range(0, 5):
+        for axis in axes:
+            report = setwise_axis_stabilizer(tree, axis, budget)
+            assert report == setwise_by_scan(tree, axis, budget)
+            assert report.consistent
+        assert cone_records(cone_off(tree, axes, budget)) == cone_cell_records(tree, axes, budget)
+
+
+def test_non_geodesic_axes_are_refused():
+    tree = ball(Z222, 6)
+    axis = axis_of(tree, parse_word(Z222, "ab"))
+    gap = axis[:3] + axis[4:]                         # consecutive vertices not adjacent
+    backtrack = axis[:3] + (axis[1],)                 # adjacent steps, ends too close
+    k = next(k for k, v in enumerate(axis) if k and v.factor is None)
+    off = next(n for n in tree.adjacency[axis[k]] if n not in axis)
+    branch = axis[:k + 1] + (off,)                    # leaves the line: still a geodesic
+    outside = axis + (Vertex(parse_word(Z222, "abcabc"), None),)
+    for bad in (gap, backtrack, axis[::2], outside):
+        with pytest.raises(ValueError):
+            setwise_axis_stabilizer(tree, bad, budget=2)
+        with pytest.raises(ValueError):
+            cone_off(tree, [axis, bad], budget=2)
+    assert setwise_axis_stabilizer(tree, branch, budget=3) == setwise_by_scan(tree, branch, 3)
+
+
+def test_negative_budgets_are_refused():
+    tree = ball(Z23, 4)
+    axis = axis_of(tree, parse_word(Z23, "ab"))
+    with pytest.raises(ValueError):
+        setwise_axis_stabilizer(tree, axis, budget=-1)
+    with pytest.raises(ValueError):
+        cone_off(tree, [axis], budget=-1)
+
+
+def test_each_word_costs_at_most_four_actions_per_axis(monkeypatch):
+    calls = []
+    real_act = bass_serre._act
+
+    def counting_act(spec, g, v):
+        calls.append(g)
+        return real_act(spec, g, v)
+
+    monkeypatch.setattr(bass_serre, "_act", counting_act)
+    for spec, radius, words, budget in ((Z23, 10, ("ab", "bab"), 3),
+                                        (Z222, 8, ("ab", "bc", "ac", "cabc"), 6)):
+        tree = ball(spec, radius)
+        axes = [axis_of(tree, parse_word(spec, w)) for w in words]
+        enumerated = sum(1 for _ in words_up_to(spec, budget))
+        for axis in axes:
+            calls.clear()
+            setwise_axis_stabilizer(tree, axis, budget)
+            assert len(calls) <= 4 * enumerated
+        calls.clear()
+        cone_off(tree, axes, budget)
+        assert len(calls) <= 4 * enumerated * len(axes)
+
+
+# --- the push-out bound by cell class ---
+
+def test_cell_classes_and_bound_follow_the_cells():
+    tree = ball(Z222, 4)
+    axis = axis_of(tree, parse_word(Z222, "ab"))
+    values = {"vertex": 3, "cone_vertex": 1, "edge": 0, "cone_edge": 2, "face": 0}
+    for axes in ([], [()], [axis[:1]], [axis[:1], ()], [axis], [(), axis, axis[:1]]):
+        cx = cone_off(tree, axes, budget=2)
+        assert cx.cell_classes() == tuple(dict.fromkeys(c.cell_class for c in cx.cells()))
+        assert pushout_dimension_bound(cx, values) == pushout_bound_by_walk(cx, values)
+        for missing in cx.cell_classes():
+            partial = {k: v for k, v in values.items() if k != missing}
+            with pytest.raises(MissingAssignment) as raised:
+                pushout_dimension_bound(cx, partial)
+            assert raised.value.args == (missing,)
+        assert pushout_dimension_bound(cx, {c: 0 for c in cx.cell_classes()}) == (
+            2 if any(len(a) >= 2 for a in axes) else 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(Z22, 5), (Z23, 6), (Z222, 4)]),
+       st.lists(st.integers(0, 4), min_size=5, max_size=5),
+       st.lists(st.integers(0, 9), max_size=3))
+def test_pushout_bound_matches_the_walk_over_every_cell(key, values, cuts):
+    spec, radius = key
+    tree = ball(spec, radius)
+    axis = axis_of(tree, ((0, 1), (1, 1)))
+    axes = [axis[:cut] for cut in cuts]
+    cx = cone_off(tree, axes, budget=1)
+    assignment = dict(zip(("vertex", "cone_vertex", "edge", "cone_edge", "face"), values))
+    assert pushout_dimension_bound(cx, assignment) == pushout_bound_by_walk(cx, assignment)

@@ -236,6 +236,29 @@ def test_cone_off_json(capsys):
     assert any(c["class"] == "face" for c in obj["cells"])
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["ball", "--factors", "2,3", "--radius", "-1"], "argument --radius: must be >= 0, got -1"),
+    (["cone-off", "--factors", "2,3", "--radius", "-1"], "argument --radius: must be >= 0"),
+    (["cone-off", "--factors", "2,3", "--radius", "4", "--budget", "-3"],
+     "argument --budget: must be >= 0, got -3"),
+    (["ball", "--factors", "2,3", "--radius", "two"], "expected an integer >= 0, got 'two'"),
+])
+def test_negative_radius_and_budget_are_refused(argv, message, capsys):
+    with pytest.raises(SystemExit) as raised:
+        run(argv)
+    assert raised.value.code == EX_DATA
+    stdout, stderr = out(capsys)
+    assert message in stderr and stdout == ""
+
+
+def test_zero_radius_and_budget_are_accepted(capsys):
+    assert run(["ball", "--factors", "2,3", "--radius", "0"]) == EX_OK
+    assert "vertices: 1 " in out(capsys)[0]
+    assert run(["cone-off", "--factors", "2,3", "--radius", "6", "--axes", "ab",
+                "--budget", "0"]) == EX_OK
+    assert "word budget 0" in out(capsys)[0]
+
+
 def test_probe_normalizer(capsys):
     assert run(["probe-normalizer", "--monodromy", "2,1;1,1",
                 "--element", "0,0,1", "--bound", "8"]) == EX_OK
@@ -373,3 +396,14 @@ def test_compute_refuses_conflicting_base_fields(tmp_path, capsys):
     assert run(["compute", str(path)]) == EX_DATA
     _, stderr = out(capsys)
     assert "disagree on orientable" in stderr
+
+
+@pytest.mark.parametrize("order", ['"x"', "true", "2.7", None])
+def test_compute_refuses_a_non_integer_or_missing_group_order(order, tmp_path, capsys):
+    piece = '{"kind": "spherical"' + ("" if order is None else f', "pi1_order": {order}') + "}"
+    path = tmp_path / "bad.json"
+    path.write_text('{"name": "bad", "pieces": [' + piece + "]}", encoding="utf-8")
+    for command in ("compute", "validate"):
+        assert run([command, str(path)]) == EX_DATA
+        stdout, stderr = out(capsys)
+        assert stdout == "" and stderr.startswith("error: pieces[0].pi1_order: ")

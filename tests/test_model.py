@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -329,3 +330,48 @@ def test_three_torus_over_the_readme_torus_base_is_flat():
 def test_unknown_or_conflicting_base_fields_are_refused(base):
     with pytest.raises(DescriptionFormatError):
         description_from_json(closed_over(base))
+
+
+def seifert(**fields):
+    piece = {"kind": "seifert_closed", "base": {"genus": 1}, "cone_pairs": [[2, 1]], "b": 0}
+    piece.update(fields)
+    return piece
+
+
+@pytest.mark.parametrize("piece,path", [
+    ({"kind": "spherical", "pi1_order": "x"}, "pieces[1].pi1_order"),
+    ({"kind": "spherical", "pi1_order": True}, "pieces[1].pi1_order"),
+    ({"kind": "spherical", "pi1_order": 2.7}, "pieces[1].pi1_order"),
+    ({"kind": "spherical", "pi1_order": 2.0}, "pieces[1].pi1_order"),
+    ({"kind": "spherical"}, "pieces[1].pi1_order"),
+    (seifert(base={"genus": 2.9}), "pieces[1].base.genus"),
+    (seifert(base={"genus": 1, "orientable": "false"}), "pieces[1].base.orientable"),
+    (seifert(base={"genus": 1, "nonorientable": 1}), "pieces[1].base.nonorientable"),
+    (seifert(base={"boundary": "0"}), "pieces[1].base.boundary"),
+    (seifert(base={"boundary_count": None}), "pieces[1].base.boundary_count"),
+    (seifert(base={"cone_orders": [2.0]}), "pieces[1].base.cone_orders[0]"),
+    (seifert(base={"cone_orders": 2}), "pieces[1].base.cone_orders"),
+    (seifert(b=1.5), "pieces[1].b"),
+    (seifert(b=False), "pieces[1].b"),
+    (seifert(cone_pairs=[[2, True]]), "pieces[1].cone_pairs[0][1]"),
+    (seifert(cone_pairs=[[2]]), "pieces[1].cone_pairs[0]"),
+    (seifert(cone_pairs=[2, 1]), "pieces[1].cone_pairs[0]"),
+    ({"kind": "torus_bundle", "monodromy": [[2, 1], [1, True]]}, "pieces[1].monodromy[1][1]"),
+    ({"kind": "torus_bundle", "monodromy": [[1, 0]]}, "pieces[1].monodromy"),
+    ({"kind": "jsj", "vertices": [{"kind": "hyperbolic_cusped", "cusps": "2"}]},
+     "pieces[1].vertices[0].cusps"),
+    ({"kind": "jsj", "vertices": [{"kind": "hyperbolic_cusped", "cusps": 2}],
+      "edges": [[0, 0.0]]}, "pieces[1].edges[0][1]"),
+])
+def test_scalar_fields_are_read_strictly(piece, path):
+    """Integers are JSON integers and booleans JSON booleans; errors name the path."""
+    obj = {"name": "x", "pieces": [{"kind": "spherical", "pi1_order": 2}, piece]}
+    with pytest.raises(DescriptionFormatError, match="^" + re.escape(path) + ": "):
+        description_from_json(obj)
+
+
+def test_strict_readers_accept_the_written_spelling():
+    d = description_from_json(closed_over({"genus": 2, "orientable": False,
+                                            "boundary_count": 0}))
+    assert d.pieces[0].data.base.genus == 2 and not d.pieces[0].data.base.orientable
+    assert description_from_json(description_to_json(d)) == d

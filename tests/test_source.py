@@ -16,11 +16,10 @@ def test_the_package_has_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
-def test_bass_serre_measures_the_tree_without_breadth_first_search():
-    """Distances and axes come from normal forms; the search versions are test oracles."""
-    tree = ast.parse((PACKAGE / "bass_serre.py").read_text(encoding="utf-8"))
+def _names(path: Path) -> set:
+    """Every name, attribute, imported name and definition in a module."""
     names: set = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -29,5 +28,17 @@ def test_bass_serre_measures_the_tree_without_breadth_first_search():
             names.update(node.name.split("."))
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
-    found = names & {"deque", "_distance_cache", "_farthest_pair", "_order_path"}
+    return names
+
+
+def test_bass_serre_measures_the_tree_without_breadth_first_search():
+    """Distances and axes come from normal forms; the search versions are test oracles."""
+    found = _names(PACKAGE / "bass_serre.py") & {
+        "deque", "_distance_cache", "_farthest_pair", "_order_path"}
     assert not found, f"breadth-first search machinery in bass_serre.py: {sorted(found)}"
+
+
+def test_bass_serre_assesses_axes_without_a_vertex_scan():
+    """Axis stabilisers come from the endpoint test; the scan is a test oracle."""
+    found = _names(PACKAGE / "bass_serre.py") & {"_preserving"}
+    assert not found, f"per-vertex axis scan in bass_serre.py: {sorted(found)}"
