@@ -9,24 +9,6 @@ certificates for the two group-theoretic mechanisms behind the table:
 free products acting on their Bass-Serre trees and cyclic subgroups of
 Z^2 x| Z.
 """
-from .bass_serre import (
-    AxisStabilizerReport,
-    BallLimitExceeded,
-    ConedComplex,
-    FreeProductSpec,
-    MissingAssignment,
-    NormalizerProbe,
-    NotHyperbolic,
-    SemidirectSpec,
-    TreeBall,
-    UnsupportedElement,
-    axis_of,
-    ball,
-    cone_off,
-    normalizer_probe,
-    pushout_dimension_bound,
-    setwise_axis_stabilizer,
-)
 from .dimension import (
     ALLOWED_VALUES,
     RULES,
@@ -76,6 +58,40 @@ from .model import (
 from .orbifold2 import OrbifoldBase, OrbifoldClass, classify_base, euler_characteristic_orb
 
 __version__ = "1.0.0"
+
+# The Bass-Serre certificate machinery is loaded on first use (PEP 562), so
+# computing a dimension never pays for importing it.
+_BASS_SERRE_NAMES = frozenset({
+    "AxisStabilizerReport",
+    "BallLimitExceeded",
+    "ConedComplex",
+    "FreeProductSpec",
+    "MissingAssignment",
+    "NormalizerProbe",
+    "NotHyperbolic",
+    "SemidirectSpec",
+    "TreeBall",
+    "UnsupportedElement",
+    "axis_of",
+    "ball",
+    "cone_off",
+    "normalizer_probe",
+    "pushout_dimension_bound",
+    "setwise_axis_stabilizer",
+})
+
+
+def __getattr__(name: str):
+    if name == "bass_serre" or name in _BASS_SERRE_NAMES:
+        from importlib import import_module
+
+        bass_serre = import_module(".bass_serre", __name__)
+        return bass_serre if name == "bass_serre" else getattr(bass_serre, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _BASS_SERRE_NAMES | {"bass_serre"})
 
 __all__ = [
     "ALLOWED_VALUES",

@@ -323,6 +323,8 @@ def ball(spec: FreeProductSpec, radius: int, max_vertices: int = 50000) -> TreeB
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    if max_vertices < 1:
+        raise ValueError("max_vertices must be >= 1")
     order: List[Vertex] = [BASE_VERTEX]
     adjacency: Dict[Vertex, List[Vertex]] = {BASE_VERTEX: []}
     edges: List[Tuple[Vertex, Vertex]] = []
@@ -708,6 +710,8 @@ def normalizer_probe(spec: SemidirectSpec, c: SdElement, bound: int = 8) -> Norm
     certifies A^l c != +-c for 0 < |l| <= bound, so the normaliser is
     the fibre, rank 2.  Mixed elements are out of scope.
     """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     matrix = spec.monodromy
     if classify(matrix).kind is not MatKind.HYPERBOLIC:
         raise NotHyperbolic(f"monodromy {matrix} is {classify(matrix)}")

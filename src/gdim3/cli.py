@@ -3,6 +3,9 @@
 Exit codes: 0 on success, 2 for invalid input (malformed files,
 descriptions that fail validation, unsupported probe elements), 3 when a
 tree exploration exceeds its resource cap.
+
+The certificate commands (`ball`, `cone-off`, `probe-normalizer`) import
+`bass_serre` inside their handlers, so the compute commands never load it.
 """
 from __future__ import annotations
 
@@ -12,24 +15,6 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from . import corpus
-from .bass_serre import (
-    BallLimitExceeded,
-    FreeProductSpec,
-    MissingAssignment,
-    NotHyperbolic,
-    SemidirectSpec,
-    UnsupportedElement,
-    axis_of,
-    ball,
-    cone_off,
-    cyclically_reduce,
-    normalizer_probe,
-    parse_word,
-    pushout_dimension_bound,
-    setwise_axis_stabilizer,
-    word_str,
-    words_up_to,
-)
 from .dimension import RULES, TABLE, DimensionReport, FamilyIndex, compute, piece_rule
 from .gl2z import (
     InvalidDeterminant,
@@ -237,6 +222,8 @@ def _cmd_classify_orbifold(args: argparse.Namespace) -> int:
 
 
 def _parse_factors(text: str) -> FreeProductSpec:
+    from .bass_serre import FreeProductSpec
+
     try:
         orders = tuple(int(part) for part in text.split(","))
         return FreeProductSpec(orders)
@@ -244,18 +231,29 @@ def _parse_factors(text: str) -> FreeProductSpec:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _count(text: str) -> int:
-    """An integer >= 0: a radius or a word budget."""
+def _at_least(text: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
 
 
+def _count(text: str) -> int:
+    """An integer >= 0: a radius or a word budget."""
+    return _at_least(text, 0)
+
+
+def _positive(text: str) -> int:
+    """An integer >= 1: a vertex cap or an exponent bound."""
+    return _at_least(text, 1)
+
+
 def _cmd_ball(args: argparse.Namespace) -> int:
+    from .bass_serre import BallLimitExceeded, ball
+
     try:
         tree = ball(args.factors, args.radius, max_vertices=args.max_vertices)
     except BallLimitExceeded as exc:
@@ -286,6 +284,8 @@ def _cmd_ball(args: argparse.Namespace) -> int:
 
 def _auto_axes(tree, max_syllables: int = 2) -> List[tuple]:
     """Axes of all short hyperbolic words, deduplicated by vertex set."""
+    from .bass_serre import axis_of, cyclically_reduce, words_up_to
+
     spec = tree.spec
     axes: List[tuple] = []
     seen = set()
@@ -303,6 +303,19 @@ def _auto_axes(tree, max_syllables: int = 2) -> List[tuple]:
 
 
 def _cmd_cone_off(args: argparse.Namespace) -> int:
+    from .bass_serre import (
+        BallLimitExceeded,
+        MissingAssignment,
+        axis_of,
+        ball,
+        cone_off,
+        cyclically_reduce,
+        parse_word,
+        pushout_dimension_bound,
+        setwise_axis_stabilizer,
+        word_str,
+    )
+
     try:
         tree = ball(args.factors, args.radius, max_vertices=args.max_vertices)
     except BallLimitExceeded as exc:
@@ -391,6 +404,8 @@ def _cmd_cone_off(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe_normalizer(args: argparse.Namespace) -> int:
+    from .bass_serre import NotHyperbolic, SemidirectSpec, UnsupportedElement, normalizer_probe
+
     try:
         matrix = Mat2Z.parse(args.monodromy)
     except ValueError as exc:
@@ -500,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factors", type=_parse_factors, required=True,
                    help="cyclic factor orders, e.g. 2,3")
     p.add_argument("--radius", type=_count, required=True)
-    p.add_argument("--max-vertices", type=int, default=50000)
+    p.add_argument("--max-vertices", type=_positive, default=50000)
     p.add_argument("--list", action="store_true", help="list every vertex")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_ball)
@@ -508,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cone-off", help="cone the axes in a tree ball and bound the dimension")
     p.add_argument("--factors", type=_parse_factors, required=True)
     p.add_argument("--radius", type=_count, required=True)
-    p.add_argument("--max-vertices", type=int, default=50000)
+    p.add_argument("--max-vertices", type=_positive, default=50000)
     p.add_argument("--axes", default="auto",
                    help="'auto' or comma-separated words like ab,ab2")
     p.add_argument("--budget", type=_count, default=4,
@@ -522,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="normaliser rank of a cyclic subgroup of Z^2 x| Z")
     p.add_argument("--monodromy", required=True, help="hyperbolic matrix as 'a,b;c,d'")
     p.add_argument("--element", required=True, help="generator as x,y,l")
-    p.add_argument("--bound", type=int, default=8)
+    p.add_argument("--bound", type=_positive, default=8)
     p.set_defaults(func=_cmd_probe_normalizer)
 
     p = sub.add_parser("replay", help="recompute a stored JSON report and compare")

@@ -626,8 +626,11 @@ def description_from_json(obj: dict) -> ManifoldDescription:
     pieces = obj.get("pieces")
     if not isinstance(pieces, list):
         raise DescriptionFormatError("description needs a 'pieces' list")
+    name = obj.get("name", "")
+    if type(name) is not str:
+        raise DescriptionFormatError(f"name: expected a string, got {name!r}")
     return ManifoldDescription(
-        name=str(obj.get("name", "")),
+        name=name,
         pieces=tuple(piece_from_json(p, f"pieces[{i}]") for i, p in enumerate(pieces)),
     )
 

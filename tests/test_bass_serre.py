@@ -210,6 +210,15 @@ def test_ball_limit_guard():
         ball(Z222, 8, max_vertices=50)
 
 
+@pytest.mark.parametrize("radius", [0, 2])
+def test_vertex_caps_below_one_are_refused(radius):
+    """The base vertex alone needs a cap of 1; a smaller cap is a bad argument."""
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="max_vertices must be >= 1"):
+            ball(Z23, radius, max_vertices=cap)
+    assert len(ball(Z23, 0, max_vertices=1).vertices) == 1
+
+
 def test_action_is_by_isometries_and_composes():
     tree = ball(Z23, 4)
     words = [w for w in words_up_to(Z23, 2)]
@@ -457,6 +466,17 @@ def test_probe_rejects_bad_inputs():
         normalizer_probe(group, ((0, 0), 0))
     with pytest.raises(UnsupportedElement):
         normalizer_probe(group, ((1, 0), 1))
+
+
+def test_probe_bounds_below_one_are_refused():
+    """A bound below 1 would check no exponent yet still print a certificate."""
+    group = SemidirectSpec(ANOSOV)
+    for element in (((0, 0), 1), ((1, 0), 0)):
+        for bound in (0, -1):
+            with pytest.raises(ValueError, match="bound must be >= 1"):
+                normalizer_probe(group, element, bound=bound)
+    probe = normalizer_probe(group, ((1, 0), 0), bound=1)
+    assert probe.rank == 2 and len(probe.certificate) == 3
 
 
 def test_probe_over_random_hyperbolic_monodromies():

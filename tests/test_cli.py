@@ -251,6 +251,41 @@ def test_negative_radius_and_budget_are_refused(argv, message, capsys):
     assert message in stderr and stdout == ""
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["ball", "--factors", "2,3", "--radius", "2", "--max-vertices", "-1"],
+     "argument --max-vertices: must be >= 1, got -1"),
+    (["ball", "--factors", "2,3", "--radius", "0", "--max-vertices", "0"],
+     "argument --max-vertices: must be >= 1, got 0"),
+    (["cone-off", "--factors", "2,3", "--radius", "4", "--max-vertices", "0"],
+     "argument --max-vertices: must be >= 1, got 0"),
+    (["ball", "--factors", "2,3", "--radius", "2", "--max-vertices", "1e3"],
+     "argument --max-vertices: expected an integer >= 1, got '1e3'"),
+    (["probe-normalizer", "--monodromy", "2,1;1,1", "--element", "1,0,0", "--bound", "-1"],
+     "argument --bound: must be >= 1, got -1"),
+    (["probe-normalizer", "--monodromy", "2,1;1,1", "--element", "0,0,1", "--bound", "0"],
+     "argument --bound: must be >= 1, got 0"),
+    (["probe-normalizer", "--monodromy", "2,1;1,1", "--element", "0,0,1", "--bound", "x"],
+     "argument --bound: expected an integer >= 1, got 'x'"),
+])
+def test_vertex_caps_and_probe_bounds_below_one_are_refused(argv, message, capsys):
+    with pytest.raises(SystemExit) as raised:
+        run(argv)
+    assert raised.value.code == EX_DATA
+    stdout, stderr = out(capsys)
+    assert message in stderr and stdout == ""
+
+
+def test_a_vertex_cap_and_a_probe_bound_of_one_are_accepted(capsys):
+    assert run(["ball", "--factors", "2,3", "--radius", "0", "--max-vertices", "1"]) == EX_OK
+    assert "vertices: 1 " in out(capsys)[0]
+    assert run(["ball", "--factors", "2,3", "--radius", "1", "--max-vertices", "1"]) \
+        == EX_RESOURCE
+    assert "exceeds 1 vertices" in out(capsys)[1]
+    assert run(["probe-normalizer", "--monodromy", "2,1;1,1", "--element", "1,0,0",
+                "--bound", "1"]) == EX_OK
+    assert "verified for exponents up to 1" in out(capsys)[0]
+
+
 def test_zero_radius_and_budget_are_accepted(capsys):
     assert run(["ball", "--factors", "2,3", "--radius", "0"]) == EX_OK
     assert "vertices: 1 " in out(capsys)[0]
@@ -396,6 +431,17 @@ def test_compute_refuses_conflicting_base_fields(tmp_path, capsys):
     assert run(["compute", str(path)]) == EX_DATA
     _, stderr = out(capsys)
     assert "disagree on orientable" in stderr
+
+
+@pytest.mark.parametrize("name", ['{"a": 1}', "null", "3"])
+def test_compute_refuses_a_name_that_is_not_a_string(name, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"name": ' + name + ', "pieces": [{"kind": "spherical", "pi1_order": 2}]}',
+                    encoding="utf-8")
+    for command in ("compute", "validate"):
+        assert run([command, str(path)]) == EX_DATA
+        stdout, stderr = out(capsys)
+        assert stdout == "" and stderr.startswith("error: name: expected a string, got ")
 
 
 @pytest.mark.parametrize("order", ['"x"', "true", "2.7", None])

@@ -370,6 +370,19 @@ def test_scalar_fields_are_read_strictly(piece, path):
         description_from_json(obj)
 
 
+@pytest.mark.parametrize("name", [None, {"a": 1}, ["x"], 7, True])
+def test_a_name_that_is_not_a_string_is_refused(name):
+    obj = {"name": name, "pieces": [{"kind": "spherical", "pi1_order": 2}]}
+    with pytest.raises(DescriptionFormatError,
+                       match="^" + re.escape(f"name: expected a string, got {name!r}") + "$"):
+        description_from_json(obj)
+
+
+def test_a_missing_name_is_empty():
+    d = description_from_json({"pieces": [{"kind": "spherical", "pi1_order": 2}]})
+    assert d.name == "" and description_to_json(d)["name"] == ""
+
+
 def test_strict_readers_accept_the_written_spelling():
     d = description_from_json(closed_over({"genus": 2, "orientable": False,
                                             "boundary_count": 0}))

@@ -42,3 +42,29 @@ def test_bass_serre_assesses_axes_without_a_vertex_scan():
     """Axis stabilisers come from the endpoint test; the scan is a test oracle."""
     found = _names(PACKAGE / "bass_serre.py") & {"_preserving"}
     assert not found, f"per-vertex axis scan in bass_serre.py: {sorted(found)}"
+
+
+def _import_time_nodes(node: ast.AST):
+    """Every node that runs when the module is imported: function bodies are skipped."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield child
+        yield from _import_time_nodes(child)
+
+
+def test_the_cli_and_the_package_import_bass_serre_on_first_use():
+    """`compute` and the other engine commands must not pay for the certificate machinery."""
+    found = []
+    for module in ("cli.py", "__init__.py"):
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        for node in _import_time_nodes(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = (node.module or "").split(".") + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [part for a in node.names for part in a.name.split(".")]
+            else:
+                continue
+            if "bass_serre" in names:
+                found.append(f"{module}:{node.lineno}")
+    assert not found, f"module-level imports of bass_serre: {found}"
