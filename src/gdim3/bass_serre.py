@@ -19,16 +19,19 @@ stabiliser records, and the push-out dimension bound
 max(gd(stabiliser class) + dim cell) can be evaluated against any
 assignment of values to cell classes.
 
-Axes must be geodesics of the ball.  How a word g moves one is read off
-a few vertices: along a geodesic v_0 ... v_{n-1} the distance from the
-point g^-1 * (identity vertex) is |t - s| + delta, so the depths of the
-images of the two ends give s and delta, hence the window v_lo ... v_hi
-of vertices whose images stay in the ball.  g maps that segment onto
-the geodesic between the images of its ends, so it carries the visible
-axis into itself exactly when those two images lie on the axis, and it
-then shifts or reflects the indices.  The breadth-first distances,
-displacement-minimising axis search and word-by-word stabilisers these
-closed forms replace are kept as test oracles in tests/oracles.py.
+Axes must be geodesics of the ball.  A word preserving one maps an
+element vertex v_i of it onto an element vertex v_j, so only the
+products v_j v_i^-1 are tested, each at a few vertices: along the
+geodesic v_0 ... v_{n-1} the distance from g^-1 * (identity vertex) is
+|t - s| + delta, so the depths of the images of the two ends give the
+window v_lo ... v_hi of vertices whose images stay in the ball.  g maps
+that segment onto the geodesic between the images of its ends, so it
+carries the visible axis into itself exactly when those two images lie
+on the axis, and it then shifts or reflects the indices.  A cone edge
+keeps the identity and the reflections about its vertex, a face the
+identity only.  The breadth-first distances, displacement-minimising
+axis search and word-by-word stabilisers these closed forms replace are
+kept as test oracles in tests/oracles.py.
 
 The second gadget is algebraic: in Gamma = Z^2 x|_A Z with hyperbolic
 monodromy A, the normaliser of the infinite cyclic subgroup generated
@@ -439,12 +442,10 @@ def _geodesic(spec_ball: TreeBall, axis: Sequence[Vertex]) -> Tuple[Vertex, ...]
 class _AxisAction(NamedTuple):
     """How a word moves the visible part of a geodesic axis v_0 ... v_{n-1}.
 
-    The images of v_lo ... v_hi lie in the ball, and v_t goes to
-    v_{t + value} (a translation) or to v_{value - t} (a reflection).
+    v_t goes to v_{t + value} (a translation) or to v_{value - t} (a
+    reflection), wherever its image lies in the ball.
     """
 
-    lo: int
-    hi: int
     reflection: bool
     value: int
 
@@ -477,8 +478,8 @@ def _axis_action(spec_ball: TreeBall, axis: Tuple[Vertex, ...],
     if ja is None or jb is None:
         return None
     if jb - ja == hi - lo:
-        return _AxisAction(lo, hi, False, ja - lo)
-    return _AxisAction(lo, hi, True, ja + lo)
+        return _AxisAction(False, ja - lo)
+    return _AxisAction(True, ja + lo)
 
 
 def _axis_position(spec_ball: TreeBall, axis: Tuple[Vertex, ...], v: Vertex) -> Optional[int]:
@@ -489,14 +490,25 @@ def _axis_position(spec_ball: TreeBall, axis: Tuple[Vertex, ...], v: Vertex) -> 
 
 def setwise_axis_stabilizer(spec_ball: TreeBall, axis: Sequence[Vertex],
                             budget: int = 6) -> AxisStabilizerReport:
-    """Words of syllable length <= budget preserving a geodesic axis, by action."""
+    """Words of syllable length <= budget preserving a geodesic axis, by action.
+
+    Only the products v_j v_i^-1 of the axis's element vertices can
+    preserve it, so only those are tested.
+    """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     axis = _geodesic(spec_ball, axis)
+    spec = spec_ball.spec
+    words = [v.word for v in axis if v.factor is None]
+    backs = [inverse(spec, w) for w in words]
+    # |v_j v_i^-1| >= | |v_j| - |v_i| |, so only vertices of near depth are paired
+    products = (_join(spec, w, back) for w in words for back in backs
+                if abs(len(w) - len(back)) <= budget)
+    candidates = {g for g in products if len(g) <= budget}
     elements: List[Word] = []
     translations: List[Tuple[Word, int]] = []
     reflections: List[Tuple[Word, int]] = []
-    for g in words_up_to(spec_ball.spec, budget):
+    for g in sorted(candidates, key=lambda w: (len(w), w)):
         action = _axis_action(spec_ball, axis, g)
         if action is None:
             continue
@@ -544,13 +556,15 @@ class ConedComplex:
     Cell classes: "vertex" and "edge" from the tree, "cone_vertex",
     "cone_edge" and "face" from the coning.  Each 2-cell has exactly one
     cone vertex.  stabilizer_records maps cells to the (budgeted) list of
-    words preserving the cell setwise.
+    words preserving the cell setwise, and axis_reports holds the setwise
+    stabiliser report of each axis.
     """
 
     tree: TreeBall
     axes: Tuple[Tuple[Vertex, ...], ...]
     budget: int
     stabilizer_records: Dict[Cell, Tuple[Word, ...]]
+    axis_reports: Tuple[AxisStabilizerReport, ...]
 
     def cells(self) -> Iterator[Cell]:
         for v in self.tree.vertices:
@@ -586,54 +600,34 @@ def cone_off(spec_ball: TreeBall, axes: Sequence[Sequence[Vertex]],
 
     Tree cells take their stabilisers in closed form: element vertices
     and all edges are fixed by the identity alone, and a coset vertex
-    w<i> carries the words of w Z_{n_i} w^-1 within the budget.  The
-    stabiliser of a cone vertex is the set of budgeted words carrying the
-    visible axis into itself (_axis_action).  Such a word fixes the axis
-    vertex v_t when it is the identity on a window containing t or a
-    reflection with index sum 2t, and the face over v_t v_{t+1} when it is
-    the identity there or a reflection with index sum 2t + 1 (which would
-    swap the ends of an edge; the action keeps element and coset vertices
-    apart, so only the identity fixes a face here).
+    w<i> carries the words of w Z_{n_i} w^-1 within the budget.  A cone
+    vertex keeps the words of the axis's setwise_axis_stabilizer report.
+    A cone edge over v_t keeps the identity and the reflections about v_t
+    (index sum 2t: a reflection has finite order, so it fixes the middle
+    of the segment it reverses, a vertex since it keeps element and coset
+    vertices apart), and a face the identity only.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     spec = spec_ball.spec
-    axis_tuples = tuple(_geodesic(spec_ball, a) for a in axes)
-    words = list(words_up_to(spec, budget))
+    axis_tuples = tuple(tuple(a) for a in axes)
+    reports = tuple(setwise_axis_stabilizer(spec_ball, a, budget) for a in axis_tuples)
     records: Dict[Cell, Tuple[Word, ...]] = {}
     for v in spec_ball.vertices:
         records[Cell("vertex", 0, (v,))] = _vertex_stabilizer(spec, v, budget)
-    for i, axis in enumerate(axis_tuples):
-        # cone-edge and face records list words in the iteration order of
-        # keep, a set filled by add in words_up_to order
+    for i, (axis, report) in enumerate(zip(axis_tuples, reports)):
+        # cone-edge records list words in the iteration order of keep, a
+        # set filled by add in report (words_up_to) order
         keep = set()
-        actions: Dict[Word, _AxisAction] = {}
-        for g in words:
-            action = _axis_action(spec_ball, axis, g)
-            if action is not None:
-                keep.add(g)
-                actions[g] = action
-        on_vertex: List[List[Word]] = [[] for _ in axis]
-        on_edge: List[List[Word]] = [[] for _ in axis[1:]]
-        for g in keep:
-            lo, hi, reflection, value = actions[g]
-            if not reflection:
-                if value == 0:
-                    for t in range(lo, hi + 1):
-                        on_vertex[t].append(g)
-                    for t in range(lo, hi):
-                        on_edge[t].append(g)
-                continue
-            t, odd = divmod(value, 2)
-            if not odd and lo <= t <= hi:
-                on_vertex[t].append(g)
-            elif odd and lo <= t < hi:
-                on_edge[t].append(g)
+        for g in report.elements:
+            keep.add(g)
+        centres = {g: value // 2 for g, value in report.reflections}
         records[Cell("cone_vertex", 0, (i,))] = tuple(sorted(keep))
-        for v, fixing in zip(axis, on_vertex):
-            records[Cell("cone_edge", 1, (i, v))] = tuple(fixing)
-        for u, v, fixing in zip(axis, axis[1:], on_edge):
-            records[Cell("face", 2, (i, u, v))] = tuple(fixing)
+        for t, v in enumerate(axis):
+            records[Cell("cone_edge", 1, (i, v))] = tuple(
+                g for g in keep if not g or centres.get(g) == t)
+        for u, v in zip(axis, axis[1:]):
+            records[Cell("face", 2, (i, u, v))] = ((),)
     for e in spec_ball.edges:
         records[Cell("edge", 1, e)] = ((),)
     return ConedComplex(
@@ -641,6 +635,7 @@ def cone_off(spec_ball: TreeBall, axes: Sequence[Sequence[Vertex]],
         axes=axis_tuples,
         budget=budget,
         stabilizer_records=records,
+        axis_reports=reports,
     )
 
 

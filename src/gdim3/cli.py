@@ -302,6 +302,25 @@ def _auto_axes(tree, max_syllables: int = 2) -> List[tuple]:
     return axes
 
 
+def _assignment(items: Sequence[str]) -> Dict[str, int]:
+    """--assign class=value items; ValueError names the first bad one."""
+    from .bass_serre import _CELL_DIMS
+
+    assignment: Dict[str, int] = {}
+    for item in items:
+        if "=" not in item:
+            raise ValueError(f"--assign expects class=value, got {item!r}")
+        key, _, value = item.partition("=")
+        if key not in _CELL_DIMS:
+            raise ValueError(f"--assign names no cell class ({', '.join(_CELL_DIMS)}): {item!r}")
+        if key in assignment:
+            raise ValueError(f"--assign gives class {key!r} a second value: {item!r}")
+        if not (value.isascii() and value.isdigit()):
+            raise ValueError(f"--assign value must be a decimal integer >= 0, got {item!r}")
+        assignment[key] = int(value)
+    return assignment
+
+
 def _cmd_cone_off(args: argparse.Namespace) -> int:
     from .bass_serre import (
         BallLimitExceeded,
@@ -312,10 +331,13 @@ def _cmd_cone_off(args: argparse.Namespace) -> int:
         cyclically_reduce,
         parse_word,
         pushout_dimension_bound,
-        setwise_axis_stabilizer,
         word_str,
     )
 
+    try:
+        assignment = _assignment(args.assign)
+    except ValueError as exc:
+        return _fail(str(exc))
     try:
         tree = ball(args.factors, args.radius, max_vertices=args.max_vertices)
     except BallLimitExceeded as exc:
@@ -340,21 +362,12 @@ def _cmd_cone_off(args: argparse.Namespace) -> int:
             axes.append(axis)
     complex_ = cone_off(tree, axes, budget=args.budget)
     bound: Optional[int] = None
-    if args.assign:
-        assignment: Dict[str, int] = {}
-        for item in args.assign:
-            if "=" not in item:
-                return _fail(f"--assign expects class=value, got {item!r}")
-            key, _, value = item.partition("=")
-            try:
-                assignment[key.strip()] = int(value)
-            except ValueError:
-                return _fail(f"--assign value must be an integer, got {item!r}")
+    if assignment:
         try:
             bound = pushout_dimension_bound(complex_, assignment)
         except MissingAssignment as exc:
             return _fail(f"cell class {exc.args[0]!r} has no assigned value")
-    reports = [setwise_axis_stabilizer(tree, axis, budget=args.budget) for axis in axes]
+    reports = complex_.axis_reports
     if args.format == "json":
         cells = []
         for cell in complex_.cells():
@@ -527,9 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axes", default="auto",
                    help="'auto' or comma-separated words like ab,ab2")
     p.add_argument("--budget", type=_count, default=4,
-                   help="syllable-length cap for stabiliser enumeration")
+                   help="syllable-length cap for stabiliser words")
     p.add_argument("--assign", action="append", default=[],
-                   help="cell-class value, e.g. --assign vertex=0 (repeatable)")
+                   help="cell-class value, e.g. --assign vertex=0 (once per class)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_cone_off)
 

@@ -188,20 +188,23 @@ def boundary_tori(vertex: JsjVertex) -> int:
 # ---------------------------------------------------------------------------
 # validation
 
-def _is_flat_one_boundary(data: SeifertData) -> bool:
-    """Twisted-I-bundle shape: flat base with a single boundary circle."""
-    base = data.base
-    if base.boundary_count != 1 or any(a < 2 for a in base.cone_orders):
+def _is_flat_bounded(vertex: JsjVertex, boundary_count: int) -> bool:
+    """A Seifert vertex over a flat base with boundary_count boundary circles.
+
+    One circle is the twisted-I-bundle shape, two the T^2 x I shape (the
+    bare annulus).
+    """
+    if not isinstance(vertex, SeifertBounded):
+        return False
+    base = vertex.data.base
+    if base.boundary_count != boundary_count or any(a < 2 for a in base.cone_orders):
         return False
     return classify_base(base) is OrbifoldClass.FLAT
 
 
-def _is_torus_x_interval(data: SeifertData) -> bool:
-    """T^2 x I shape: flat base with two boundary circles (the bare annulus)."""
-    base = data.base
-    if base.boundary_count != 2 or any(a < 2 for a in base.cone_orders):
-        return False
-    return classify_base(base) is OrbifoldClass.FLAT
+def _twisted_halves(graph: JsjGraph) -> bool:
+    """Two vertices, both twisted-I-bundle shapes: glued once, a Klein double."""
+    return len(graph.vertices) == 2 and all(_is_flat_bounded(v, 1) for v in graph.vertices)
 
 
 def _validate_base(base: OrbifoldBase, path: str, report: List[Violation]) -> None:
@@ -296,11 +299,7 @@ def _validate_jsj(graph: JsjGraph, path: str, report: List[Violation]) -> None:
         report.append(Violation(f"{path}.edges", "graph is not connected"))
 
     # minimality rejections: these shapes are geometric, not torus decompositions
-    flat_one = [
-        isinstance(v, SeifertBounded) and _is_flat_one_boundary(v.data)
-        for v in graph.vertices
-    ]
-    if n == 2 and all(flat_one) and len(graph.edges) == 1:
+    if _twisted_halves(graph) and len(graph.edges) == 1:
         report.append(
             Violation(
                 path,
@@ -309,7 +308,7 @@ def _validate_jsj(graph: JsjGraph, path: str, report: List[Violation]) -> None:
         )
     if n >= 2:
         for i, vertex in enumerate(graph.vertices):
-            if isinstance(vertex, SeifertBounded) and _is_torus_x_interval(vertex.data):
+            if _is_flat_bounded(vertex, 2):
                 report.append(
                     Violation(
                         f"{path}.vertices[{i}]",
@@ -355,16 +354,10 @@ def validate(desc: ManifoldDescription) -> List[Violation]:
 # normalization
 
 def _rewrite_jsj(graph: JsjGraph) -> PrimePiece:
-    n = len(graph.vertices)
-    flat_one = [
-        isinstance(v, SeifertBounded) and _is_flat_one_boundary(v.data)
-        for v in graph.vertices
-    ]
-    if n == 2 and all(flat_one) and graph.edges == ((0, 1),):
+    if _twisted_halves(graph) and graph.edges == ((0, 1),):
         return KleinDouble()
-    if n == 1 and graph.edges == ((0, 0),):
-        vertex = graph.vertices[0]
-        if isinstance(vertex, SeifertBounded) and _is_torus_x_interval(vertex.data):
+    if len(graph.vertices) == 1 and graph.edges == ((0, 0),):
+        if _is_flat_bounded(graph.vertices[0], 2):
             if graph.monodromy is None:
                 raise NormalizationAmbiguous(
                     "a torus-times-interval vertex glued to itself is a torus bundle; "

@@ -220,6 +220,23 @@ def test_cone_off_missing_assignment(capsys):
     assert "no assigned value" in stderr
 
 
+ALL_ZERO = [f"{cls}=0" for cls in ("vertex", "cone_vertex", "edge", "cone_edge", "face")]
+
+
+@pytest.mark.parametrize("items,message", [
+    (ALL_ZERO + ["fase=9"], "--assign names no cell class "
+                            "(vertex, cone_vertex, edge, cone_edge, face): 'fase=9'"),
+    (ALL_ZERO + ["vertex=1"], "--assign gives class 'vertex' a second value: 'vertex=1'"),
+    (ALL_ZERO[:-1] + ["face=1_0"], "--assign value must be a decimal integer >= 0, got 'face=1_0'"),
+    (ALL_ZERO[:-1] + ["face=-1"], "--assign value must be a decimal integer >= 0, got 'face=-1'"),
+])
+def test_cone_off_refuses_bad_assignments(items, message, capsys):
+    argv = ["cone-off", "--factors", "2,2", "--radius", "4", "--axes", "ab"]
+    assert run(argv + [arg for item in items for arg in ("--assign", item)]) == EX_DATA
+    stdout, stderr = out(capsys)
+    assert message in stderr and stdout == ""
+
+
 def test_cone_off_rejects_elliptic_axis_words(capsys):
     assert run(["cone-off", "--factors", "2,3", "--radius", "4",
                 "--axes", "b"]) == EX_DATA

@@ -44,6 +44,21 @@ def test_bass_serre_assesses_axes_without_a_vertex_scan():
     assert not found, f"per-vertex axis scan in bass_serre.py: {sorted(found)}"
 
 
+def test_axis_stabilisers_do_not_enumerate_words():
+    """cone_off and setwise_axis_stabilizer test the products v_j v_i^-1, not every word."""
+    tree = ast.parse((PACKAGE / "bass_serre.py").read_text(encoding="utf-8"))
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name in ("cone_off", "setwise_axis_stabilizer")}
+    assert len(bodies) == 2
+    found = [
+        f"{name}:{inner.lineno}"
+        for name, body in bodies.items()
+        for inner in ast.walk(body)
+        if isinstance(inner, ast.Name) and inner.id == "words_up_to"
+    ]
+    assert not found, f"word enumeration in the axis stabilisers: {found}"
+
+
 def _import_time_nodes(node: ast.AST):
     """Every node that runs when the module is imported: function bodies are skipped."""
     for child in ast.iter_child_nodes(node):
