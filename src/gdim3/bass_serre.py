@@ -126,10 +126,6 @@ def _join(spec: FreeProductSpec, u: Word, v: Word) -> Word:
     return u[:i] + v[j:]
 
 
-def mul(spec: FreeProductSpec, u: Sequence[Syllable], v: Sequence[Syllable]) -> Word:
-    return _join(spec, normal_form(spec, u), normal_form(spec, v))
-
-
 def inverse(spec: FreeProductSpec, w: Sequence[Syllable]) -> Word:
     return normal_form(spec, tuple((f, -e) for f, e in reversed(tuple(w))))
 
@@ -244,16 +240,11 @@ def coset_canonical(word: Word, factor: int) -> Word:
 
 
 def _act(spec: FreeProductSpec, g: Word, v: Vertex) -> Vertex:
-    """act for a normal-form g and a canonical vertex."""
+    """The left translation g * v, for a normal-form g and a canonical vertex."""
     moved = _join(spec, g, v.word)
     if v.factor is None:
         return Vertex(moved, None)
     return Vertex(coset_canonical(moved, v.factor), v.factor)
-
-
-def act(spec: FreeProductSpec, g: Sequence[Syllable], v: Vertex) -> Vertex:
-    """Left translation action on vertex labels (defined on the whole tree)."""
-    return _act(spec, normal_form(spec, g), Vertex(normal_form(spec, v.word), v.factor))
 
 
 BASE_VERTEX = Vertex((), None)
@@ -676,13 +667,6 @@ class SemidirectSpec:
         v, l = g
         moved = self.monodromy.pow(-l).apply(v)
         return ((-moved[0], -moved[1]), -l)
-
-    def conjugate(self, g: SdElement, h: SdElement) -> SdElement:
-        """g h g^-1."""
-        return self.mul(self.mul(g, h), self.inv(g))
-
-
-IDENTITY_ELEMENT: SdElement = ((0, 0), 0)
 
 
 @dataclass(frozen=True)

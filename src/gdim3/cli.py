@@ -34,34 +34,14 @@ from .model import (
     description_from_json,
     description_to_json,
     load_description,
+    read_json,
     validate,
 )
-from .orbifold2 import (
-    OrbifoldBase,
-    annulus,
-    classify_base,
-    disk,
-    euler_characteristic_orb,
-    klein_bottle,
-    mobius_band,
-    projective_plane,
-    sphere,
-    torus,
-)
+from .orbifold2 import SURFACES, OrbifoldBase, classify_base, euler_characteristic_orb
 
 EX_OK = 0
 EX_DATA = 2
 EX_RESOURCE = 3
-
-_SURFACES = {
-    "sphere": sphere,
-    "disk": disk,
-    "annulus": annulus,
-    "torus": torus,
-    "projective-plane": projective_plane,
-    "klein-bottle": klein_bottle,
-    "mobius-band": mobius_band,
-}
 
 
 def _fail(message: str, code: int = EX_DATA) -> int:
@@ -201,7 +181,7 @@ def _cmd_classify_orbifold(args: argparse.Namespace) -> int:
     if args.surface is not None:
         if args.genus is not None or args.nonorientable or args.boundary is not None:
             return _fail("--surface already fixes genus, orientability and boundary")
-        base = _SURFACES[args.surface](*cones)
+        base = SURFACES[args.surface](*cones)
     else:
         base = OrbifoldBase(
             genus=args.genus if args.genus is not None else 0,
@@ -443,12 +423,9 @@ def _cmd_probe_normalizer(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     try:
-        with open(args.report, "r", encoding="utf-8") as handle:
-            stored = json.load(handle)
-    except FileNotFoundError as exc:
+        stored = read_json(args.report)
+    except (FileNotFoundError, DescriptionFormatError) as exc:
         return _fail(str(exc))
-    except json.JSONDecodeError as exc:
-        return _fail(f"{args.report}: {exc}")
     if not isinstance(stored, dict) or "description" not in stored:
         return _fail("the report carries no embedded description")
     try:
@@ -515,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify_matrix)
 
     p = sub.add_parser("classify-orbifold", help="classify a 2-orbifold")
-    p.add_argument("--surface", choices=sorted(_SURFACES), default=None,
+    p.add_argument("--surface", choices=sorted(SURFACES), default=None,
                    help="named underlying surface")
     p.add_argument("--genus", type=int, default=None,
                    help="genus (crosscap count when nonorientable)")

@@ -37,10 +37,6 @@ class NotParabolic(ValueError):
     """The operation is defined for parabolic matrices only."""
 
 
-#: Finite orders occurring in GL(2, Z) are 1, 2, 3, 4 and 6; all divide 12.
-MAX_FINITE_ORDER = 12
-
-
 @dataclass(frozen=True)
 class Mat2Z:
     """Row-major integer matrix [[a, b], [c, d]]."""
@@ -88,8 +84,6 @@ class Mat2Z:
             base = base * base
             n >>= 1
         return result
-
-    __pow__ = pow
 
     def rows(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
         return ((self.a, self.b), (self.c, self.d))
@@ -184,23 +178,6 @@ def classify(m: Mat2Z) -> MatClass:
     return HYPERBOLIC
 
 
-def order(m: Mat2Z) -> Optional[int]:
-    """Least n >= 1 with m**n = I, or None when m has infinite order.
-
-    Brute force up to 12 suffices: finite subgroups of GL(2, Z) realise
-    element orders 1, 2, 3, 4 and 6 only (the crystallographic
-    restriction), so nothing is missed past that bound.  This is the
-    independent oracle against which classify() is tested.
-    """
-    _require_unimodular(m)
-    power = m
-    for n in range(1, MAX_FINITE_ORDER + 1):
-        if power == IDENTITY:
-            return n
-        power = power * m
-    return None
-
-
 def _primitive(v: Tuple[int, int]) -> Tuple[int, int]:
     x, y = v
     g = gcd(x, y)
@@ -241,45 +218,20 @@ class ParabolicQuotient(Enum):
         return self.value
 
 
-def complete_basis(v: Tuple[int, int]) -> Tuple[int, int]:
-    """A vector w with det(v | w) = 1, for primitive v, via Bezout."""
-    x, y = v
-    if gcd(x, y) != 1:
-        raise ValueError(f"{v} is not primitive")
-    # extended gcd: s*x + t*y = 1, then w = (-t, s) gives x*s - y*(-t) = 1
-    old_r, r = x, y
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r == -1:
-        old_s, old_t = -old_s, -old_t
-    return (-old_t, old_s)
-
-
 def parabolic_quotient_type(m: Mat2Z) -> ParabolicQuotient:
     """Quotient of Gamma = Z^2 semidirect_m Z by the invariant axis N = <v>.
 
-    Extend the invariant eigenvector v to a lattice basis {v, w}.  Then
-    m.w = alpha*v + beta*w with beta in {+1, -1}, and the stable letter
-    acts on Z^2 / N, an infinite cyclic group generated by the image of
-    w, as multiplication by beta.  Hence Gamma / N is Z^2 when beta = +1
-    and the Klein bottle group Z semidirect Z when beta = -1.  Since
-    det(m) = lam * beta = +1 on parabolics, beta coincides with the
-    eigenvalue lam, so trace 2 yields Z^2 and trace -2 yields the Klein
-    bottle group.
+    Extend the invariant eigenvector v to a lattice basis {v, w}.  In that
+    basis m = [[lam, alpha], [0, beta]], and the stable letter acts on
+    Z^2 / N, an infinite cyclic group generated by the image of w, as
+    multiplication by beta.  Every parabolic matrix has determinant +1
+    (with determinant -1, classify() finds only elliptic and hyperbolic
+    classes), so lam * beta = 1 and beta = lam.  Hence Gamma / N is Z^2
+    for trace 2 (lam = +1) and the Klein bottle group Z semidirect Z for
+    trace -2 (lam = -1).
     """
-    v, lam = invariant_eigenvector(m)
-    w = complete_basis(v)
-    aw = m.apply(w)
-    # coordinates of m.w in the basis {v, w}: invert U = (v | w), det U = 1
-    beta = -v[1] * aw[0] + v[0] * aw[1]
-    if beta not in (1, -1):
-        raise AssertionError(f"beta = {beta} for {m}, basis completion is broken")
-    return ParabolicQuotient.Z2 if beta == 1 else ParabolicQuotient.KLEIN_BOTTLE_GROUP
+    _, lam = invariant_eigenvector(m)
+    return ParabolicQuotient.Z2 if lam == 1 else ParabolicQuotient.KLEIN_BOTTLE_GROUP
 
 
 def geometry_of_monodromy(m: Mat2Z) -> Geometry:

@@ -28,15 +28,7 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .geometry import Geometry
 from .gl2z import Mat2Z
-from .orbifold2 import (
-    OrbifoldBase,
-    OrbifoldClass,
-    classify_base,
-    klein_bottle,
-    projective_plane,
-    sphere,
-    torus,
-)
+from .orbifold2 import SURFACES, OrbifoldBase, OrbifoldClass, classify_base
 
 
 class DescriptionFormatError(ValueError):
@@ -448,12 +440,8 @@ def _integer_rows(value, path: str, key: str, width: int) -> Tuple[Tuple[int, ..
     return tuple(tuple(row) for row in value)
 
 
-_NAMED_SURFACES = {
-    "sphere": sphere(),
-    "torus": torus(),
-    "projective-plane": projective_plane(),
-    "klein-bottle": klein_bottle(),
-}
+# A description names only the closed surfaces: its boundary count is a separate field.
+_NAMED_SURFACES = {name: make() for name, make in SURFACES.items() if make().closed}
 _BASE_QUANTITIES = {   # base field -> (OrbifoldBase field it sets, reader)
     "genus": ("genus", _integer),
     "orientable": ("orientable", _boolean),
@@ -628,10 +616,23 @@ def description_from_json(obj: dict) -> ManifoldDescription:
     )
 
 
+def read_json(path: str):
+    """The JSON document in the file at `path`.
+
+    A missing file raises FileNotFoundError.  Any other file that cannot
+    be read, or is not UTF-8 JSON, raises DescriptionFormatError naming
+    the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise DescriptionFormatError(f"{path}: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DescriptionFormatError(f"{path}: {exc}") from exc
+
+
 def load_description(path: str) -> ManifoldDescription:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DescriptionFormatError(f"{path}: {exc}") from exc
-    return description_from_json(obj)
+    return description_from_json(read_json(path))

@@ -143,3 +143,16 @@ def klein_bottle(*cone_orders: int) -> OrbifoldBase:
 
 def mobius_band(*cone_orders: int) -> OrbifoldBase:
     return OrbifoldBase(1, False, 1, cone_orders)
+
+
+#: The named surfaces, by the spelling that `classify-orbifold --surface`
+#: accepts; the description format's `surface` base field takes the closed ones.
+SURFACES = {
+    "sphere": sphere,
+    "disk": disk,
+    "annulus": annulus,
+    "torus": torus,
+    "projective-plane": projective_plane,
+    "klein-bottle": klein_bottle,
+    "mobius-band": mobius_band,
+}

@@ -1,14 +1,19 @@
-"""Brute-force oracles for the Bass-Serre tests.
+"""Brute-force oracles for the GL(2, Z) and Bass-Serre tests.
 
-The package measures tree geometry in closed form; these helpers recompute
-the same facts by search and enumeration (breadth-first distances inside
-the ball, displacement minimisation over every vertex, stabilisers by
-testing every budgeted word on every vertex, the push-out bound by
-walking every cell) so the tests can compare the two.
+The package classifies GL(2, Z) matrices by trace and determinant and
+measures tree geometry in closed form; these helpers recompute the same
+facts by search and enumeration (the order of a matrix by taking powers,
+a lattice basis by the extended Euclidean algorithm, breadth-first
+distances inside the ball, displacement minimisation over every vertex,
+stabilisers by testing every budgeted word on every vertex, the push-out
+bound by walking every cell) so the tests can compare the two.  The
+group operations that only these comparisons need (the product of
+words, the action on vertices, conjugation in Z^2 x| Z) live here too.
 """
 from __future__ import annotations
 
 from collections import deque
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from gdim3.bass_serre import (
@@ -16,15 +21,73 @@ from gdim3.bass_serre import (
     Cell,
     ConedComplex,
     FreeProductSpec,
+    SdElement,
+    SemidirectSpec,
     Syllable,
     TreeBall,
     Vertex,
     Word,
-    act,
+    _act,
+    _join,
     inverse,
     normal_form,
     words_up_to,
 )
+from gdim3.gl2z import IDENTITY, Mat2Z, _require_unimodular
+
+#: Finite orders occurring in GL(2, Z) are 1, 2, 3, 4 and 6; all divide 12.
+MAX_FINITE_ORDER = 12
+
+
+def order(m: Mat2Z) -> Optional[int]:
+    """Least n >= 1 with m^n = I, or None when m has infinite order.
+
+    Brute force up to 12 suffices: finite subgroups of GL(2, Z) realise
+    element orders 1, 2, 3, 4 and 6 only (the crystallographic
+    restriction), so nothing is missed past that bound.  This is the
+    independent oracle against which classify() is tested.
+    """
+    _require_unimodular(m)
+    power = m
+    for n in range(1, MAX_FINITE_ORDER + 1):
+        if power == IDENTITY:
+            return n
+        power = power * m
+    return None
+
+
+def complete_basis(v: Tuple[int, int]) -> Tuple[int, int]:
+    """A vector w with det(v | w) = 1, for primitive v, via Bezout."""
+    x, y = v
+    if gcd(x, y) != 1:
+        raise ValueError(f"{v} is not primitive")
+    # extended gcd: s*x + t*y = 1, then w = (-t, s) gives x*s - y*(-t) = 1
+    old_r, r = x, y
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r == -1:
+        old_s, old_t = -old_s, -old_t
+    return (-old_t, old_s)
+
+
+def conjugate(group: SemidirectSpec, g: SdElement, h: SdElement) -> SdElement:
+    """g h g^-1 in Z^2 x| Z."""
+    return group.mul(group.mul(g, h), group.inv(g))
+
+
+def mul(spec: FreeProductSpec, u: Sequence[Syllable], v: Sequence[Syllable]) -> Word:
+    """The normal form of the product u v."""
+    return _join(spec, normal_form(spec, u), normal_form(spec, v))
+
+
+def act(spec: FreeProductSpec, g: Sequence[Syllable], v: Vertex) -> Vertex:
+    """Left translation action on vertex labels (defined on the whole tree)."""
+    return _act(spec, normal_form(spec, g), Vertex(normal_form(spec, v.word), v.factor))
 
 
 def translation_syllables(spec: FreeProductSpec, w: Sequence[Syllable]) -> int:

@@ -16,14 +16,12 @@ from gdim3.bass_serre import (
     SemidirectSpec,
     UnsupportedElement,
     Vertex,
-    act,
     axis_of,
     ball,
     cone_off,
     coset_canonical,
     cyclically_reduce,
     inverse,
-    mul,
     normal_form,
     normalizer_probe,
     parse_word,
@@ -36,8 +34,10 @@ from gdim3.gl2z import Mat2Z, MatKind, classify
 
 from oracles import (
     BfsDistances,
+    act,
     axis_by_displacement,
     cone_cell_records,
+    mul,
     order_path,
     path_stabilizer,
     pushout_bound_by_walk,

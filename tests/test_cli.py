@@ -470,3 +470,56 @@ def test_compute_refuses_a_non_integer_or_missing_group_order(order, tmp_path, c
         assert run([command, str(path)]) == EX_DATA
         stdout, stderr = out(capsys)
         assert stdout == "" and stderr.startswith("error: pieces[0].pi1_order: ")
+
+
+@pytest.mark.parametrize("command", ["compute", "validate", "replay"])
+@pytest.mark.parametrize("unreadable", ["directory", "invalid-utf8"])
+def test_unreadable_input_is_refused_without_a_traceback(command, unreadable, tmp_path, capsys):
+    path = tmp_path
+    if unreadable == "invalid-utf8":
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff{}")
+    assert run([command, str(path)]) == EX_DATA
+    stdout, stderr = out(capsys)
+    assert stdout == "" and stderr.startswith(f"error: {path}: ")
+
+
+def exit_code(argv):
+    """What `gdim3 argv` exits with, whether argparse or a handler refuses."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["compute", "corpus:e3_rp3", "--k", "1"], "argument --k: --k must be >= 2"),
+    (["compute", "corpus:e3_rp3", "--k", "x"],
+     "argument --k: --k must be 'all' or an integer >= 2, got 'x'"),
+    (["replay", "missing.json"], "error: [Errno 2] No such file or directory: 'missing.json'"),
+    (["replay", "broken.json"], "error: broken.json: Expecting property name"),
+    (["replay", "invalid.json"], "error: pieces[0].pi1_order: group order must be >= 1"),
+    (["classify-orbifold", "--cone", "1"], "error: cone orders must be >= 2"),
+    (["classify-orbifold", "--genus", "-1"], "error: genus must be >= 0"),
+    (["classify-orbifold", "--boundary", "-1"], "error: boundary count must be >= 0"),
+    (["classify-orbifold", "--nonorientable"], "and >= 1 for nonorientable surfaces"),
+    (["probe-normalizer", "--monodromy", "2,1;1,1", "--element", "1,2"],
+     "error: --element expects x,y,l, got '1,2'"),
+    (["probe-normalizer", "--monodromy", "2,1;1,1", "--element", "a,b,c"],
+     "error: --element expects integers x,y,l, got 'a,b,c'"),
+    (["cone-off", "--factors", "2,2", "--radius", "3", "--axes", "abab"],
+     "error: the axis of 'abab' is not visible at radius 3"),
+    (["cone-off", "--factors", "2,2", "--radius", "1", "--axes", "auto"],
+     "error: no axis is visible at this radius; increase --radius"),
+    (["cone-off", "--factors", "2,2", "--radius", "3", "--axes", "a!b"],
+     "error: bad word syntax at '!b'"),
+])
+def test_bad_arguments_and_inputs_exit_2(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "broken.json").write_text("{not json", encoding="utf-8")
+    (tmp_path / "invalid.json").write_text(json.dumps({"k2": 0, "description": {
+        "name": "bad", "pieces": [{"kind": "spherical", "pi1_order": 0}],
+    }}), encoding="utf-8")
+    assert exit_code(argv) == EX_DATA
+    stdout, stderr = out(capsys)
+    assert stdout == "" and message in stderr

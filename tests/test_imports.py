@@ -5,6 +5,7 @@ of the CLI and by the package's module `__getattr__`.  The public names
 stay importable from `gdim3`.
 """
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +67,38 @@ def test_every_public_name_resolves():
     namespace: dict = {}
     exec("from gdim3 import *", namespace)
     assert set(gdim3.__all__) <= set(namespace)
+
+
+PUBLIC = {
+    # the README-documented calls
+    "compute", "ball", "axis_of", "setwise_axis_stabilizer", "cone_off",
+    "pushout_dimension_bound", "normalizer_probe",
+    # the types needed to make them
+    "ManifoldDescription", "DimensionReport", "FreeProductSpec", "SemidirectSpec", "Mat2Z",
+    # the exceptions they raise
+    "DescriptionFormatError", "InvalidDescription", "NormalizationAmbiguous",
+    "UnsupportedPiece", "InvalidDeterminant", "BallLimitExceeded", "MissingAssignment",
+    "NotHyperbolic", "UnsupportedElement",
+}
+
+
+def test_the_top_level_names_are_the_documented_api():
+    assert len(gdim3.__all__) == len(PUBLIC) == 21
+    assert set(gdim3.__all__) == PUBLIC
+    assert gdim3._BASS_SERRE_NAMES == PUBLIC - set(vars(gdim3))
+    assert len(gdim3._BASS_SERRE_NAMES) == 12
+
+
+def test_every_top_level_name_in_the_readme_is_public():
+    """`gdim3.X` and `from gdim3 import X` in the README, submodules aside, name public API."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"\bgdim3\.(\w+)", readme))
+    for imported in re.findall(r"^from gdim3 import (.+)$", readme, re.MULTILINE):
+        named.update(name.strip() for name in imported.split(","))
+    package = SRC / "gdim3"
+    named = {name for name in named
+             if not (package / f"{name}.py").exists() and not (package / name).is_dir()}
+    assert named == PUBLIC
 
 
 def test_an_unknown_name_is_an_attribute_error():

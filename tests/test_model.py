@@ -271,6 +271,16 @@ def test_load_description_reports_json_errors(tmp_path):
         load_description(str(path))
 
 
+def test_load_description_names_the_path_of_an_unreadable_file(tmp_path):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b"\xff{}")
+    for path in (tmp_path, latin1):
+        with pytest.raises(DescriptionFormatError, match=f"^{re.escape(str(path))}: "):
+            load_description(str(path))
+    with pytest.raises(FileNotFoundError):
+        load_description(str(tmp_path / "missing.json"))
+
+
 def test_base_cone_orders_default_from_pairs():
     d = description_from_json(
         {
@@ -321,6 +331,9 @@ def test_three_torus_over_the_readme_torus_base_is_flat():
 @pytest.mark.parametrize("base", [
     {"surface": "donut"},
     {"surface": ["torus"]},
+    {"surface": "disk"},            # the bounded surfaces of classify-orbifold --surface
+    {"surface": "annulus"},
+    {"surface": "mobius-band"},
     {"genus": 1, "colour": "red"},
     {"surface": "torus", "genus": 2},
     {"surface": "klein-bottle", "nonorientable": False},

@@ -83,3 +83,31 @@ def test_the_cli_and_the_package_import_bass_serre_on_first_use():
             if "bass_serre" in names:
                 found.append(f"{module}:{node.lineno}")
     assert not found, f"module-level imports of bass_serre: {found}"
+
+
+
+def _defined(node: ast.stmt) -> list:
+    """The names a statement defines or assigns."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def test_the_test_oracles_stay_out_of_the_package():
+    """The order oracle, basis completion, word product, vertex action and conjugation
+    live in tests/oracles.py; the identity element and `Mat2Z.__pow__` are gone."""
+    moved = {"order", "MAX_FINITE_ORDER", "complete_basis", "mul", "act", "IDENTITY_ELEMENT"}
+    moved_methods = {"conjugate", "__pow__"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            found += [f"{module}:{name}" for name in _defined(node) if name in moved]
+            if isinstance(node, ast.ClassDef):
+                found += [f"{module}:{node.name}.{name}" for inner in node.body
+                          for name in _defined(inner) if name in moved_methods]
+    assert not found, f"test-only names defined in the package: {found}"
