@@ -658,16 +658,6 @@ class SemidirectSpec:
 
     monodromy: Mat2Z
 
-    def mul(self, g: SdElement, h: SdElement) -> SdElement:
-        (v1, l1), (v2, l2) = g, h
-        moved = self.monodromy.pow(l1).apply(v2)
-        return ((v1[0] + moved[0], v1[1] + moved[1]), l1 + l2)
-
-    def inv(self, g: SdElement) -> SdElement:
-        v, l = g
-        moved = self.monodromy.pow(-l).apply(v)
-        return ((-moved[0], -moved[1]), -l)
-
 
 @dataclass(frozen=True)
 class NormalizerProbe:

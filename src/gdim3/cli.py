@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 for invalid input (malformed files,
 descriptions that fail validation, unsupported probe elements), 3 when a
-tree exploration exceeds its resource cap.
+tree exploration exceeds its resource cap.  The handlers raise; `run` is
+the one place that turns an exception into a message and an exit code.
 
 The certificate commands (`ball`, `cone-off`, `probe-normalizer`) import
 `bass_serre` inside their handlers, so the compute commands never load it.
@@ -15,9 +16,8 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from . import corpus
-from .dimension import RULES, TABLE, DimensionReport, FamilyIndex, compute, piece_rule
+from .dimension import RULES, TABLE, DimensionReport, compute, piece_rule
 from .gl2z import (
-    InvalidDeterminant,
     Mat2Z,
     MatKind,
     classify,
@@ -26,10 +26,8 @@ from .gl2z import (
     parabolic_quotient_type,
 )
 from .model import (
-    DescriptionFormatError,
     InvalidDescription,
     ManifoldDescription,
-    NormalizationAmbiguous,
     TorusBundle,
     description_from_json,
     description_to_json,
@@ -44,15 +42,13 @@ EX_DATA = 2
 EX_RESOURCE = 3
 
 
-def _fail(message: str, code: int = EX_DATA) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def _load_target(target: str) -> ManifoldDescription:
     """A description, from a JSON file path or a bundled corpus:NAME."""
     if target.startswith("corpus:"):
-        return corpus.load(target[len("corpus:"):])
+        try:
+            return corpus.load(target[len("corpus:"):])
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
     return load_description(target)
 
 
@@ -98,12 +94,11 @@ def _print_report_text(report: DimensionReport, k: Optional[int], explain: bool)
     if k is None:
         columns = [("k = 2", report.k2), ("k >= 3", report.k3plus)]
     else:
-        index = FamilyIndex(k)
-        if index.clamped:
+        if k >= 4:
             print(f"note: the families stabilise at k = 3; k = {k} uses the k >= 3 column",
                   file=sys.stderr)
-        label = "k = 2" if index.k == 2 else ("k >= 3" if k == 3 else f"k = {k} (= k >= 3)")
-        columns = [(label, report.k2 if index.k == 2 else report.k3plus)]
+        label = "k = 2" if k == 2 else ("k >= 3" if k == 3 else f"k = {k} (= k >= 3)")
+        columns = [(label, report.k2 if k == 2 else report.k3plus)]
     for label, result in columns:
         print(f"gd({label}) = {result.value}")
     print(f"rank cap: Z^{report.rank_cap} present, no Z^{report.rank_cap + 1}")
@@ -115,20 +110,7 @@ def _print_report_text(report: DimensionReport, k: Optional[int], explain: bool)
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    try:
-        desc = _load_target(args.target)
-        report = compute(desc)
-    except FileNotFoundError as exc:
-        return _fail(str(exc))
-    except KeyError as exc:
-        return _fail(exc.args[0])
-    except (DescriptionFormatError, NormalizationAmbiguous) as exc:
-        return _fail(str(exc))
-    except InvalidDescription as exc:
-        print("error: the description does not validate", file=sys.stderr)
-        for violation in exc.report:
-            print(f"  {violation}", file=sys.stderr)
-        return EX_DATA
+    report = compute(_load_target(args.target))
     if args.format == "json":
         print(json.dumps(report_to_json(report), indent=2))
     else:
@@ -137,14 +119,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        desc = _load_target(args.target)
-    except FileNotFoundError as exc:
-        return _fail(str(exc))
-    except KeyError as exc:
-        return _fail(exc.args[0])
-    except DescriptionFormatError as exc:
-        return _fail(str(exc))
+    desc = _load_target(args.target)
     report = validate(desc)
     if report:
         print(f"{desc.name or args.target}: {len(report)} violation(s)")
@@ -156,11 +131,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify_matrix(args: argparse.Namespace) -> int:
-    try:
-        matrix = Mat2Z.parse(args.matrix)
-        cls = classify(matrix)
-    except (ValueError, InvalidDeterminant) as exc:
-        return _fail(str(exc))
+    matrix = Mat2Z.parse(args.matrix)
+    cls = classify(matrix)
     print(f"matrix {matrix}  det {matrix.det():+d}  trace {matrix.trace()}")
     if cls.kind is MatKind.ELLIPTIC:
         print(f"class: elliptic, order {cls.order}")
@@ -180,7 +152,7 @@ def _cmd_classify_orbifold(args: argparse.Namespace) -> int:
     cones = tuple(args.cone or ())
     if args.surface is not None:
         if args.genus is not None or args.nonorientable or args.boundary is not None:
-            return _fail("--surface already fixes genus, orientability and boundary")
+            raise ValueError("--surface already fixes genus, orientability and boundary")
         base = SURFACES[args.surface](*cones)
     else:
         base = OrbifoldBase(
@@ -190,11 +162,11 @@ def _cmd_classify_orbifold(args: argparse.Namespace) -> int:
             cone_orders=cones,
         )
     if any(order < 2 for order in cones):
-        return _fail("cone orders must be >= 2")
+        raise ValueError("cone orders must be >= 2")
     if base.genus < 0 or (not base.orientable and base.genus == 0):
-        return _fail("genus must be >= 0, and >= 1 for nonorientable surfaces")
+        raise ValueError("genus must be >= 0, and >= 1 for nonorientable surfaces")
     if base.boundary_count < 0:
-        return _fail("boundary count must be >= 0")
+        raise ValueError("boundary count must be >= 0")
     print(f"base: {base.label()}")
     print(f"orbifold Euler characteristic: {euler_characteristic_orb(base)}")
     print(f"class: {classify_base(base).value}")
@@ -232,12 +204,9 @@ def _positive(text: str) -> int:
 
 
 def _cmd_ball(args: argparse.Namespace) -> int:
-    from .bass_serre import BallLimitExceeded, ball
+    from .bass_serre import ball
 
-    try:
-        tree = ball(args.factors, args.radius, max_vertices=args.max_vertices)
-    except BallLimitExceeded as exc:
-        return _fail(str(exc), EX_RESOURCE)
+    tree = ball(args.factors, args.radius, max_vertices=args.max_vertices)
     if args.format == "json":
         print(json.dumps(
             {
@@ -262,14 +231,18 @@ def _cmd_ball(args: argparse.Namespace) -> int:
     return EX_OK
 
 
-def _auto_axes(tree, max_syllables: int = 2) -> List[tuple]:
+#: `--axes auto` takes the axes of the hyperbolic words of at most this many syllables.
+_AUTO_AXIS_SYLLABLES = 2
+
+
+def _auto_axes(tree) -> List[tuple]:
     """Axes of all short hyperbolic words, deduplicated by vertex set."""
     from .bass_serre import axis_of, cyclically_reduce, words_up_to
 
     spec = tree.spec
     axes: List[tuple] = []
     seen = set()
-    for w in words_up_to(spec, max_syllables):
+    for w in words_up_to(spec, _AUTO_AXIS_SYLLABLES):
         if len(cyclically_reduce(spec, w)) <= 1:
             continue
         axis = axis_of(tree, w)
@@ -303,7 +276,6 @@ def _assignment(items: Sequence[str]) -> Dict[str, int]:
 
 def _cmd_cone_off(args: argparse.Namespace) -> int:
     from .bass_serre import (
-        BallLimitExceeded,
         MissingAssignment,
         axis_of,
         ball,
@@ -314,31 +286,21 @@ def _cmd_cone_off(args: argparse.Namespace) -> int:
         word_str,
     )
 
-    try:
-        assignment = _assignment(args.assign)
-    except ValueError as exc:
-        return _fail(str(exc))
-    try:
-        tree = ball(args.factors, args.radius, max_vertices=args.max_vertices)
-    except BallLimitExceeded as exc:
-        return _fail(str(exc), EX_RESOURCE)
+    assignment = _assignment(args.assign)
+    tree = ball(args.factors, args.radius, max_vertices=args.max_vertices)
     if args.axes == "auto":
         axes = _auto_axes(tree)
         if not axes:
-            return _fail("no axis is visible at this radius; increase --radius")
+            raise ValueError("no axis is visible at this radius; increase --radius")
     else:
         axes = []
         for text in args.axes.split(","):
-            try:
-                w = parse_word(args.factors, text)
-            except ValueError as exc:
-                return _fail(str(exc))
+            w = parse_word(args.factors, text)
             axis = axis_of(tree, w)
             if axis is None:
-                reduced = cyclically_reduce(args.factors, w)
-                if len(reduced) <= 1:
-                    return _fail(f"{text!r} is elliptic (conjugate into a factor), no axis")
-                return _fail(f"the axis of {text!r} is not visible at radius {args.radius}")
+                if len(cyclically_reduce(args.factors, w)) <= 1:
+                    raise ValueError(f"{text!r} is elliptic (conjugate into a factor), no axis")
+                raise ValueError(f"the axis of {text!r} is not visible at radius {args.radius}")
             axes.append(axis)
     complex_ = cone_off(tree, axes, budget=args.budget)
     bound: Optional[int] = None
@@ -346,7 +308,7 @@ def _cmd_cone_off(args: argparse.Namespace) -> int:
         try:
             bound = pushout_dimension_bound(complex_, assignment)
         except MissingAssignment as exc:
-            return _fail(f"cell class {exc.args[0]!r} has no assigned value")
+            raise ValueError(f"cell class {exc.args[0]!r} has no assigned value") from None
     reports = complex_.axis_reports
     if args.format == "json":
         cells = []
@@ -397,23 +359,17 @@ def _cmd_cone_off(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe_normalizer(args: argparse.Namespace) -> int:
-    from .bass_serre import NotHyperbolic, SemidirectSpec, UnsupportedElement, normalizer_probe
+    from .bass_serre import SemidirectSpec, normalizer_probe
 
-    try:
-        matrix = Mat2Z.parse(args.monodromy)
-    except ValueError as exc:
-        return _fail(str(exc))
+    matrix = Mat2Z.parse(args.monodromy)
     parts = args.element.split(",")
     if len(parts) != 3:
-        return _fail(f"--element expects x,y,l, got {args.element!r}")
+        raise ValueError(f"--element expects x,y,l, got {args.element!r}")
     try:
         x, y, l = (int(p) for p in parts)
     except ValueError:
-        return _fail(f"--element expects integers x,y,l, got {args.element!r}")
-    try:
-        probe = normalizer_probe(SemidirectSpec(matrix), ((x, y), l), bound=args.bound)
-    except (NotHyperbolic, UnsupportedElement) as exc:
-        return _fail(str(exc))
+        raise ValueError(f"--element expects integers x,y,l, got {args.element!r}") from None
+    probe = normalizer_probe(SemidirectSpec(matrix), ((x, y), l), bound=args.bound)
     print(f"element (({x}, {y}), {l}) in Z^2 x| Z with monodromy {matrix}")
     print(f"normaliser rank: {probe.rank}")
     for line in probe.certificate:
@@ -422,18 +378,10 @@ def _cmd_probe_normalizer(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    try:
-        stored = read_json(args.report)
-    except (FileNotFoundError, DescriptionFormatError) as exc:
-        return _fail(str(exc))
+    stored = read_json(args.report)
     if not isinstance(stored, dict) or "description" not in stored:
-        return _fail("the report carries no embedded description")
-    try:
-        desc = description_from_json(stored["description"])
-        report = compute(desc)
-    except (DescriptionFormatError, InvalidDescription, NormalizationAmbiguous) as exc:
-        return _fail(str(exc))
-    fresh = report_to_json(report)
+        raise ValueError("the report carries no embedded description")
+    fresh = report_to_json(compute(description_from_json(stored["description"])))
     mismatches = []
     for key in ("name", "k2", "k3plus", "rank_cap", "trace"):
         if stored.get(key) != fresh[key]:
@@ -544,9 +492,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except InvalidDescription as exc:
+        print("error: the description does not validate", file=sys.stderr)
+        for violation in exc.report:
+            print(f"  {violation}", file=sys.stderr)
+        return EX_DATA
+    except (ValueError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_DATA
+    except RuntimeError as exc:
+        from .bass_serre import BallLimitExceeded
+
+        if not isinstance(exc, BallLimitExceeded):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_RESOURCE
 
 
 def main() -> None:

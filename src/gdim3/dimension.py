@@ -13,8 +13,8 @@ acts on its Bass-Serre tree with family stabilisers (2); else the maximum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 from .geometry import Geometry
 from .gl2z import classify
@@ -30,26 +30,11 @@ class UnsupportedPiece(ValueError):
 ALLOWED_VALUES = frozenset({0, 2, 3, 5})
 
 
-@dataclass(frozen=True)
-class FamilyIndex:
-    """Family selector for k, an int or a FamilyIndex.  All k >= 4 share the column k = 3."""
-
-    requested: int
-    k: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if isinstance(self.requested, FamilyIndex):
-            object.__setattr__(self, "requested", self.requested.requested)
-        if self.requested < 2:
-            raise ValueError(f"family index must be >= 2, got {self.requested}")
-        object.__setattr__(self, "k", min(self.requested, 3))
-
-    @property
-    def clamped(self) -> bool:
-        return self.requested >= 4
-
-    def __str__(self) -> str:
-        return f"k={self.requested}" if not self.clamped else f"k={self.requested} (= k=3)"
+def _column(k: int) -> int:
+    """The column of family index k: 0 for k = 2, 1 for every k >= 3."""
+    if k < 2:
+        raise ValueError(f"family index must be >= 2, got {k}")
+    return min(k, 3) - 2
 
 
 @dataclass(frozen=True)
@@ -165,9 +150,8 @@ def _prime(piece: PrimePiece, path: str) -> Tuple[GdResult, GdResult]:
     return tuple(GdResult(v, (TraceStep(path, rule, inputs, v),)) for v in TABLE[rule][:2])
 
 
-def _sum(pieces: Sequence[PrimePiece], parts: Sequence[GdResult], family: FamilyIndex,
-         path: str) -> GdResult:
-    """Thm 1.1 on one column; `family` names the column in the case-2 inputs."""
+def _sum(pieces: Sequence[PrimePiece], parts: Sequence[GdResult], k: int, path: str) -> GdResult:
+    """Thm 1.1 on the column of k (2 or 3), which the case-2 inputs name."""
     values = [part.value for part in parts]
     if len(parts) == 1:
         return _combine(parts, path, "Thm1.1-case3", "single prime piece")
@@ -177,22 +161,14 @@ def _sum(pieces: Sequence[PrimePiece], parts: Sequence[GdResult], family: Family
         inputs = "two order-2 spherical factors, infinite dihedral group"
         return _combine(parts, path, "Thm1.1-case1", inputs)
     if all(v == 0 for v in values):
-        inputs = f"all {len(parts)} factors lie in the family at {family}"
+        inputs = f"all {len(parts)} factors lie in the family at k={k}"
         return _combine(parts, path, "Thm1.1-case2", inputs)
     return _combine(parts, path, "Thm1.1-case3", f"factor values {values}")
 
 
-def evaluate_piece(piece: PrimePiece, k: Union[int, FamilyIndex], path: str = "piece") -> GdResult:
+def evaluate_piece(piece: PrimePiece, k: int, path: str = "piece") -> GdResult:
     """Value of one prime piece or graph vertex in the column of k."""
-    return _prime(piece, path)[FamilyIndex(k).k - 2]
-
-
-def prime_combine(pieces: Sequence[PrimePiece], k: Union[int, FamilyIndex],
-                  path: str = "pieces") -> GdResult:
-    """Combine a normalized prime decomposition by Thm 1.1 in the column of k."""
-    family = FamilyIndex(k)
-    parts = [evaluate_piece(p, family, f"{path}[{i}]") for i, p in enumerate(pieces)]
-    return _sum(pieces, parts, family, path)
+    return _prime(piece, path)[_column(k)]
 
 
 @dataclass(frozen=True)
@@ -205,16 +181,16 @@ class DimensionReport:
     k3plus: GdResult
     rank_cap: int
 
-    def value(self, k: Union[int, FamilyIndex]) -> int:
-        return self.k2.value if FamilyIndex(k).k == 2 else self.k3plus.value
+    def value(self, k: int) -> int:
+        return (self.k2, self.k3plus)[_column(k)].value
 
 
 def compute(desc: ManifoldDescription) -> DimensionReport:
     """Validate, normalize, and evaluate both family columns in one pass."""
     normalized = normalize(desc)
     parts = [_prime(p, f"pieces[{i}]") for i, p in enumerate(normalized.pieces)]
-    k2, k3plus = (_sum(normalized.pieces, column, FamilyIndex(index), "pieces")
-                  for index, column in zip((2, 3), zip(*parts)))
+    k2, k3plus = (_sum(normalized.pieces, column, k, "pieces")
+                  for k, column in zip((2, 3), zip(*parts)))
     # only the flat rows differ between the columns, and only flat pieces contain Z^3
     rank_cap = 3 if any(two.value != three.value for two, three in parts) else 2
     return DimensionReport(normalized.name, normalized, k2, k3plus, rank_cap)

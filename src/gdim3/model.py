@@ -620,7 +620,8 @@ def read_json(path: str):
     """The JSON document in the file at `path`.
 
     A missing file raises FileNotFoundError.  Any other file that cannot
-    be read, or is not UTF-8 JSON, raises DescriptionFormatError naming
+    be read or decoded (not UTF-8, not JSON, nested too deeply, or holding
+    an integer too long to convert) raises DescriptionFormatError naming
     the path.
     """
     try:
@@ -630,7 +631,7 @@ def read_json(path: str):
         raise
     except OSError as exc:
         raise DescriptionFormatError(f"{path}: {exc.strerror or exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise DescriptionFormatError(f"{path}: {exc}") from exc
 
 

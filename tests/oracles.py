@@ -8,7 +8,8 @@ distances inside the ball, displacement minimisation over every vertex,
 stabilisers by testing every budgeted word on every vertex, the push-out
 bound by walking every cell) so the tests can compare the two.  The
 group operations that only these comparisons need (the product of
-words, the action on vertices, conjugation in Z^2 x| Z) live here too.
+words, the action on vertices, the product, inverse and conjugation in
+Z^2 x| Z) live here too.
 """
 from __future__ import annotations
 
@@ -75,9 +76,23 @@ def complete_basis(v: Tuple[int, int]) -> Tuple[int, int]:
     return (-old_t, old_s)
 
 
+def sd_mul(group: SemidirectSpec, g: SdElement, h: SdElement) -> SdElement:
+    """The product (v1, l1)(v2, l2) = (v1 + A^l1 v2, l1 + l2) in Z^2 x|_A Z."""
+    (v1, l1), (v2, l2) = g, h
+    moved = group.monodromy.pow(l1).apply(v2)
+    return ((v1[0] + moved[0], v1[1] + moved[1]), l1 + l2)
+
+
+def sd_inv(group: SemidirectSpec, g: SdElement) -> SdElement:
+    """The inverse (v, l)^-1 = (-A^-l v, -l) in Z^2 x|_A Z."""
+    v, l = g
+    moved = group.monodromy.pow(-l).apply(v)
+    return ((-moved[0], -moved[1]), -l)
+
+
 def conjugate(group: SemidirectSpec, g: SdElement, h: SdElement) -> SdElement:
     """g h g^-1 in Z^2 x| Z."""
-    return group.mul(group.mul(g, h), group.inv(g))
+    return sd_mul(group, sd_mul(group, g, h), sd_inv(group, g))
 
 
 def mul(spec: FreeProductSpec, u: Sequence[Syllable], v: Sequence[Syllable]) -> Word:

@@ -23,7 +23,7 @@ from gdim3.bass_serre import (
     parse_word,
     pushout_dimension_bound,
 )
-from gdim3.dimension import compute, evaluate_piece, prime_combine
+from gdim3.dimension import compute, evaluate_piece
 from gdim3.geometry import Geometry
 from gdim3.gl2z import IDENTITY, Mat2Z, MatKind, classify
 from gdim3.model import (
@@ -202,8 +202,8 @@ def test_08_stabilisation_at_k_equals_3(criterion):
         for name in corpus.names():
             report = compute(corpus.load(name))
             assert report.value(3) == report.value(7), name
-            pieces = normalize(corpus.load(name)).pieces
-            assert prime_combine(pieces, 3).value == prime_combine(pieces, 7).value
+            for piece in normalize(corpus.load(name)).pieces:
+                assert evaluate_piece(piece, 3) == evaluate_piece(piece, 7), name
 
 
 def test_09_dihedral_tree_and_coned_complex(criterion):

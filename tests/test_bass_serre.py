@@ -42,6 +42,8 @@ from oracles import (
     path_stabilizer,
     pushout_bound_by_walk,
     rotate_to_cyclically_reduced,
+    sd_inv,
+    sd_mul,
     setwise_by_scan,
     translation_syllables,
     tree_cell_records,
@@ -504,15 +506,15 @@ def test_probe_over_random_hyperbolic_monodromies():
 def test_semidirect_group_laws():
     group = SemidirectSpec(ANOSOV)
     e1, e2, e3 = ((1, 2), 1), ((0, -1), -2), ((3, 0), 1)
-    assert group.mul(group.mul(e1, e2), e3) == group.mul(e1, group.mul(e2, e3))
-    assert group.mul(e1, group.inv(e1)) == ((0, 0), 0)
-    assert group.inv(group.inv(e2)) == e2
+    assert sd_mul(group, sd_mul(group, e1, e2), e3) == sd_mul(group, e1, sd_mul(group, e2, e3))
+    assert sd_mul(group, e1, sd_inv(group, e1)) == ((0, 0), 0)
+    assert sd_inv(group, sd_inv(group, e2)) == e2
 
 
 def test_fibre_vectors_commute():
     group = SemidirectSpec(ANOSOV)
     u, v = ((1, 0), 0), ((0, 1), 0)
-    assert group.mul(u, v) == group.mul(v, u)
+    assert sd_mul(group, u, v) == sd_mul(group, v, u)
 
 
 # --- closed forms against the search oracles ---

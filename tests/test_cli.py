@@ -4,10 +4,14 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gdim3 import corpus
 from gdim3.cli import EX_DATA, EX_OK, EX_RESOURCE, report_to_json, run
 from gdim3.dimension import MAX, RULES, TABLE, compute
+from gdim3.geometry import Geometry
+from gdim3.orbifold2 import SURFACES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -473,15 +477,88 @@ def test_compute_refuses_a_non_integer_or_missing_group_order(order, tmp_path, c
 
 
 @pytest.mark.parametrize("command", ["compute", "validate", "replay"])
-@pytest.mark.parametrize("unreadable", ["directory", "invalid-utf8"])
+@pytest.mark.parametrize("unreadable", ["directory", "invalid-utf8", "deep-nesting", "huge-integer"])
 def test_unreadable_input_is_refused_without_a_traceback(command, unreadable, tmp_path, capsys):
     path = tmp_path
     if unreadable == "invalid-utf8":
         path = tmp_path / "latin1.json"
         path.write_bytes(b"\xff{}")
+    elif unreadable == "deep-nesting":
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+    elif unreadable == "huge-integer":
+        path = tmp_path / "huge.json"
+        path.write_text('{"name": "huge", "pieces": [{"kind": "spherical", "pi1_order": '
+                        + "7" * 5_000 + "}]}", encoding="utf-8")
     assert run([command, str(path)]) == EX_DATA
     stdout, stderr = out(capsys)
     assert stdout == "" and stderr.startswith(f"error: {path}: ")
+
+
+# --- fuzzing the JSON reader ---
+
+_KINDS = ["spherical", "geometric", "torus_bundle", "klein_double", "seifert_closed",
+          "seifert_bounded", "hyperbolic_cusped", "jsj", "lens_space"]
+_FIELDS = ["kind", "name", "pieces", "pi1_order", "geometry", "cusps", "monodromy", "base",
+           "surface", "genus", "orientable", "nonorientable", "boundary", "boundary_count",
+           "cone_orders", "cone_pairs", "b", "vertices", "edges", "description", "k2"]
+_SMALL = st.integers(-1, 6)
+_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _SMALL, st.integers(), st.floats(), st.text(max_size=4)),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mostly(plausible):
+    """The plausible value five times in six, else any JSON value."""
+    return st.sampled_from([plausible] * 5 + [_VALUES]).flatmap(lambda strategy: strategy)
+
+
+def _piece(vertex):
+    """A dict shaped like a piece: a known kind, fields that are mostly plausible."""
+    row = _mostly(st.lists(_SMALL, min_size=2, max_size=2))
+    return st.fixed_dictionaries({"kind": _mostly(st.sampled_from(_KINDS))}, optional={
+        "pi1_order": _mostly(_SMALL),
+        "geometry": _mostly(st.sampled_from([g.value for g in Geometry])),
+        "cusps": _mostly(_SMALL),
+        "monodromy": _mostly(st.lists(row, min_size=2, max_size=2)),
+        "base": _mostly(st.fixed_dictionaries({}, optional={
+            "surface": _mostly(st.sampled_from(sorted(SURFACES))),
+            "genus": _SMALL, "orientable": st.booleans(), "nonorientable": st.booleans(),
+            "boundary": _SMALL, "boundary_count": _SMALL,
+            "cone_orders": _mostly(st.lists(_SMALL, max_size=3)),
+        })),
+        "cone_pairs": _mostly(st.lists(row, max_size=3)),
+        "b": _mostly(_SMALL),
+        "vertices": _mostly(st.lists(vertex, max_size=3)),
+        "edges": _mostly(st.lists(st.lists(st.integers(-1, 3), min_size=2, max_size=2),
+                                  max_size=3)),
+    })
+
+
+_DESCRIPTIONS = st.fixed_dictionaries({
+    "name": _mostly(st.text(max_size=4)),
+    "pieces": _mostly(st.lists(_piece(_piece(_VALUES)), min_size=1, max_size=3)),
+})
+_DOCUMENTS = st.one_of(
+    _DESCRIPTIONS,
+    st.fixed_dictionaries({"description": _DESCRIPTIONS},
+                          optional={"k2": _VALUES, "trace": _VALUES}),
+    _VALUES,
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(document=_DOCUMENTS)
+def test_any_json_document_exits_0_or_2(document, tmp_path, capsys):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    for command in ("compute", "validate", "replay"):
+        assert run([command, str(path)]) in (EX_OK, EX_DATA), (command, document)
+    capsys.readouterr()
 
 
 def exit_code(argv):
@@ -498,7 +575,8 @@ def exit_code(argv):
      "argument --k: --k must be 'all' or an integer >= 2, got 'x'"),
     (["replay", "missing.json"], "error: [Errno 2] No such file or directory: 'missing.json'"),
     (["replay", "broken.json"], "error: broken.json: Expecting property name"),
-    (["replay", "invalid.json"], "error: pieces[0].pi1_order: group order must be >= 1"),
+    (["replay", "invalid.json"],
+     "error: the description does not validate\n  pieces[0].pi1_order: group order must be >= 1"),
     (["classify-orbifold", "--cone", "1"], "error: cone orders must be >= 2"),
     (["classify-orbifold", "--genus", "-1"], "error: genus must be >= 0"),
     (["classify-orbifold", "--boundary", "-1"], "error: boundary count must be >= 0"),
@@ -513,6 +591,8 @@ def exit_code(argv):
      "error: no axis is visible at this radius; increase --radius"),
     (["cone-off", "--factors", "2,2", "--radius", "3", "--axes", "a!b"],
      "error: bad word syntax at '!b'"),
+    (["probe-normalizer", "--monodromy", "1,0;0,2", "--element", "0,0,1"],
+     "error: determinant of 1,0;0,2 is 2, must be +1 or -1"),
 ])
 def test_bad_arguments_and_inputs_exit_2(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -8,13 +8,11 @@ from gdim3 import corpus, dimension
 from gdim3.dimension import (
     ALLOWED_VALUES,
     RULES,
-    FamilyIndex,
     GdResult,
     TraceStep,
     UnsupportedPiece,
     compute,
     evaluate_piece,
-    prime_combine,
 )
 from gdim3.geometry import Geometry
 from gdim3.gl2z import Mat2Z
@@ -29,7 +27,6 @@ from gdim3.model import (
     SeifertData,
     Spherical,
     TorusBundle,
-    normalize,
 )
 from gdim3.orbifold2 import disk, mobius_band, sphere
 
@@ -119,16 +116,21 @@ def test_torus_bundle_rules_are_named_for_their_class():
 # --- family index ---
 
 def test_family_index_rejects_small_k():
-    with pytest.raises(ValueError):
-        FamilyIndex(1)
-    with pytest.raises(ValueError):
-        FamilyIndex(0)
+    report = compute(corpus.load("e3_rp3"))
+    for k in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"family index must be >= 2, got {k}"):
+            evaluate_piece(Spherical(2), k)
+        with pytest.raises(ValueError, match=f"family index must be >= 2, got {k}"):
+            report.value(k)
 
 
 def test_family_index_clamps_at_three():
-    assert FamilyIndex(2).k == 2 and not FamilyIndex(2).clamped
-    assert FamilyIndex(3).k == 3 and not FamilyIndex(3).clamped
-    assert FamilyIndex(7).k == 3 and FamilyIndex(7).clamped
+    report = compute(corpus.load("e3_rp3"))
+    assert (report.value(2), report.value(3), report.value(7)) == (5, 2, 2)
+    flat = Geometric(Geometry.E3)
+    assert evaluate_piece(flat, 2).value == 5
+    assert evaluate_piece(flat, 7) == evaluate_piece(flat, 3)
+    assert evaluate_piece(flat, 7, "pieces[0]").trace == report.k3plus.trace[:1]
 
 
 @given(st.integers(3, 50))
@@ -139,8 +141,10 @@ def test_values_stabilise_from_k_equals_three(k):
 
 def test_corpus_values_stabilise():
     for name in corpus.names():
-        d = normalize(corpus.load(name))
-        assert prime_combine(d.pieces, 3).value == prime_combine(d.pieces, 7).value
+        report = compute(corpus.load(name))
+        assert report.value(3) == report.value(7) == report.k3plus.value
+        for piece in report.description.pieces:
+            assert evaluate_piece(piece, 3) == evaluate_piece(piece, 7)
 
 
 # --- family membership ---
@@ -183,38 +187,44 @@ def test_unknown_piece_types_are_unsupported():
 
 # --- connected sums ---
 
+def connected_sum(*pieces):
+    """Both columns of the connected sum of the pieces, by Thm 1.1."""
+    report = compute(ManifoldDescription("", pieces))
+    return report.k2, report.k3plus
+
+
 def test_infinite_dihedral_sum_is_virtually_cyclic():
-    result = prime_combine((Spherical(2), Spherical(2)), 2)
+    result, _ = connected_sum(Spherical(2), Spherical(2))
     assert result.value == 0
     assert result.trace[-1].rule == "Thm1.1-case1"
 
 
 def test_family_free_product_costs_two():
-    result = prime_combine((Spherical(2),) * 3, 2)
+    result, _ = connected_sum(*(Spherical(2),) * 3)
     assert result.value == 2
     assert result.trace[-1].rule == "Thm1.1-case2"
+    assert result.trace[-1].inputs == "all 3 factors lie in the family at k=2"
     # mixed finite orders are not dihedral either
-    assert prime_combine((Spherical(2), Spherical(3)), 2).value == 2
+    assert connected_sum(Spherical(2), Spherical(3))[0].value == 2
 
 
 def test_general_sum_takes_the_maximum():
-    result = prime_combine((Geometric(Geometry.H3), Spherical(2)), 2)
+    result, _ = connected_sum(Geometric(Geometry.H3), Spherical(2))
     assert result.value == 3
     assert result.trace[-1].rule == "Thm1.1-case3"
 
 
 def test_case_switch_depends_on_k():
-    pieces = (Geometric(Geometry.E3), Spherical(2))
-    at2 = prime_combine(pieces, 2)
-    at3 = prime_combine(pieces, 3)
+    at2, at3 = connected_sum(Geometric(Geometry.E3), Spherical(2))
     # at k = 2 the flat factor is outside the family and dominates
     assert at2.value == 5 and at2.trace[-1].rule == "Thm1.1-case3"
     # at k >= 3 it joins the family and the free product costs 2
     assert at3.value == 2 and at3.trace[-1].rule == "Thm1.1-case2"
+    assert at3.trace[-1].inputs == "all 2 factors lie in the family at k=3"
 
 
 def test_single_piece_passes_through():
-    result = prime_combine((Geometric(Geometry.NIL),), 2)
+    result, _ = connected_sum(Geometric(Geometry.NIL))
     assert result.value == 3
     assert result.trace[-1].rule == "Thm1.1-case3"
 

@@ -85,7 +85,6 @@ def test_the_cli_and_the_package_import_bass_serre_on_first_use():
     assert not found, f"module-level imports of bass_serre: {found}"
 
 
-
 def _defined(node: ast.stmt) -> list:
     """The names a statement defines or assigns."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -98,10 +97,11 @@ def _defined(node: ast.stmt) -> list:
 
 
 def test_the_test_oracles_stay_out_of_the_package():
-    """The order oracle, basis completion, word product, vertex action and conjugation
-    live in tests/oracles.py; the identity element and `Mat2Z.__pow__` are gone."""
+    """The order oracle, basis completion, word product, vertex action and the
+    semidirect product, inverse and conjugation live in tests/oracles.py; the
+    identity element and `Mat2Z.__pow__` are gone."""
     moved = {"order", "MAX_FINITE_ORDER", "complete_basis", "mul", "act", "IDENTITY_ELEMENT"}
-    moved_methods = {"conjugate", "__pow__"}
+    moved_methods = {"conjugate", "__pow__", "mul", "inv"}
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         module = path.relative_to(PACKAGE)
@@ -111,3 +111,19 @@ def test_the_test_oracles_stay_out_of_the_package():
                 found += [f"{module}:{node.name}.{name}" for inner in node.body
                           for name in _defined(inner) if name in moved_methods]
     assert not found, f"test-only names defined in the package: {found}"
+
+
+def test_cli_handlers_raise_and_leave_the_exit_code_to_run():
+    """A refusal in a `_cmd_*` handler is a raised exception; only `run` prints it."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    handlers = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert handlers
+    found = [
+        f"{handler.name}:{inner.lineno}"
+        for handler in handlers
+        for inner in ast.walk(handler)
+        if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name)
+        and inner.func.id == "_fail"
+    ]
+    assert not found, f"handlers calling _fail: {found}"
