@@ -44,9 +44,9 @@ statement "within radius r" or "for words of syllable length <= B".
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from ._record import Record
 from .gl2z import Mat2Z, MatKind, classify
 
 Syllable = Tuple[int, int]
@@ -69,8 +69,7 @@ class UnsupportedElement(ValueError):
     """The probe handles fibre vectors and powers of the stable letter only."""
 
 
-@dataclass(frozen=True)
-class FreeProductSpec:
+class FreeProductSpec(Record):
     """Free product of finite cyclic groups, given by the factor orders."""
 
     factor_orders: Tuple[int, ...]
@@ -255,8 +254,7 @@ def _depth(v: Vertex) -> int:
     return 2 * len(v.word) + (v.factor is not None)
 
 
-@dataclass
-class TreeBall:
+class TreeBall(Record):
     """Ball of given radius around the identity vertex.
 
     vertices are listed level by level, each edge is (nearer, farther) and
@@ -390,8 +388,7 @@ def axis_of(spec_ball: TreeBall, w: Sequence[Syllable]) -> Optional[Tuple[Vertex
 # ---------------------------------------------------------------------------
 # stabilisers
 
-@dataclass(frozen=True)
-class AxisStabilizerReport:
+class AxisStabilizerReport(Record):
     """Setwise stabiliser of an axis, classified element by element.
 
     Every recorded element acts on the ordered axis as an index
@@ -540,8 +537,7 @@ class Cell(NamedTuple):
     key: tuple
 
 
-@dataclass
-class ConedComplex:
+class ConedComplex(Record):
     """Tree ball with one cone vertex per axis and triangular 2-cells.
 
     Cell classes: "vertex" and "edge" from the tree, "cone_vertex",
@@ -652,15 +648,13 @@ def pushout_dimension_bound(complex_: ConedComplex, cell_gd: Dict[str, int]) -> 
 SdElement = Tuple[Tuple[int, int], int]
 
 
-@dataclass(frozen=True)
-class SemidirectSpec:
+class SemidirectSpec(Record):
     """Z^2 x|_A Z: elements ((x, y), l) with (v1, l1)(v2, l2) = (v1 + A^l1 v2, l1 + l2)."""
 
     monodromy: Mat2Z
 
 
-@dataclass(frozen=True)
-class NormalizerProbe:
+class NormalizerProbe(Record):
     """Outcome of the normaliser computation, with the checked identities."""
 
     rank: int

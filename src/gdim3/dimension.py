@@ -13,9 +13,9 @@ acts on its Bass-Serre tree with family stabilisers (2); else the maximum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+from ._record import Record
 from .geometry import Geometry
 from .gl2z import classify
 from .model import (Geometric, HyperbolicCusped, JsjGraph, KleinDouble, ManifoldDescription,
@@ -37,16 +37,14 @@ def _column(k: int) -> int:
     return min(k, 3) - 2
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
     path: str
     rule: str
     inputs: str
     value: int
 
 
-@dataclass(frozen=True)
-class GdResult:
+class GdResult(Record):
     value: int
     trace: Tuple[TraceStep, ...]
 
@@ -171,8 +169,7 @@ def evaluate_piece(piece: PrimePiece, k: int, path: str = "piece") -> GdResult:
     return _prime(piece, path)[_column(k)]
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(Record):
     """Both family columns for one description, plus the Z^n rank indicator."""
 
     name: str

@@ -21,11 +21,11 @@ unbounded.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 from typing import Optional, Tuple
 
+from ._record import Record
 from .geometry import Geometry
 
 
@@ -37,8 +37,7 @@ class NotParabolic(ValueError):
     """The operation is defined for parabolic matrices only."""
 
 
-@dataclass(frozen=True)
-class Mat2Z:
+class Mat2Z(Record):
     """Row-major integer matrix [[a, b], [c, d]]."""
 
     a: int
@@ -123,8 +122,7 @@ class MatKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class MatClass:
+class MatClass(Record):
     """Dynamical type of a GL(2, Z) matrix; elliptic classes carry the order."""
 
     kind: MatKind

@@ -21,11 +21,11 @@ and repaired; everything else must validate cleanly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from typing import List, NamedTuple, Optional, Tuple, Union
 
+from ._record import Record
 from .geometry import Geometry
 from .gl2z import Mat2Z
 from .orbifold2 import SURFACES, OrbifoldBase, OrbifoldClass, classify_base
@@ -58,8 +58,7 @@ class InvalidDescription(ValueError):
 # ---------------------------------------------------------------------------
 # types
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(Record):
     """Unnormalised Seifert invariants over a cone-point base.
 
     cone_pairs lists (alpha, beta) for the exceptional fibres, with
@@ -90,48 +89,41 @@ class SeifertData:
         return -total
 
 
-@dataclass(frozen=True)
-class Spherical:
+class Spherical(Record):
     """Spherical space form, recorded by the order of its fundamental group."""
 
     pi1_order: int
 
 
-@dataclass(frozen=True)
-class Geometric:
+class Geometric(Record):
     """Closed piece carrying a single model geometry."""
 
     geometry: Geometry
 
 
-@dataclass(frozen=True)
-class TorusBundle:
+class TorusBundle(Record):
     """Torus bundle over the circle with explicit monodromy."""
 
     monodromy: Mat2Z
 
 
-@dataclass(frozen=True)
-class KleinDouble:
+class KleinDouble(Record):
     """Double of the twisted I-bundle over the Klein bottle (a Sol manifold)."""
 
 
-@dataclass(frozen=True)
-class SeifertClosed:
+class SeifertClosed(Record):
     """Closed Seifert fibration."""
 
     data: SeifertData
 
 
-@dataclass(frozen=True)
-class HyperbolicCusped:
+class HyperbolicCusped(Record):
     """Finite-volume hyperbolic piece with cusps >= 1."""
 
     cusps: int
 
 
-@dataclass(frozen=True)
-class SeifertBounded:
+class SeifertBounded(Record):
     """Seifert fibration over a base with boundary (no obstruction term)."""
 
     data: SeifertData
@@ -140,8 +132,7 @@ class SeifertBounded:
 JsjVertex = Union[HyperbolicCusped, SeifertBounded]
 
 
-@dataclass(frozen=True)
-class JsjGraph:
+class JsjGraph(Record):
     """Torus decomposition graph: vertices are pieces, edges are gluing tori.
 
     Edges are unordered index pairs with multiplicity.  The optional
@@ -162,8 +153,7 @@ class JsjGraph:
 PrimePiece = Union[Spherical, Geometric, TorusBundle, KleinDouble, SeifertClosed, JsjGraph]
 
 
-@dataclass(frozen=True)
-class ManifoldDescription:
+class ManifoldDescription(Record):
     name: str
     pieces: Tuple[PrimePiece, ...]
 
@@ -375,7 +365,7 @@ def normalize(desc: ManifoldDescription) -> ManifoldDescription:
     nontrivial = [p for p in rewritten if p != Spherical(1)]
     if not nontrivial:
         nontrivial = [Spherical(1)] if rewritten else []
-    result = replace(desc, pieces=tuple(nontrivial))
+    result = ManifoldDescription(desc.name, tuple(nontrivial))
     report = validate(result)
     if report:
         raise InvalidDescription(report)

@@ -23,14 +23,14 @@ virtually cyclic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Tuple
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class OrbifoldBase:
+
+class OrbifoldBase(Record):
     """Compact 2-orbifold with cone points only.
 
     cone_orders is kept sorted; the multiset is what matters.

@@ -2,7 +2,8 @@
 
 `gdim3.bass_serre` is imported on first use: by the certificate commands
 of the CLI and by the package's module `__getattr__`.  The public names
-stay importable from `gdim3`.
+stay importable from `gdim3`.  No command loads `dataclasses` or the
+`inspect` module it pulls in: the value types are `_record.Record`s.
 """
 import os
 import re
@@ -39,20 +40,48 @@ run("rules")
 run("classify-matrix", "2,1;1,1")
 run("classify-orbifold", "--surface", "sphere", "--cone", "2", "--cone", "3")
 print(" ".join(sorted(name for name in sys.modules if name.startswith("gdim3"))))
+print(" ".join(sorted(name for name in ("dataclasses", "inspect") if name in sys.modules)))
+"""
+
+CERTIFICATE_COMMAND = """
+import contextlib, io, sys
+from gdim3 import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+if code != 0:
+    raise SystemExit(f"gdim3 {' '.join(sys.argv[1:])} exited {code}")
+print(" ".join(sorted(name for name in sys.modules if name.startswith("gdim3"))))
+print(" ".join(sorted(name for name in ("dataclasses", "inspect") if name in sys.modules)))
 """
 
 
-def test_the_compute_commands_never_import_bass_serre(tmp_path):
+def _fresh_run(code: str, *args: str):
+    """The gdim3 modules and the modules of {dataclasses, inspect} a fresh process loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", COMPUTE_COMMANDS, str(tmp_path / "report.json")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    result = subprocess.run([sys.executable, "-c", code, *args],
+                            capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
-    loaded = result.stdout.split()
-    assert {"gdim3.cli", "gdim3.dimension", "gdim3.model"} <= set(loaded)
+    gdim3_modules, unwanted = result.stdout.split("\n")[:2]
+    return set(gdim3_modules.split()), unwanted.split()
+
+
+def test_the_compute_commands_never_import_bass_serre(tmp_path):
+    loaded, unwanted = _fresh_run(COMPUTE_COMMANDS, str(tmp_path / "report.json"))
+    assert {"gdim3.cli", "gdim3.dimension", "gdim3.model"} <= loaded
     assert "gdim3.bass_serre" not in loaded
+    assert unwanted == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["ball", "--factors", "2,3", "--radius", "3"],
+    ["cone-off", "--factors", "2,2,2", "--radius", "4", "--axes", "ab,bc,ac"],
+], ids=["ball", "cone-off"])
+def test_the_certificate_commands_never_import_dataclasses(argv):
+    loaded, unwanted = _fresh_run(CERTIFICATE_COMMAND, *argv)
+    assert "gdim3.bass_serre" in loaded
+    assert unwanted == []
 
 
 def test_every_public_name_resolves():

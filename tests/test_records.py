@@ -268,3 +268,15 @@ def test_copies_and_pickles_are_equal(name):
     record = make(name)
     for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(twin) is type(record) and twin == record
+
+
+@pytest.mark.parametrize("name", sorted(UNHASHABLE))
+def test_tree_balls_and_coned_complexes_are_frozen_too(name):
+    record = make(name)
+    _, _, fields, expected, _ = CASES[name]
+    for field in fields:
+        with pytest.raises(AttributeError, match=f"cannot assign to field {field!r}"):
+            setattr(record, field, 1)
+        with pytest.raises(AttributeError, match=f"cannot delete field {field!r}"):
+            delattr(record, field)
+    assert values(record, fields) == expected

@@ -127,3 +127,19 @@ def test_cli_handlers_raise_and_leave_the_exit_code_to_run():
         and inner.func.id == "_fail"
     ]
     assert not found, f"handlers calling _fail: {found}"
+
+
+def test_no_module_imports_dataclasses():
+    """Value types derive from `_record.Record`; `dataclasses` costs every command its import."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert not found, f"imports of dataclasses: {found}"
