@@ -32,6 +32,7 @@ from .model import (
     description_from_json,
     description_to_json,
     load_description,
+    normalize,
     read_json,
     validate,
 )
@@ -126,6 +127,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         for violation in report:
             print(f"  {violation}")
         return EX_DATA
+    normalize(desc)   # a rewrite that lacks data refuses here as in compute
     print(f"OK: {desc.name or args.target} ({len(desc.pieces)} piece(s))")
     return EX_OK
 

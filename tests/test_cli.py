@@ -593,6 +593,10 @@ def exit_code(argv):
      "error: bad word syntax at '!b'"),
     (["probe-normalizer", "--monodromy", "1,0;0,2", "--element", "0,0,1"],
      "error: determinant of 1,0;0,2 is 2, must be +1 or -1"),
+    (["validate", "ambiguous.json"], "error: a torus-times-interval vertex glued to itself is "
+     "a torus bundle; supply the gluing monodromy on the graph piece"),
+    (["compute", "ambiguous.json"], "error: a torus-times-interval vertex glued to itself is "
+     "a torus bundle; supply the gluing monodromy on the graph piece"),
 ])
 def test_bad_arguments_and_inputs_exit_2(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -600,6 +604,10 @@ def test_bad_arguments_and_inputs_exit_2(argv, message, tmp_path, monkeypatch, c
     (tmp_path / "invalid.json").write_text(json.dumps({"k2": 0, "description": {
         "name": "bad", "pieces": [{"kind": "spherical", "pi1_order": 0}],
     }}), encoding="utf-8")
+    (tmp_path / "ambiguous.json").write_text(json.dumps({"name": "a", "pieces": [{
+        "kind": "jsj", "edges": [[0, 0]], "vertices": [
+            {"kind": "seifert_bounded", "base": {"genus": 0, "boundary": 2}}],
+    }]}), encoding="utf-8")
     assert exit_code(argv) == EX_DATA
     stdout, stderr = out(capsys)
     assert stdout == "" and message in stderr
