@@ -16,10 +16,8 @@ or deleted once the record is built.
 
 
 class Record:
-    __slots__ = ()
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
         own = cls.__dict__
         cls._fields = fields = tuple(own.get("__annotations__", ()))
         params = "".join(f", {f}=_default_{f}" if f in own else f", {f}" for f in fields)
