@@ -21,17 +21,21 @@ assignment of values to cell classes.
 
 Axes must be geodesics of the ball.  A word preserving one maps an
 element vertex v_i of it onto an element vertex v_j, so only the
-products v_j v_i^-1 are tested, each at a few vertices: along the
-geodesic v_0 ... v_{n-1} the distance from g^-1 * (identity vertex) is
-|t - s| + delta, so the depths of the images of the two ends give the
-window v_lo ... v_hi of vertices whose images stay in the ball.  g maps
-that segment onto the geodesic between the images of its ends, so it
-carries the visible axis into itself exactly when those two images lie
-on the axis, and it then shifts or reflects the indices.  A cone edge
-keeps the identity and the reflections about its vertex, a face the
-identity only.  The breadth-first distances, displacement-minimising
-axis search and word-by-word stabilisers these closed forms replace are
-kept as test oracles in tests/oracles.py.
+products v_j v_i^-1 are tested, and only with v_i and v_j within
+2 * budget + 1 steps of the axis vertex nearest the identity vertex,
+because a word of syllable length <= budget moves the identity vertex
+by at most 2 * budget and projecting onto the axis shrinks no distance.
+Each is tested at a few vertices: along the geodesic v_0 ... v_{n-1}
+the distance from g^-1 * (identity vertex) is |t - s| + delta, so the
+depths of the images of the two ends give the window v_lo ... v_hi of
+vertices whose images stay in the ball.  g maps that segment onto the
+geodesic between the images of its ends, so it carries the visible axis
+into itself exactly when those two images lie on the axis, and it then
+shifts or reflects the indices.  A cone edge keeps the identity and the
+reflections about its vertex, a face the identity only.  The
+breadth-first distances, displacement-minimising axis search and
+word-by-word stabilisers these closed forms replace are kept as test
+oracles in tests/oracles.py.
 
 The second gadget is algebraic: in Gamma = Z^2 x|_A Z with hyperbolic
 monodromy A, the normaliser of the infinite cyclic subgroup generated
@@ -75,7 +79,10 @@ class FreeProductSpec(Record):
     factor_orders: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        orders = tuple(int(n) for n in self.factor_orders)
+        orders = tuple(self.factor_orders)
+        for n in orders:
+            if type(n) is not int:
+                raise ValueError(f"factor orders must be integers, got {n!r}")
         object.__setattr__(self, "factor_orders", orders)
         if len(orders) < 2:
             raise ValueError("a free product needs at least two factors")
@@ -317,28 +324,33 @@ def ball(spec: FreeProductSpec, radius: int, max_vertices: int = 50000) -> TreeB
         raise ValueError("radius must be >= 0")
     if max_vertices < 1:
         raise ValueError("max_vertices must be >= 1")
+    # neighbours[k] lists the neighbours of order[k], so that each vertex is
+    # hashed once, when the adjacency dict is built
     order: List[Vertex] = [BASE_VERTEX]
-    adjacency: Dict[Vertex, List[Vertex]] = {BASE_VERTEX: []}
+    neighbours: List[List[Vertex]] = [[]]
     edges: List[Tuple[Vertex, Vertex]] = []
     start = 0
     for _ in range(radius):
-        level, start = order[start:], len(order)
-        for v in level:
-            for child in _children(spec, v):
-                if len(order) >= max_vertices:
-                    raise BallLimitExceeded(
-                        f"ball of radius {radius} exceeds {max_vertices} vertices"
-                    )
-                order.append(child)
+        end = len(order)
+        for k in range(start, end):
+            v = order[k]
+            children = _children(spec, v)
+            if len(order) + len(children) > max_vertices:
+                raise BallLimitExceeded(
+                    f"ball of radius {radius} exceeds {max_vertices} vertices"
+                )
+            order += children
+            for child in children:
                 edges.append((v, child))
-                adjacency[v].append(child)
-                adjacency[child] = [v]
+                neighbours.append([v])
+            neighbours[k] += children
+        start = end
     return TreeBall(
         spec=spec,
         radius=radius,
         vertices=tuple(order),
         edges=tuple(edges),
-        adjacency={v: tuple(ns) for v, ns in adjacency.items()},
+        adjacency=dict(zip(order, map(tuple, neighbours))),
     )
 
 
@@ -481,17 +493,27 @@ def setwise_axis_stabilizer(spec_ball: TreeBall, axis: Sequence[Vertex],
     """Words of syllable length <= budget preserving a geodesic axis, by action.
 
     Only the products v_j v_i^-1 of the axis's element vertices can
-    preserve it, so only those are tested.
+    preserve it, and only those with v_i and v_j within 2 * budget + 1
+    steps of the axis vertex v_p nearest the identity vertex are tested,
+    because a word of syllable length <= budget moves the identity vertex
+    by at most 2 * budget and projecting onto the axis shrinks no
+    distance.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     axis = _geodesic(spec_ball, axis)
     spec = spec_ball.spec
-    words = [v.word for v in axis if v.factor is None]
+    # For a kept g, let q = g^-1 * (identity vertex) and v_s the axis vertex
+    # nearest q: |s - p| <= 2 * budget, and g * v_s, at depth d(q, v_s) <=
+    # depth(v_p) + 2 * budget, also lies within 2 * budget of v_p.  The
+    # window _axis_action assesses holds v_s and a neighbour, so an element
+    # vertex v_i with |i - s| <= 1, carried onto v_j with j at most one step
+    # from the index of g * v_s.
+    p = min(range(len(axis)), key=lambda t: _depth(axis[t]), default=0)
+    near = axis[max(0, p - 2 * budget - 1):p + 2 * budget + 2]
+    words = [v.word for v in near if v.factor is None]
     backs = [inverse(spec, w) for w in words]
-    # |v_j v_i^-1| >= | |v_j| - |v_i| |, so only vertices of near depth are paired
-    products = (_join(spec, w, back) for w in words for back in backs
-                if abs(len(w) - len(back)) <= budget)
+    products = (_join(spec, w, back) for w in words for back in backs)
     candidates = {g for g in products if len(g) <= budget}
     elements: List[Word] = []
     translations: List[Tuple[Word, int]] = []
@@ -510,15 +532,11 @@ def setwise_axis_stabilizer(spec_ball: TreeBall, axis: Sequence[Vertex],
     )
 
 
-def _vertex_stabilizer(spec: FreeProductSpec, v: Vertex, budget: int) -> Tuple[Word, ...]:
-    """Words of syllable length <= budget fixing v, in words_up_to order.
+def _coset_stabilizer(spec: FreeProductSpec, v: Vertex) -> Tuple[Word, ...]:
+    """The words of w Z_{n_i} w^-1 fixing a coset vertex w<i>, in words_up_to order.
 
-    An element vertex is fixed by the identity alone; a coset vertex
-    w<i> by w Z_{n_i} w^-1, whose nontrivial words all have 2|w| + 1
-    syllables.
+    Its nontrivial words all have 2|w| + 1 syllables.
     """
-    if v.factor is None or 2 * len(v.word) + 1 > budget:
-        return ((),)
     back = inverse(spec, v.word)
     return ((),) + tuple(
         v.word + ((v.factor, exponent),) + back
@@ -599,9 +617,14 @@ def cone_off(spec_ball: TreeBall, axes: Sequence[Sequence[Vertex]],
     spec = spec_ball.spec
     axis_tuples = tuple(tuple(a) for a in axes)
     reports = tuple(setwise_axis_stabilizer(spec_ball, a, budget) for a in axis_tuples)
+    # element vertices, edges, faces and the coset vertices w<i> with
+    # 2|w| + 1 > budget keep the identity alone
+    trivial: Tuple[Word, ...] = ((),)
     records: Dict[Cell, Tuple[Word, ...]] = {}
     for v in spec_ball.vertices:
-        records[Cell("vertex", 0, (v,))] = _vertex_stabilizer(spec, v, budget)
+        records[Cell("vertex", 0, (v,))] = (
+            trivial if v.factor is None or 2 * len(v.word) + 1 > budget
+            else _coset_stabilizer(spec, v))
     for i, (axis, report) in enumerate(zip(axis_tuples, reports)):
         # cone-edge records list words in the iteration order of keep, a
         # set filled by add in report (words_up_to) order
@@ -614,9 +637,9 @@ def cone_off(spec_ball: TreeBall, axes: Sequence[Sequence[Vertex]],
             records[Cell("cone_edge", 1, (i, v))] = tuple(
                 g for g in keep if not g or centres.get(g) == t)
         for u, v in zip(axis, axis[1:]):
-            records[Cell("face", 2, (i, u, v))] = ((),)
+            records[Cell("face", 2, (i, u, v))] = trivial
     for e in spec_ball.edges:
-        records[Cell("edge", 1, e)] = ((),)
+        records[Cell("edge", 1, e)] = trivial
     return ConedComplex(
         tree=spec_ball,
         axes=axis_tuples,

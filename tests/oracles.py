@@ -5,8 +5,9 @@ measures tree geometry in closed form; these helpers recompute the same
 facts by search and enumeration (the order of a matrix by taking powers,
 a lattice basis by the extended Euclidean algorithm, breadth-first
 distances inside the ball, displacement minimisation over every vertex,
-stabilisers by testing every budgeted word on every vertex, the push-out
-bound by walking every cell) so the tests can compare the two.  The
+stabilisers by testing every budgeted word on every vertex, axis
+stabilisers from every product of two axis elements, the push-out bound
+by walking every cell) so the tests can compare the two.  The
 group operations that only these comparisons need (the product of
 words, the action on vertices, the product, inverse and conjugation in
 Z^2 x| Z) live here too.
@@ -29,6 +30,8 @@ from gdim3.bass_serre import (
     Vertex,
     Word,
     _act,
+    _axis_action,
+    _geodesic,
     _join,
     inverse,
     normal_form,
@@ -306,6 +309,29 @@ def setwise_by_scan(tree: TreeBall, axis: Sequence[Vertex], budget: int) -> Axis
         translations=tuple(translations),
         reflections=tuple(reflections),
         violations=tuple(violations),
+    )
+
+
+def setwise_by_pairs(tree: TreeBall, axis: Sequence[Vertex], budget: int) -> AxisStabilizerReport:
+    """The setwise axis stabiliser from every product v_j v_i^-1 of the axis's element vertices."""
+    axis = _geodesic(tree, axis)
+    spec = tree.spec
+    words = [v.word for v in axis if v.factor is None]
+    products = {_join(spec, u, inverse(spec, w)) for u in words for w in words}
+    elements: List[Word] = []
+    translations: List[Tuple[Word, int]] = []
+    reflections: List[Tuple[Word, int]] = []
+    for g in sorted((g for g in products if len(g) <= budget), key=lambda w: (len(w), w)):
+        action = _axis_action(tree, axis, g)
+        if action is None:
+            continue
+        elements.append(g)
+        (reflections if action.reflection else translations).append((g, action.value))
+    return AxisStabilizerReport(
+        elements=tuple(elements),
+        translations=tuple(translations),
+        reflections=tuple(reflections),
+        violations=(),
     )
 
 

@@ -44,6 +44,7 @@ from oracles import (
     rotate_to_cyclically_reduced,
     sd_inv,
     sd_mul,
+    setwise_by_pairs,
     setwise_by_scan,
     translation_syllables,
     tree_cell_records,
@@ -219,6 +220,27 @@ def test_vertex_caps_below_one_are_refused(radius):
         with pytest.raises(ValueError, match="max_vertices must be >= 1"):
             ball(Z23, radius, max_vertices=cap)
     assert len(ball(Z23, 0, max_vertices=1).vertices) == 1
+
+
+@pytest.mark.parametrize("spec,radius", [(Z23, 6), (Z33, 5), (Z222, 4)])
+def test_ball_layout_and_every_vertex_cap(spec, radius):
+    """Levels in order, nearer neighbours first; a cap refuses exactly the larger balls."""
+    tree = ball(spec, radius)
+    size = len(tree.vertices)
+    depth = [tree.distance(BASE_VERTEX, v) for v in tree.vertices]
+    assert tree.vertices[0] == BASE_VERTEX and depth == sorted(depth) and depth[-1] == radius
+    assert list(tree.adjacency) == list(tree.vertices)
+    assert tree.edges == tuple((tree.adjacency[v][0], v) for v in tree.vertices[1:])
+    for v, d in zip(tree.vertices, depth):
+        steps = [tree.distance(BASE_VERTEX, n) - d for n in tree.adjacency[v]]
+        assert steps == sorted(steps) and steps.count(-1) == (d > 0)
+    for cap in range(1, size + 2):
+        if cap < size:
+            with pytest.raises(BallLimitExceeded) as info:
+                ball(spec, radius, max_vertices=cap)
+            assert str(info.value) == f"ball of radius {radius} exceeds {cap} vertices"
+        else:
+            assert ball(spec, radius, max_vertices=cap) == tree
 
 
 def test_action_is_by_isometries_and_composes():
@@ -639,6 +661,72 @@ def test_conjugate_axes_that_miss_the_base_match_the_vertex_scan(spec, radius, w
             assert report == setwise_by_scan(tree, axis, budget)
             assert report.consistent
         assert cone_records(cone_off(tree, axes, budget)) == cone_cell_records(tree, axes, budget)
+
+
+def tree_geodesic(tree, u, v):
+    """The ball's geodesic from u to v, climbing from the deeper end through nearer neighbours."""
+    up, down = [u], [v]
+    while up[-1] != down[-1]:
+        a, b = up[-1], down[-1]
+        deeper = up if tree.distance(BASE_VERTEX, a) >= tree.distance(BASE_VERTEX, b) else down
+        deeper.append(tree.adjacency[deeper[-1]][0])
+    return tuple(up + down[-2::-1])
+
+
+@st.composite
+def geodesic_case(draw):
+    spec = draw(st.sampled_from(SCAN_SPECS))
+    radius = draw(st.integers(2, 9 if spec is not Z234 else 6))
+    tree = scan_ball(spec, radius)
+    kind = draw(st.sampled_from(["pair", "branch", "axis", "one", "empty"]))
+    vertices = st.sampled_from(tree.vertices)
+    if kind == "pair":
+        path = tree_geodesic(tree, draw(vertices), draw(vertices))
+    elif kind == "branch":
+        # a branch from a vertex towards the identity vertex: its nearest vertex is an end
+        path = tree_geodesic(tree, draw(vertices), BASE_VERTEX)
+        path = path[:draw(st.integers(1, len(path)))]
+    elif kind == "axis":
+        word = draw(st.sampled_from([w for w in words_up_to(spec, 3) if axis_of(tree, w)] or [()]))
+        path = axis_of(tree, word) or ()
+    else:
+        path = (draw(vertices),) if kind == "one" else ()
+    if draw(st.booleans()):
+        path = path[::-1]
+    return tree, path, draw(st.integers(0, radius + 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(geodesic_case())
+def test_axis_stabilisers_match_every_product_of_two_axis_elements(case):
+    """Only the element vertices near the one nearest the identity give candidates."""
+    tree, path, budget = case
+    assert setwise_axis_stabilizer(tree, path, budget) == setwise_by_pairs(tree, path, budget)
+
+
+def test_products_formed_grow_with_the_budget_not_the_axis(monkeypatch):
+    """At most (2 budget + 2)^2 products per axis, however many element vertices it has."""
+    tree = ball(Z23, 24)
+    axis = axis_of(tree, parse_word(Z23, "ab"))
+    assert sum(v.factor is None for v in axis) == 25
+    counts = {"join": 0, "act": 0}
+    real_join, real_act = bass_serre._join, bass_serre._act
+
+    def counting_join(spec, u, v):
+        counts["join"] += 1
+        return real_join(spec, u, v)
+
+    def counting_act(spec, g, v):
+        counts["act"] += 1
+        return real_act(spec, g, v)
+
+    monkeypatch.setattr(bass_serre, "_join", counting_join)
+    monkeypatch.setattr(bass_serre, "_act", counting_act)
+    for budget in range(0, 7):
+        counts.update(join=0, act=0)
+        setwise_axis_stabilizer(tree, axis, budget)
+        # each _act call forms one product of its own with _join
+        assert counts["join"] - counts["act"] <= (2 * budget + 2) ** 2
 
 
 def test_non_geodesic_axes_are_refused():

@@ -194,6 +194,10 @@ def test_construction_normalises_sequences():
     (lambda: FreeProductSpec((2,)), ValueError, "a free product needs at least two factors"),
     (lambda: FreeProductSpec(()), ValueError, "a free product needs at least two factors"),
     (lambda: FreeProductSpec((2, 1)), ValueError, "factor orders must be >= 2"),
+    (lambda: FreeProductSpec((2.7, 3.9)), ValueError, "factor orders must be integers, got 2.7"),
+    (lambda: FreeProductSpec((2, 3.0)), ValueError, "factor orders must be integers, got 3.0"),
+    (lambda: FreeProductSpec(("2", 3)), ValueError, "factor orders must be integers, got '2'"),
+    (lambda: FreeProductSpec([True, 3]), ValueError, "factor orders must be integers, got True"),
 ])
 def test_refusals_keep_their_type_and_message(make_it, error, message):
     with pytest.raises(error) as info:
