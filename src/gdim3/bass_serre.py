@@ -14,10 +14,9 @@ L >= 2 syllables, translates by 2L along the line through the elements
 h c^k (prefix of c).  Element vertices and edges have trivial
 stabilisers and a coset vertex w<i> has stabiliser w Z_{n_i} w^-1, so
 every path with at least one edge has trivial stabiliser.  Coning each
-axis to a point produces a two-complex whose cells carry setwise
-stabiliser records, and the push-out dimension bound
-max(gd(stabiliser class) + dim cell) can be evaluated against any
-assignment of values to cell classes.
+axis to a point produces a two-complex whose cell stabilisers are
+computed per cell on request, and the push-out dimension bound
+max(gd(stabiliser class) + dim cell) is evaluated per cell class.
 
 Axes must be geodesics of the ball.  A word preserving one maps an
 element vertex v_i of it onto an element vertex v_j, so only the
@@ -555,20 +554,22 @@ class Cell(NamedTuple):
     key: tuple
 
 
+_CELL_DIMS = {"vertex": 0, "cone_vertex": 0, "edge": 1, "cone_edge": 1, "face": 2}
+_TRIVIAL: Tuple[Word, ...] = ((),)
+
+
 class ConedComplex(Record):
     """Tree ball with one cone vertex per axis and triangular 2-cells.
 
     Cell classes: "vertex" and "edge" from the tree, "cone_vertex",
     "cone_edge" and "face" from the coning.  Each 2-cell has exactly one
-    cone vertex.  stabilizer_records maps cells to the (budgeted) list of
-    words preserving the cell setwise, and axis_reports holds the setwise
-    stabiliser report of each axis.
+    cone vertex.  axis_reports holds the setwise stabiliser report of
+    each axis; no cell is recorded.
     """
 
     tree: TreeBall
     axes: Tuple[Tuple[Vertex, ...], ...]
     budget: int
-    stabilizer_records: Dict[Cell, Tuple[Word, ...]]
     axis_reports: Tuple[AxisStabilizerReport, ...]
 
     def cells(self) -> Iterator[Cell]:
@@ -584,68 +585,81 @@ class ConedComplex(Record):
             for u, v in zip(axis, axis[1:]):
                 yield Cell("face", 2, (i, u, v))
 
+    def cell_counts(self) -> Dict[str, int]:
+        """The number of cells of each class present, in the order cells() first yields them."""
+        lengths = [len(axis) for axis in self.axes]
+        counts = {
+            "vertex": len(self.tree.vertices),
+            "cone_vertex": len(lengths),
+            "edge": len(self.tree.edges),
+            "cone_edge": sum(lengths),
+            "face": sum(n - 1 for n in lengths if n),
+        }
+        return {cell_class: n for cell_class, n in counts.items() if n}
+
     def cell_classes(self) -> Tuple[str, ...]:
         """The classes present, in the order cells() first yields them."""
-        present = {
-            "vertex": bool(self.tree.vertices),
-            "cone_vertex": bool(self.axes),
-            "edge": bool(self.tree.edges),
-            "cone_edge": any(self.axes),
-            "face": any(len(axis) >= 2 for axis in self.axes),
-        }
-        return tuple(cell_class for cell_class, here in present.items() if here)
+        return tuple(self.cell_counts())
 
+    def stabilizer(self, cell: Cell) -> Tuple[Word, ...]:
+        """The words of syllable length <= budget preserving a cell setwise.
 
-_CELL_DIMS = {"vertex": 0, "cone_vertex": 0, "edge": 1, "cone_edge": 1, "face": 2}
+        Element vertices, edges, faces and the cosets w<i> with
+        2|w| + 1 > budget keep the identity alone, the other cosets the
+        words of w Z_{n_i} w^-1, and a cone vertex its axis report.  A
+        cone edge over v_t keeps the identity and the reflections about
+        v_t (index sum 2t: a reflection has finite order, so it fixes the
+        middle of the segment it reverses, a vertex since it keeps element
+        and coset vertices apart), in the iteration order of a set filled
+        by add in report order.  The cost grows with the axis and its
+        report, never with the ball.  KeyError for a cell not in the complex.
+        """
+        cell_class, dim, key = cell
+        tree, axes = self.tree, self.axes
+        # every class keys its cells by dim + 1 items, the cone classes first by axis index
+        if _CELL_DIMS.get(cell_class) != dim or len(key) != dim + 1:
+            raise KeyError(cell)
+        if cell_class == "vertex":
+            v = key[0]
+            if v in tree:
+                if v.factor is None or 2 * len(v.word) + 1 > self.budget:
+                    return _TRIVIAL
+                return _coset_stabilizer(tree.spec, v)
+        elif cell_class == "edge":
+            # each adjacency list but the identity vertex's starts with the parent
+            u, v = key
+            if v in tree and v != BASE_VERTEX and tree.adjacency[v][0] == u:
+                return _TRIVIAL
+        elif isinstance(key[0], int) and 0 <= key[0] < len(axes):
+            axis, report = axes[key[0]], self.axis_reports[key[0]]
+            if cell_class == "cone_vertex":
+                return tuple(sorted(report.elements))
+            t = _axis_position(tree, axis, key[1]) if axis and key[1] in tree else None
+            if t is not None and cell_class == "cone_edge":
+                keep = set()
+                for g in report.elements:
+                    keep.add(g)
+                centres = {g: value // 2 for g, value in report.reflections}
+                return tuple(g for g in keep if not g or centres.get(g) == t)
+            if t is not None and axis[t + 1:t + 2] == key[2:]:
+                return _TRIVIAL
+        raise KeyError(cell)
 
 
 def cone_off(spec_ball: TreeBall, axes: Sequence[Sequence[Vertex]],
              budget: int = 4) -> ConedComplex:
-    """Attach a cone over each geodesic axis and record setwise cell stabilisers.
+    """Attach a cone over each geodesic axis and compute its setwise_axis_stabilizer report.
 
-    Tree cells take their stabilisers in closed form: element vertices
-    and all edges are fixed by the identity alone, and a coset vertex
-    w<i> carries the words of w Z_{n_i} w^-1 within the budget.  A cone
-    vertex keeps the words of the axis's setwise_axis_stabilizer report.
-    A cone edge over v_t keeps the identity and the reflections about v_t
-    (index sum 2t: a reflection has finite order, so it fixes the middle
-    of the segment it reverses, a vertex since it keeps element and coset
-    vertices apart), and a face the identity only.
+    No cell is visited: ConedComplex.stabilizer answers one cell on request.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    spec = spec_ball.spec
     axis_tuples = tuple(tuple(a) for a in axes)
-    reports = tuple(setwise_axis_stabilizer(spec_ball, a, budget) for a in axis_tuples)
-    # element vertices, edges, faces and the coset vertices w<i> with
-    # 2|w| + 1 > budget keep the identity alone
-    trivial: Tuple[Word, ...] = ((),)
-    records: Dict[Cell, Tuple[Word, ...]] = {}
-    for v in spec_ball.vertices:
-        records[Cell("vertex", 0, (v,))] = (
-            trivial if v.factor is None or 2 * len(v.word) + 1 > budget
-            else _coset_stabilizer(spec, v))
-    for i, (axis, report) in enumerate(zip(axis_tuples, reports)):
-        # cone-edge records list words in the iteration order of keep, a
-        # set filled by add in report (words_up_to) order
-        keep = set()
-        for g in report.elements:
-            keep.add(g)
-        centres = {g: value // 2 for g, value in report.reflections}
-        records[Cell("cone_vertex", 0, (i,))] = tuple(sorted(keep))
-        for t, v in enumerate(axis):
-            records[Cell("cone_edge", 1, (i, v))] = tuple(
-                g for g in keep if not g or centres.get(g) == t)
-        for u, v in zip(axis, axis[1:]):
-            records[Cell("face", 2, (i, u, v))] = trivial
-    for e in spec_ball.edges:
-        records[Cell("edge", 1, e)] = trivial
     return ConedComplex(
         tree=spec_ball,
         axes=axis_tuples,
         budget=budget,
-        stabilizer_records=records,
-        axis_reports=reports,
+        axis_reports=tuple(setwise_axis_stabilizer(spec_ball, a, budget) for a in axis_tuples),
     )
 
 

@@ -315,12 +315,11 @@ def _cmd_cone_off(args: argparse.Namespace) -> int:
     if args.format == "json":
         cells = []
         for cell in complex_.cells():
-            record = complex_.stabilizer_records[cell]
             cells.append(
                 {
                     "class": cell.cell_class,
                     "dim": cell.dim,
-                    "stabilizer_words": [word_str(w) for w in record],
+                    "stabilizer_words": [word_str(w) for w in complex_.stabilizer(cell)],
                 }
             )
         obj = {
@@ -342,12 +341,9 @@ def _cmd_cone_off(args: argparse.Namespace) -> int:
             obj["pushout_dimension_bound"] = bound
         print(json.dumps(obj, indent=2))
         return EX_OK
-    counts: Dict[str, int] = {}
-    for cell in complex_.cells():
-        counts[cell.cell_class] = counts.get(cell.cell_class, 0) + 1
     print(f"coned complex over {len(axes)} axis/axes, word budget {args.budget}")
-    for cell_class in complex_.cell_classes():
-        print(f"  {cell_class}: {counts[cell_class]} cell(s)")
+    for cell_class, count in complex_.cell_counts().items():
+        print(f"  {cell_class}: {count} cell(s)")
     for i, (axis, report) in enumerate(zip(axes, reports)):
         status = "consistent" if report.consistent else "INCONSISTENT"
         print(

@@ -6,8 +6,9 @@ facts by search and enumeration (the order of a matrix by taking powers,
 a lattice basis by the extended Euclidean algorithm, breadth-first
 distances inside the ball, displacement minimisation over every vertex,
 stabilisers by testing every budgeted word on every vertex, axis
-stabilisers from every product of two axis elements, the push-out bound
-by walking every cell) so the tests can compare the two.  The
+stabilisers from every product of two axis elements, the stabiliser
+record of every cell of a coned complex built in one pass, the push-out
+bound by walking every cell) so the tests can compare the two.  The
 group operations that only these comparisons need (the product of
 words, the action on vertices, the product, inverse and conjugation in
 Z^2 x| Z) live here too.
@@ -31,10 +32,12 @@ from gdim3.bass_serre import (
     Word,
     _act,
     _axis_action,
+    _coset_stabilizer,
     _geodesic,
     _join,
     inverse,
     normal_form,
+    setwise_axis_stabilizer,
     words_up_to,
 )
 from gdim3.gl2z import IDENTITY, Mat2Z, _require_unimodular
@@ -351,6 +354,41 @@ def cone_cell_records(tree: TreeBall, axes: Sequence[Sequence[Vertex]],
             records.append((Cell("face", 2, (i, u, v)), tuple(
                 g for g in keep if {act(spec, g, u), act(spec, g, v)} == {u, v}
             )))
+    return records
+
+
+def cone_off_records(tree: TreeBall, axes: Sequence[Sequence[Vertex]],
+                     budget: int) -> Dict[Cell, Tuple[Word, ...]]:
+    """The setwise stabiliser record of every cell of the coned complex, built in one pass.
+
+    This is the record dict cone_off used to build, in its order: the
+    tree's vertices, then per axis its cone vertex, cone edges and faces,
+    then the tree's edges.  Tree cells take the closed forms, cone cells
+    the setwise_axis_stabilizer report, and cone-edge records list words
+    in the iteration order of keep, a set filled by add in report order.
+    """
+    spec = tree.spec
+    axis_tuples = tuple(tuple(a) for a in axes)
+    reports = tuple(setwise_axis_stabilizer(tree, a, budget) for a in axis_tuples)
+    trivial: Tuple[Word, ...] = ((),)
+    records: Dict[Cell, Tuple[Word, ...]] = {}
+    for v in tree.vertices:
+        records[Cell("vertex", 0, (v,))] = (
+            trivial if v.factor is None or 2 * len(v.word) + 1 > budget
+            else _coset_stabilizer(spec, v))
+    for i, (axis, report) in enumerate(zip(axis_tuples, reports)):
+        keep = set()
+        for g in report.elements:
+            keep.add(g)
+        centres = {g: value // 2 for g, value in report.reflections}
+        records[Cell("cone_vertex", 0, (i,))] = tuple(sorted(keep))
+        for t, v in enumerate(axis):
+            records[Cell("cone_edge", 1, (i, v))] = tuple(
+                g for g in keep if not g or centres.get(g) == t)
+        for u, v in zip(axis, axis[1:]):
+            records[Cell("face", 2, (i, u, v))] = trivial
+    for e in tree.edges:
+        records[Cell("edge", 1, e)] = trivial
     return records
 
 

@@ -10,10 +10,12 @@ from gdim3 import bass_serre
 from gdim3.bass_serre import (
     BASE_VERTEX,
     BallLimitExceeded,
+    Cell,
     FreeProductSpec,
     MissingAssignment,
     NotHyperbolic,
     SemidirectSpec,
+    TreeBall,
     UnsupportedElement,
     Vertex,
     axis_of,
@@ -37,6 +39,7 @@ from oracles import (
     act,
     axis_by_displacement,
     cone_cell_records,
+    cone_off_records,
     mul,
     order_path,
     path_stabilizer,
@@ -401,7 +404,7 @@ def test_dihedral_cone_vertex_is_preserved_by_every_budgeted_word():
     tree = ball(Z22, 6)
     axis = axis_of(tree, parse_word(Z22, "ab"))
     cx = cone_off(tree, [axis], budget=2)
-    record = cx.stabilizer_records[("cone_vertex", 0, (0,))]
+    record = cx.stabilizer(("cone_vertex", 0, (0,)))
     assert set(record) == set(words_up_to(Z22, 2))
 
 
@@ -419,7 +422,7 @@ def test_cell_counts_track_the_axes():
     assert counts["vertex"] == len(tree.vertices)
     assert counts["edge"] == len(tree.edges)
     # the three axes have pairwise distinct setwise stabilizer records
-    records = [cx.stabilizer_records[("cone_vertex", 0, (i,))] for i in range(3)]
+    records = [cx.stabilizer(("cone_vertex", 0, (i,))) for i in range(3)]
     assert records[0] != records[1] != records[2] != records[0]
 
 
@@ -429,7 +432,7 @@ def test_stabilizer_records_do_preserve_their_cells():
     cx = cone_off(tree, axes, budget=3)
     axis_set = set(axes[0])
     for cell in cx.cells():
-        for g in cx.stabilizer_records[cell]:
+        for g in cx.stabilizer(cell):
             if cell.cell_class == "vertex":
                 (v,) = cell.key
                 assert act(Z222, g, v) == v
@@ -596,7 +599,8 @@ def test_distance_refuses_vertices_outside_the_ball():
 def test_tree_cell_records_match_enumeration(spec, radius):
     tree = ball(spec, radius)
     for budget in range(0, 6):
-        records = cone_off(tree, [], budget=budget).stabilizer_records
+        cx = cone_off(tree, [], budget=budget)
+        records = {cell: cx.stabilizer(cell) for cell in cx.cells()}
         assert records == tree_cell_records(tree, budget)
 
 
@@ -607,9 +611,11 @@ scan_ball = lru_cache(maxsize=None)(ball)
 
 
 def cone_records(complex_):
-    """The cone-vertex, cone-edge and face records, in record order."""
-    return [(cell, record) for cell, record in complex_.stabilizer_records.items()
-            if cell.cell_class in ("cone_vertex", "cone_edge", "face")]
+    """The cone-vertex, cone-edge and face records, axis by axis as cone_cell_records lists them."""
+    cells = [cell for cell in complex_.cells()
+             if cell.cell_class in ("cone_vertex", "cone_edge", "face")]
+    # a stable sort by axis index keeps each axis's cone vertex, cone edges and faces in order
+    return [(cell, complex_.stabilizer(cell)) for cell in sorted(cells, key=lambda c: c.key[0])]
 
 
 @st.composite
@@ -661,6 +667,166 @@ def test_conjugate_axes_that_miss_the_base_match_the_vertex_scan(spec, radius, w
             assert report == setwise_by_scan(tree, axis, budget)
             assert report.consistent
         assert cone_records(cone_off(tree, axes, budget)) == cone_cell_records(tree, axes, budget)
+
+
+# --- cell stabilisers on request against the one-pass records ---
+
+def slices(axis):
+    """The axis, a sub-geodesic, one vertex and an empty slice of it."""
+    middle = len(axis) // 2
+    return [axis, axis[1:middle + 2], axis[middle:middle + 1], axis[middle:middle]]
+
+
+@st.composite
+def coned_case(draw):
+    """No axes or up to three axes, each the visible axis line or a slice of it."""
+    spec = draw(st.sampled_from(SCAN_SPECS))
+    radius = draw(st.integers(2, 9 if spec is not Z234 else 7))
+    budget = draw(st.integers(0, 6))
+    tree = scan_ball(spec, radius)
+    cores = [w for w in words_up_to(spec, 3) if len(w) >= 2 and w[0][0] != w[-1][0]]
+    axes = []
+    for _ in range(draw(st.integers(0, 3))):
+        core = draw(st.sampled_from(cores))
+        conjugator = draw(st.sampled_from(list(words_up_to(spec, 2))))
+        g = mul(spec, mul(spec, conjugator, core), inverse(spec, conjugator))
+        axis = axis_of(tree, g) or axis_of(tree, core)
+        if axis is None:
+            continue
+        kind = draw(st.sampled_from(["line", "slice", "one", "empty"]))
+        if kind == "line":
+            axes.append(axis)
+        elif kind == "slice":
+            start = draw(st.integers(0, len(axis)))
+            axes.append(axis[start:draw(st.integers(start, len(axis)))])
+        else:
+            start = draw(st.integers(0, len(axis) - 1))
+            axes.append(axis[start:start + (kind == "one")])
+    return tree, axes, budget
+
+
+def assert_stabilizers_match_the_records(tree, axes, budget):
+    cx = cone_off(tree, axes, budget)
+    records = cone_off_records(tree, axes, budget)
+    cells = list(cx.cells())
+    assert len(cells) == len(set(cells)) == len(records)
+    # the words of each record in the same order, cone-edge set layout included
+    assert {cell: cx.stabilizer(cell) for cell in cells} == records
+
+
+@settings(max_examples=120, deadline=None)
+@given(coned_case())
+def test_cell_stabilisers_match_the_one_pass_records(case):
+    assert_stabilizers_match_the_records(*case)
+
+
+@pytest.mark.parametrize("spec,radius,words", [
+    (Z22, 8, ("ab",)),
+    (Z23, 8, ("ab", "bab", "ab2ab")),
+    (Z33, 6, ("ab", "ab2", "bab")),
+    (Z222, 6, ("ab", "bc", "cabc")),
+    (Z234, 5, ("ab", "bc3", "abc")),
+])
+def test_cell_stabilisers_match_the_one_pass_records_at_every_budget(spec, radius, words):
+    tree = ball(spec, radius)
+    lines = [axis_of(tree, parse_word(spec, w)) for w in words]
+    assert all(axis is not None for axis in lines)
+    for budget in range(0, 7):
+        assert_stabilizers_match_the_records(tree, [], budget)
+        assert_stabilizers_match_the_records(tree, lines, budget)
+        assert_stabilizers_match_the_records(tree, slices(lines[-1]), budget)
+
+
+FOREIGN_TREE = ball(Z222, 4)
+FOREIGN_AXES = [axis_of(FOREIGN_TREE, parse_word(Z222, w)) for w in ("ab", "bc")]
+OUTSIDE = Vertex(parse_word(Z222, "abcab"), None)
+OFF_AXIS = next(v for v in FOREIGN_AXES[1] if v not in FOREIGN_AXES[0])
+CHILD = FOREIGN_TREE.adjacency[BASE_VERTEX][0]
+GRANDCHILD = FOREIGN_TREE.adjacency[CHILD][1]
+FOREIGN_CELLS = {
+    "vertex outside the ball": Cell("vertex", 0, (OUTSIDE,)),
+    "coset outside the ball": Cell("vertex", 0, (Vertex(parse_word(Z222, "abc"), 0),)),
+    "reversed tree edge": Cell("edge", 1, (CHILD, BASE_VERTEX)),
+    "pair two steps apart": Cell("edge", 1, (BASE_VERTEX, GRANDCHILD)),
+    "edge leaving the ball": Cell("edge", 1, (FOREIGN_TREE.vertices[-1], OUTSIDE)),
+    "cone vertex past the last axis": Cell("cone_vertex", 0, (2,)),
+    "cone vertex at a negative index": Cell("cone_vertex", 0, (-1,)),
+    "cone edge of a missing axis": Cell("cone_edge", 1, (2, FOREIGN_AXES[0][0])),
+    "cone edge off its axis": Cell("cone_edge", 1, (0, OFF_AXIS)),
+    "cone edge outside the ball": Cell("cone_edge", 1, (0, OUTSIDE)),
+    "face over non-consecutive vertices": Cell(
+        "face", 2, (0, FOREIGN_AXES[0][0], FOREIGN_AXES[0][2])),
+    "face in reverse order": Cell("face", 2, (0, FOREIGN_AXES[0][1], FOREIGN_AXES[0][0])),
+    "face past the end of its axis": Cell("face", 2, (0, FOREIGN_AXES[0][-1], OFF_AXIS)),
+    "face of a missing axis": Cell("face", 2, (2, FOREIGN_AXES[0][0], FOREIGN_AXES[0][1])),
+    "unknown class": Cell("simplex", 0, (BASE_VERTEX,)),
+    "wrong dimension": Cell("vertex", 1, (BASE_VERTEX,)),
+    "vertex class with an edge's dimension and key": Cell("vertex", 1, (BASE_VERTEX, CHILD)),
+    "vertex key of two vertices": Cell("vertex", 0, (BASE_VERTEX, CHILD)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOREIGN_CELLS))
+def test_cells_outside_the_complex_are_refused(name):
+    """A foreign cell raises KeyError, as a lookup in the one-pass records does."""
+    cell = FOREIGN_CELLS[name]
+    assert cell not in cone_off_records(FOREIGN_TREE, FOREIGN_AXES, 3)
+    with pytest.raises(KeyError) as raised:
+        cone_off(FOREIGN_TREE, FOREIGN_AXES, 3).stabilizer(cell)
+    assert raised.value.args == (cell,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coned_case())
+def test_cell_counts_match_the_cells(case):
+    tree, axes, budget = case
+    cx = cone_off(tree, axes, budget)
+    walked = {}
+    for cell in cx.cells():
+        walked[cell.cell_class] = walked.get(cell.cell_class, 0) + 1
+    assert list(cx.cell_counts().items()) == list(walked.items())
+    assert cx.cell_classes() == tuple(walked)
+
+
+def test_cone_off_computes_no_cell_stabiliser(monkeypatch):
+    """Coset stabilisers are formed on request, one per coset cell asked for."""
+    calls = []
+    real = bass_serre._coset_stabilizer
+
+    def counting(spec, v):
+        calls.append(v)
+        return real(spec, v)
+
+    monkeypatch.setattr(bass_serre, "_coset_stabilizer", counting)
+    tree = ball(Z23, 9)
+    axes = [axis_of(tree, parse_word(Z23, w)) for w in ("ab", "bab")]
+    cx = cone_off(tree, axes, budget=6)
+    assert calls == []
+    cosets = [cell for cell in cx.cells() if cell.cell_class == "vertex"
+              and cell.key[0].factor is not None and 2 * len(cell.key[0].word) + 1 <= 6]
+    for cell in cx.cells():
+        cx.stabilizer(cell)
+    assert calls == [cell.key[0] for cell in cosets] and calls
+
+
+class Unwalkable(tuple):
+    """A sequence of the ball's cells that refuses to be walked."""
+
+    def __iter__(self):
+        raise AssertionError("walked the whole ball")
+
+    def __len__(self):
+        raise AssertionError("counted the whole ball")
+
+
+def test_cone_off_and_stabilizer_never_walk_the_ball():
+    tree = ball(Z222, 6)
+    axes = [axis_of(tree, parse_word(Z222, w)) for w in ("ab", "cabc")]
+    cells = list(cone_off(tree, axes, 4).cells())
+    blind = TreeBall(tree.spec, tree.radius, Unwalkable(), Unwalkable(), tree.adjacency)
+    cx = cone_off(blind, axes, 4)
+    expected = cone_off_records(tree, axes, 4)
+    assert [cx.stabilizer(cell) for cell in cells] == [expected[cell] for cell in cells]
 
 
 def tree_geodesic(tree, u, v):

@@ -13,7 +13,7 @@ import pickle
 
 import pytest
 
-from gdim3.bass_serre import (BASE_VERTEX, AxisStabilizerReport, Cell, ConedComplex,
+from gdim3.bass_serre import (BASE_VERTEX, AxisStabilizerReport, ConedComplex,
                               FreeProductSpec, NormalizerProbe, SemidirectSpec, TreeBall)
 from gdim3.dimension import DimensionReport, GdResult, TraceStep
 from gdim3.geometry import Geometry
@@ -47,7 +47,6 @@ TREE_REPR = (f"TreeBall(spec={SPEC_REPR}, radius=0, vertices=({VERTEX_REPR},), e
              f"adjacency={{{VERTEX_REPR}: ()}})")
 AXIS_ARGS = (((), ((0, 1),)), (((), 0),), (((0, 1), 1),), ())
 AXIS_REPORT = AxisStabilizerReport(*AXIS_ARGS)
-CELL = Cell("vertex", 0, (BASE_VERTEX,))
 
 #: type -> (the arguments, positionally; the field names; the field values; the repr)
 CASES = {
@@ -90,11 +89,10 @@ CASES = {
                              ("elements", "translations", "reflections", "violations"), AXIS_ARGS,
                              "AxisStabilizerReport(elements=((), ((0, 1),)), "
                              "translations=(((), 0),), reflections=(((0, 1), 1),), violations=())"),
-    "ConedComplex": (ConedComplex, (TREE, (), 0, {CELL: ((),)}, (AXIS_REPORT,)),
-                     ("tree", "axes", "budget", "stabilizer_records", "axis_reports"),
-                     (TREE, (), 0, {CELL: ((),)}, (AXIS_REPORT,)),
-                     f"ConedComplex(tree={TREE_REPR}, axes=(), budget=0, stabilizer_records="
-                     f"{{Cell(cell_class='vertex', dim=0, key=({VERTEX_REPR},)): ((),)}}, "
+    "ConedComplex": (ConedComplex, (TREE, (), 0, (AXIS_REPORT,)),
+                     ("tree", "axes", "budget", "axis_reports"),
+                     (TREE, (), 0, (AXIS_REPORT,)),
+                     f"ConedComplex(tree={TREE_REPR}, axes=(), budget=0, "
                      "axis_reports=(AxisStabilizerReport(elements=((), ((0, 1),)), "
                      "translations=(((), 0),), reflections=(((0, 1), 1),), violations=()),))"),
     "SemidirectSpec": (SemidirectSpec, (M,), ("monodromy",), (M,),

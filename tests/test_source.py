@@ -59,6 +59,21 @@ def test_axis_stabilisers_do_not_enumerate_words():
     assert not found, f"word enumeration in the axis stabilisers: {found}"
 
 
+def test_cone_off_records_no_cell():
+    """cone_off computes the axis reports alone: it walks neither the ball's vertices nor
+    its edges and builds no Cell; ConedComplex.stabilizer answers one cell on request."""
+    tree = ast.parse((PACKAGE / "bass_serre.py").read_text(encoding="utf-8"))
+    (body,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "cone_off"]
+    found = [
+        f"cone_off:{inner.lineno}"
+        for inner in ast.walk(body)
+        if isinstance(inner, ast.Attribute) and inner.attr in ("vertices", "edges")
+        or isinstance(inner, ast.Name) and inner.id == "Cell"
+    ]
+    assert not found, f"per-cell work in cone_off: {found}"
+
+
 def _import_time_nodes(node: ast.AST):
     """Every node that runs when the module is imported: function bodies are skipped."""
     for child in ast.iter_child_nodes(node):
