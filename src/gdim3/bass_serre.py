@@ -725,9 +725,7 @@ def normalizer_probe(spec: SemidirectSpec, c: SdElement, bound: int = 8) -> Norm
         )
     certificate: List[str] = []
     if l != 0:
-        exponents = sorted(set(range(-bound, bound + 1)) | {l, -l} - {0})
-        exponents = [t for t in exponents if t != 0]
-        for t in exponents:
+        for t in sorted((set(range(-bound, bound + 1)) | {l, -l}) - {0}):
             power = matrix.pow(t)
             det = (power.a - 1) * (power.d - 1) - power.b * power.c
             if det == 0:

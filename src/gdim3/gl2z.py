@@ -90,7 +90,10 @@ class Mat2Z(Record):
     @classmethod
     def from_rows(cls, rows) -> "Mat2Z":
         (a, b), (c, d) = rows
-        return cls(int(a), int(b), int(c), int(d))
+        for entry in (a, b, c, d):
+            if type(entry) is not int:
+                raise ValueError(f"matrix entries must be integers, got {entry!r}")
+        return cls(a, b, c, d)
 
     @classmethod
     def parse(cls, text: str) -> "Mat2Z":

@@ -11,12 +11,11 @@ edges are the gluing tori.
 
 validate() reports every violated well-formedness condition with a path
 into the description instead of raising on the first one.  normalize()
-removes trivial summands and rewrites the two torus-decomposition shapes
-that are secretly geometric (a doubled twisted I-bundle is Sol, a torus
-times interval glued to itself is a torus bundle); it raises when a
-rewrite needs data the description does not carry.  Descriptions whose
-only defects are those two rewritable shapes are accepted by normalize
-and repaired; everything else must validate cleanly.
+validates the description as written, once, and only then removes
+trivial summands and rewrites the two torus-decomposition shapes that
+are secretly geometric (a doubled twisted I-bundle is Sol, a torus times
+interval glued to itself is a torus bundle); it raises when a rewrite
+needs data the description does not carry.
 """
 from __future__ import annotations
 
@@ -48,7 +47,7 @@ class Violation(NamedTuple):
 
 
 class InvalidDescription(ValueError):
-    """Raised by normalize/compute when hard violations remain."""
+    """Raised by normalize, and so by compute, when the description as written has violations."""
 
     def __init__(self, report: List[Violation]):
         self.report = list(report)
@@ -184,9 +183,9 @@ def _is_flat_bounded(vertex: JsjVertex, boundary_count: int) -> bool:
     return classify_base(base) is OrbifoldClass.FLAT
 
 
-def _twisted_halves(graph: JsjGraph) -> bool:
-    """Two vertices, both twisted-I-bundle shapes: glued once, a Klein double."""
-    return len(graph.vertices) == 2 and all(_is_flat_bounded(v, 1) for v in graph.vertices)
+def _is_product_loop(graph: JsjGraph) -> bool:
+    """One T^2 x I vertex: the only graph that consumes a monodromy."""
+    return len(graph.vertices) == 1 and _is_flat_bounded(graph.vertices[0], 2)
 
 
 def _validate_base(base: OrbifoldBase, path: str, report: List[Violation]) -> None:
@@ -232,6 +231,9 @@ def _validate_seifert(data: SeifertData, path: str, report: List[Violation], clo
 
 
 def _validate_jsj(graph: JsjGraph, path: str, report: List[Violation]) -> None:
+    if graph.monodromy is not None and not _is_product_loop(graph):
+        report.append(Violation(f"{path}.monodromy", "only a single torus-times-interval "
+                                "vertex glued to itself takes a monodromy"))
     n = len(graph.vertices)
     if n == 0:
         report.append(Violation(f"{path}.vertices", "graph needs at least one vertex"))
@@ -280,23 +282,12 @@ def _validate_jsj(graph: JsjGraph, path: str, report: List[Violation]) -> None:
     if len({find(i) for i in range(n)}) > 1:
         report.append(Violation(f"{path}.edges", "graph is not connected"))
 
-    # minimality rejections: these shapes are geometric, not torus decompositions
-    if _twisted_halves(graph) and len(graph.edges) == 1:
-        report.append(
-            Violation(
-                path,
-                "non-minimal/geometric: Klein double, use KleinDouble",
-            )
-        )
+    # minimality rejection: this shape is geometric, not a torus decomposition
     if n >= 2:
         for i, vertex in enumerate(graph.vertices):
             if _is_flat_bounded(vertex, 2):
-                report.append(
-                    Violation(
-                        f"{path}.vertices[{i}]",
-                        "non-minimal: torus-times-interval vertex in a multi-vertex graph",
-                    )
-                )
+                report.append(Violation(f"{path}.vertices[{i}]", "non-minimal: "
+                                        "torus-times-interval vertex in a multi-vertex graph"))
 
 
 def validate(desc: ManifoldDescription) -> List[Violation]:
@@ -312,64 +303,56 @@ def validate(desc: ManifoldDescription) -> List[Violation]:
         elif isinstance(piece, Geometric):
             if not isinstance(piece.geometry, Geometry):
                 report.append(Violation(f"{path}.geometry", "unknown geometry"))
-        elif isinstance(piece, TorusBundle):
-            if piece.monodromy.det() not in (1, -1):
-                report.append(
-                    Violation(f"{path}.monodromy", "monodromy determinant must be +1 or -1")
-                )
-        elif isinstance(piece, KleinDouble):
-            pass
         elif isinstance(piece, SeifertClosed):
             _validate_seifert(piece.data, path, report, closed=True)
         elif isinstance(piece, JsjGraph):
-            if piece.monodromy is not None and piece.monodromy.det() not in (1, -1):
-                report.append(
-                    Violation(f"{path}.monodromy", "monodromy determinant must be +1 or -1")
-                )
             _validate_jsj(piece, path, report)
-        else:
+        elif not isinstance(piece, (TorusBundle, KleinDouble)):
             report.append(Violation(path, f"unknown piece type {type(piece).__name__}"))
+        monodromy = getattr(piece, "monodromy", None)   # of a torus bundle or a graph
+        if monodromy is not None and monodromy.det() not in (1, -1):
+            report.append(Violation(f"{path}.monodromy", "monodromy determinant must be +1 or -1"))
     return report
 
 
 # ---------------------------------------------------------------------------
 # normalization
 
-def _rewrite_jsj(graph: JsjGraph) -> PrimePiece:
-    if _twisted_halves(graph) and graph.edges == ((0, 1),):
+_TRIVIAL = Spherical(1)
+
+
+def _rewrite_jsj(graph: JsjGraph, index: int) -> PrimePiece:
+    """A valid graph, or the geometric piece it spells: its edges are then
+    (0, 1) between two twisted I-bundles, or (0, 0) on one T^2 x I."""
+    if len(graph.vertices) == 2 and all(_is_flat_bounded(v, 1) for v in graph.vertices):
         return KleinDouble()
-    if len(graph.vertices) == 1 and graph.edges == ((0, 0),):
-        if _is_flat_bounded(graph.vertices[0], 2):
-            if graph.monodromy is None:
-                raise NormalizationAmbiguous(
-                    "a torus-times-interval vertex glued to itself is a torus bundle; "
-                    "supply the gluing monodromy on the graph piece"
-                )
-            return TorusBundle(graph.monodromy)
+    if _is_product_loop(graph):
+        if graph.monodromy is None:
+            raise NormalizationAmbiguous(
+                f"pieces[{index}]: a torus-times-interval vertex glued to itself is a "
+                "torus bundle; supply the gluing monodromy on the graph piece"
+            )
+        return TorusBundle(graph.monodromy)
     return graph
 
 
 def normalize(desc: ManifoldDescription) -> ManifoldDescription:
     """Canonical form: no trivial summands, no geometric shapes hiding in graphs.
 
-    Idempotent.  Raises InvalidDescription when violations other than the
-    rewritable graph shapes are present, and NormalizationAmbiguous when
-    the torus-bundle rewrite lacks its monodromy.
+    Idempotent.  Raises InvalidDescription, with paths into `desc` as
+    written, before any rewrite; the rewrites build valid pieces from valid
+    ones.  Raises NormalizationAmbiguous when the torus-bundle rewrite lacks
+    its monodromy.
     """
-    rewritten: List[PrimePiece] = []
-    for piece in desc.pieces:
-        if isinstance(piece, JsjGraph):
-            rewritten.append(_rewrite_jsj(piece))
-        else:
-            rewritten.append(piece)
-    nontrivial = [p for p in rewritten if p != Spherical(1)]
-    if not nontrivial:
-        nontrivial = [Spherical(1)] if rewritten else []
-    result = ManifoldDescription(desc.name, tuple(nontrivial))
-    report = validate(result)
+    report = validate(desc)
     if report:
         raise InvalidDescription(report)
-    return result
+    pieces = [
+        _rewrite_jsj(piece, i) if isinstance(piece, JsjGraph) else piece
+        for i, piece in enumerate(desc.pieces)
+    ]
+    nontrivial = tuple(p for p in pieces if p != _TRIVIAL)
+    return ManifoldDescription(desc.name, nontrivial or pieces[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +372,25 @@ def _base_to_json(base: OrbifoldBase) -> dict:
 def _at(path: str, keys: tuple) -> str:
     """The JSON path of a field: `path` followed by keys (names) and indices (ints)."""
     return path + "".join(f"[{key}]" if type(key) is int else f".{key}" for key in keys)
+
+
+def _known_fields(obj: dict, known: frozenset, path: str) -> None:
+    """Refuse the first field of `obj` that is not in `known`, naming its path."""
+    if not known.issuperset(obj):   # only a failing check builds a message
+        key = next(key for key in obj if key not in known)
+        where = f"{path}.{key}" if path else key
+        raise DescriptionFormatError(f"{where}: unknown field, expected one of {sorted(known)}")
+
+
+def _kind(obj, kinds: dict, path: str, what: str) -> str:
+    """The kind of a piece or vertex object, whose fields must all belong to that kind."""
+    if not isinstance(obj, dict):
+        raise DescriptionFormatError(f"{path}: {what} must be an object, got {obj!r}")
+    kind = obj.get("kind")
+    if type(kind) is not str or kind not in kinds:
+        raise DescriptionFormatError(f"{path}.kind: unknown {what} kind {kind!r}")
+    _known_fields(obj, kinds[kind], path)
+    return kind
 
 
 def _integer(value, path: str, *keys) -> int:
@@ -440,6 +442,16 @@ _BASE_QUANTITIES = {   # base field -> (OrbifoldBase field it sets, reader)
     "boundary_count": ("boundary_count", _integer),
 }
 _BASE_FIELDS = frozenset(_BASE_QUANTITIES) | {"surface", "cone_orders"}
+_SEIFERT_FIELDS = frozenset({"kind", "base", "cone_pairs", "b"})
+_PIECE_FIELDS = {   # piece kind -> the fields it may carry
+    "spherical": frozenset({"kind", "pi1_order"}), "geometric": frozenset({"kind", "geometry"}),
+    "torus_bundle": frozenset({"kind", "monodromy"}), "klein_double": frozenset({"kind"}),
+    "seifert_closed": _SEIFERT_FIELDS, "jsj": frozenset({"kind", "vertices", "edges", "monodromy"}),
+}
+_VERTEX_FIELDS = {   # vertex kind -> fields; a vertex's b is read for validation to refuse
+    "hyperbolic_cusped": frozenset({"kind", "cusps"}), "seifert_bounded": _SEIFERT_FIELDS,
+}
+_DESCRIPTION_FIELDS = frozenset({"name", "pieces"})
 
 
 def _base_from_json(obj: dict, cone_pairs: Tuple[Tuple[int, int], ...],
@@ -452,9 +464,7 @@ def _base_from_json(obj: dict, cone_pairs: Tuple[Tuple[int, int], ...],
     """
     if not isinstance(obj, dict):
         raise DescriptionFormatError(f"{path}: base must be an object, got {obj!r}")
-    unknown = obj.keys() - _BASE_FIELDS
-    if unknown:
-        raise DescriptionFormatError(f"{path}: unknown base field(s) {sorted(unknown)} in {obj!r}")
+    _known_fields(obj, _BASE_FIELDS, path)
     found = {}   # OrbifoldBase field -> (base field, value)
     if "surface" in obj:
         surface = obj["surface"]
@@ -502,21 +512,14 @@ def _seifert_from_json(obj: dict, path: str) -> SeifertData:
 
 
 def _vertex_from_json(obj: dict, path: str) -> JsjVertex:
-    if not isinstance(obj, dict):
-        raise DescriptionFormatError(f"{path}: vertex must be an object, got {obj!r}")
-    kind = obj.get("kind")
-    if kind == "hyperbolic_cusped":
+    if _kind(obj, _VERTEX_FIELDS, path, "vertex") == "hyperbolic_cusped":
         return HyperbolicCusped(cusps=_integer(obj.get("cusps", 0), path, "cusps"))
-    if kind == "seifert_bounded":
-        return SeifertBounded(_seifert_from_json(obj, path))
-    raise DescriptionFormatError(f"{path}.kind: unknown vertex kind {kind!r}")
+    return SeifertBounded(_seifert_from_json(obj, path))
 
 
 def piece_from_json(obj: dict, path: str = "piece") -> PrimePiece:
     """Decode one prime piece; errors name the JSON path, starting at `path`."""
-    if not isinstance(obj, dict):
-        raise DescriptionFormatError(f"{path}: piece must be an object, got {obj!r}")
-    kind = obj.get("kind")
+    kind = _kind(obj, _PIECE_FIELDS, path, "piece")
     if kind == "spherical":
         if "pi1_order" not in obj:
             raise DescriptionFormatError(f"{path}.pi1_order: missing")
@@ -532,19 +535,17 @@ def piece_from_json(obj: dict, path: str = "piece") -> PrimePiece:
         return KleinDouble()
     if kind == "seifert_closed":
         return SeifertClosed(_seifert_from_json(obj, path))
-    if kind == "jsj":
-        vertices = obj.get("vertices", [])
-        if not isinstance(vertices, list):
-            raise DescriptionFormatError(f"{path}.vertices: expected a list, got {vertices!r}")
-        monodromy = obj.get("monodromy")
-        return JsjGraph(
-            vertices=tuple(
-                _vertex_from_json(v, f"{path}.vertices[{i}]") for i, v in enumerate(vertices)
-            ),
-            edges=_integer_rows(obj.get("edges", []), path, "edges", 2),
-            monodromy=None if monodromy is None else _matrix_from_json(monodromy, path),
-        )
-    raise DescriptionFormatError(f"{path}.kind: unknown piece kind {kind!r}")
+    vertices = obj.get("vertices", [])   # kind == "jsj"
+    if not isinstance(vertices, list):
+        raise DescriptionFormatError(f"{path}.vertices: expected a list, got {vertices!r}")
+    monodromy = obj.get("monodromy")
+    return JsjGraph(
+        vertices=tuple(
+            _vertex_from_json(v, f"{path}.vertices[{i}]") for i, v in enumerate(vertices)
+        ),
+        edges=_integer_rows(obj.get("edges", []), path, "edges", 2),
+        monodromy=None if monodromy is None else _matrix_from_json(monodromy, path),
+    )
 
 
 def piece_to_json(piece: PrimePiece) -> dict:
@@ -597,6 +598,7 @@ def description_from_json(obj: dict) -> ManifoldDescription:
     pieces = obj.get("pieces")
     if not isinstance(pieces, list):
         raise DescriptionFormatError("description needs a 'pieces' list")
+    _known_fields(obj, _DESCRIPTION_FIELDS, "")
     name = obj.get("name", "")
     if type(name) is not str:
         raise DescriptionFormatError(f"name: expected a string, got {name!r}")

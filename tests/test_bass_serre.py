@@ -483,6 +483,19 @@ def test_probe_matches_the_dichotomy_for_the_reference_monodromy():
     assert probe.certificate
 
 
+@pytest.mark.parametrize("l,bound,exponents", [
+    (1, 3, [-3, -2, -1, 1, 2, 3]),
+    (-2, 2, [-2, -1, 1, 2]),
+    (5, 2, [-5, -2, -1, 1, 2, 5]),
+    (-4, 1, [-4, -1, 1, 4]),
+])
+def test_probe_certifies_each_nonzero_exponent_once_in_order(l, bound, exponents):
+    probe = normalizer_probe(SemidirectSpec(ANOSOV), ((0, 0), l), bound=bound)
+    *lines, summary = probe.certificate
+    assert [line.split(" ", 1)[0] for line in lines] == [f"det(A^{t}" for t in exponents]
+    assert summary.startswith(f"normaliser of <((0, 0), {l})> is the cyclic group itself")
+
+
 def test_probe_rejects_bad_inputs():
     with pytest.raises(NotHyperbolic):
         normalizer_probe(SemidirectSpec(Mat2Z(0, -1, 1, 0)), ((0, 0), 1))

@@ -110,8 +110,74 @@ def test_validate_reports_violations(tmp_path, capsys):
         }],
     }), encoding="utf-8")
     assert run(["validate", str(path)]) == EX_DATA
-    stdout, _ = out(capsys)
-    assert "boundary bookkeeping" in stdout
+    stdout, stderr = out(capsys)
+    assert stdout == ""
+    assert stderr.startswith("error: the description does not validate\n")
+    assert "  pieces[0].vertices[0]: boundary bookkeeping" in stderr
+
+
+def both(path, capsys):
+    """(exit code, stdout, stderr) of `compute` and of `validate` on one file."""
+    results = []
+    for command in ("compute", "validate"):
+        code = run([command, str(path)])
+        results.append((code, *out(capsys)))
+    return results
+
+
+def write(tmp_path, *pieces):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"name": "m", "pieces": list(pieces)}), encoding="utf-8")
+    return path
+
+
+MOBIUS = {"kind": "seifert_bounded", "base": {"surface": "projective-plane", "boundary": 1}}
+ANNULUS = {"kind": "seifert_bounded", "base": {"genus": 0, "boundary": 2}}
+
+
+def test_compute_and_validate_name_the_path_in_the_file(tmp_path, capsys):
+    """A trivial summand before the bad piece shifts nothing: the path indexes the input."""
+    path = write(tmp_path, {"kind": "spherical", "pi1_order": 1},
+                 {"kind": "torus_bundle", "monodromy": [[2, 0], [0, 1]]})
+    (code, stdout, stderr), validated = both(path, capsys)
+    assert (code, stdout) == (EX_DATA, "")
+    assert stderr == ("error: the description does not validate\n"
+                      "  pieces[1].monodromy: monodromy determinant must be +1 or -1\n")
+    assert validated == (code, stdout, stderr)
+
+
+def test_the_klein_double_graph_is_accepted_by_compute_and_validate(tmp_path, capsys):
+    path = write(tmp_path, {"kind": "jsj", "vertices": [MOBIUS, MOBIUS], "edges": [[0, 1]]})
+    (code, stdout, stderr), (vcode, vstdout, vstderr) = both(path, capsys)
+    assert (code, stderr) == (EX_OK, "")
+    assert "gd(k = 2) = 2" in stdout and "gd(k >= 3) = 2" in stdout
+    assert (vcode, vstdout, vstderr) == (EX_OK, "OK: m (1 piece(s))\n", "")
+
+
+@pytest.mark.parametrize("graph,violation", [
+    ({"kind": "jsj", "vertices": [dict(MOBIUS, b=7), MOBIUS], "edges": [[0, 1]]},
+     "pieces[0].vertices[0].b: bounded Seifert data must not carry b"),
+    ({"kind": "jsj", "vertices": [dict(ANNULUS, b=3)], "edges": [[0, 0]],
+      "monodromy": [[2, 1], [1, 1]]},
+     "pieces[0].vertices[0].b: bounded Seifert data must not carry b"),
+    ({"kind": "jsj", "edges": [[0, 0]], "monodromy": [[2, 1], [1, 1]], "vertices": [
+        {"kind": "seifert_bounded", "base": {"genus": 0, "nonorientable": True, "boundary": 2}}]},
+     "pieces[0].vertices[0].base.genus: nonorientable surfaces have genus >= 1"),
+    ({"kind": "jsj", "vertices": [{"kind": "hyperbolic_cusped", "cusps": 2}], "edges": [[0, 0]],
+      "monodromy": [[2, 1], [1, 1]]},
+     "pieces[0].monodromy: only a single torus-times-interval vertex glued to itself takes a "
+     "monodromy"),
+    ({"kind": "jsj", "vertices": [MOBIUS, MOBIUS], "edges": [[0, 1]],
+      "monodromy": [[1, 0], [0, 1]]},
+     "pieces[0].monodromy: only a single torus-times-interval vertex glued to itself takes a "
+     "monodromy"),
+])
+def test_a_rewritable_graph_is_validated_before_it_is_rewritten(graph, violation, tmp_path,
+                                                                capsys):
+    (code, stdout, stderr), validated = both(write(tmp_path, graph), capsys)
+    assert (code, stdout) == (EX_DATA, "")
+    assert stderr == f"error: the description does not validate\n  {violation}\n"
+    assert validated == (code, stdout, stderr)
 
 
 # --- replay round-trip ---
@@ -556,9 +622,13 @@ _DOCUMENTS = st.one_of(
 def test_any_json_document_exits_0_or_2(document, tmp_path, capsys):
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(document), encoding="utf-8")
+    codes, errors = {}, {}
     for command in ("compute", "validate", "replay"):
-        assert run([command, str(path)]) in (EX_OK, EX_DATA), (command, document)
-    capsys.readouterr()
+        codes[command] = run([command, str(path)])
+        errors[command] = capsys.readouterr().err
+    assert set(codes.values()) <= {EX_OK, EX_DATA}, (codes, document)
+    assert codes["compute"] == codes["validate"], (codes, document)
+    assert errors["compute"] == errors["validate"], (errors, document)
 
 
 def exit_code(argv):
@@ -593,10 +663,10 @@ def exit_code(argv):
      "error: bad word syntax at '!b'"),
     (["probe-normalizer", "--monodromy", "1,0;0,2", "--element", "0,0,1"],
      "error: determinant of 1,0;0,2 is 2, must be +1 or -1"),
-    (["validate", "ambiguous.json"], "error: a torus-times-interval vertex glued to itself is "
-     "a torus bundle; supply the gluing monodromy on the graph piece"),
-    (["compute", "ambiguous.json"], "error: a torus-times-interval vertex glued to itself is "
-     "a torus bundle; supply the gluing monodromy on the graph piece"),
+    (["validate", "ambiguous.json"], "error: pieces[0]: a torus-times-interval vertex glued to "
+     "itself is a torus bundle; supply the gluing monodromy on the graph piece"),
+    (["compute", "ambiguous.json"], "error: pieces[0]: a torus-times-interval vertex glued to "
+     "itself is a torus bundle; supply the gluing monodromy on the graph piece"),
 ])
 def test_bad_arguments_and_inputs_exit_2(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

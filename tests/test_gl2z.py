@@ -44,6 +44,11 @@ def test_parse_and_str_round_trip():
     assert Mat2Z.parse(str(m)) == m
 
 
+def test_from_rows_takes_integer_rows_as_lists_or_tuples():
+    assert Mat2Z.from_rows([[2, 1], [1, 1]]) == Mat2Z(2, 1, 1, 1)
+    assert Mat2Z.from_rows(((0, -1), (1, 0))) == Mat2Z(0, -1, 1, 0)
+
+
 def test_parse_rejects_bad_shapes():
     with pytest.raises(ValueError):
         Mat2Z.parse("1,2,3;4,5,6")

@@ -21,6 +21,7 @@ from gdim3.model import (
     SeifertData,
     Spherical,
     TorusBundle,
+    Violation,
     description_from_json,
     description_to_json,
     load_description,
@@ -149,11 +150,11 @@ def test_edge_indices_must_be_in_range():
     assert any("out of range" in v.message for v in report)
 
 
-def test_klein_double_shape_flagged_by_validate():
+def test_klein_double_shape_passes_validate():
+    """The doubled twisted I-bundle is an accepted spelling, which normalize rewrites."""
     twisted = SeifertBounded(SeifertData(base=mobius_band()))
     graph = JsjGraph(vertices=(twisted, twisted), edges=((0, 1),))
-    report = validate(desc(graph))
-    assert any("KleinDouble" in v.message for v in report)
+    assert validate(desc(graph)) == []
 
 
 def test_torus_x_interval_vertex_flagged_in_multivertex_graph():
@@ -166,6 +167,30 @@ def test_torus_x_interval_vertex_flagged_in_multivertex_graph():
     )
     report = validate(desc(graph))
     assert any("torus-times-interval" in v.message for v in report)
+
+
+MONODROMY_MISPLACED = ("only a single torus-times-interval vertex glued to itself takes a "
+                       "monodromy")
+
+
+@pytest.mark.parametrize("vertices,edges", [
+    ((HyperbolicCusped(2),), ((0, 0),)),
+    ((HyperbolicCusped(1), HyperbolicCusped(1)), ((0, 1),)),
+    ((SeifertBounded(SeifertData(base=mobius_band())),) * 2, ((0, 1),)),
+    ((SeifertBounded(SeifertData(base=annulus(2), cone_pairs=((2, 1),))),), ((0, 0),)),
+])
+def test_only_the_torus_times_interval_loop_takes_a_monodromy(vertices, edges):
+    graph = JsjGraph(vertices=vertices, edges=edges, monodromy=Mat2Z(2, 1, 1, 1))
+    assert validate(desc(Spherical(2), graph)) == [
+        Violation("pieces[1].monodromy", MONODROMY_MISPLACED)]
+    assert validate(desc(Spherical(2), JsjGraph(vertices=vertices, edges=edges))) == []
+
+
+def test_the_torus_times_interval_loop_takes_a_unimodular_monodromy():
+    loop = (SeifertBounded(SeifertData(base=annulus())),)
+    assert validate(desc(JsjGraph(loop, ((0, 0),), Mat2Z(0, 1, 1, 0)))) == []
+    assert validate(desc(JsjGraph(loop, ((0, 0),), Mat2Z(2, 0, 0, 1)))) == [
+        Violation("pieces[0].monodromy", "monodromy determinant must be +1 or -1")]
 
 
 def test_corpus_descriptions_validate_cleanly():
@@ -210,6 +235,70 @@ def test_self_glued_torus_x_interval_without_monodromy_is_ambiguous():
     )
     with pytest.raises(NormalizationAmbiguous):
         normalize(desc(graph))
+
+
+def test_an_ambiguous_rewrite_names_the_piece_as_written():
+    graph = JsjGraph(vertices=(SeifertBounded(SeifertData(base=annulus())),), edges=((0, 0),))
+    with pytest.raises(NormalizationAmbiguous, match=r"^pieces\[2\]: a torus-times-interval "):
+        normalize(desc(Spherical(1), Spherical(3), graph))
+
+
+TWISTED = [SeifertBounded(SeifertData(base=mobius_band())),
+           SeifertBounded(SeifertData(base=disk(2, 2), cone_pairs=((2, 1), (2, 1))))]
+PRODUCT = SeifertBounded(SeifertData(base=annulus()))
+REWRITABLE = [JsjGraph((a, b), ((0, 1),)) for a in TWISTED for b in TWISTED] + [
+    JsjGraph((PRODUCT,), ((0, 0),), m)
+    for m in (Mat2Z(2, 1, 1, 1), Mat2Z(0, -1, 1, 0), Mat2Z(1, 1, 0, 1), Mat2Z(0, 1, 1, 0))]
+# (piece, the one violation it carries, relative to its own path)
+INVALID = [
+    (Spherical(0), ".pi1_order"),
+    (TorusBundle(Mat2Z(2, 0, 0, 1)), ".monodromy"),
+    (JsjGraph((HyperbolicCusped(2),), ()), ".vertices[0]"),
+    (JsjGraph((SeifertBounded(SeifertData(base=mobius_band(), b=7)), TWISTED[0]), ((0, 1),)),
+     ".vertices[0].b"),
+    (JsjGraph((SeifertBounded(SeifertData(base=annulus(), b=3)),), ((0, 0),), Mat2Z(2, 1, 1, 1)),
+     ".vertices[0].b"),
+    (JsjGraph((SeifertBounded(SeifertData(base=OrbifoldBase(0, False, 2))),), ((0, 0),),
+              Mat2Z(2, 1, 1, 1)), ".vertices[0].base.genus"),
+    (JsjGraph(tuple(TWISTED), ((0, 1),), Mat2Z(1, 0, 0, 1)), ".monodromy"),
+]
+
+
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_normalize_validates_the_description_as_written(seed, data):
+    """Trivial summands and rewritable graphs anywhere: the output validates and is a fixed
+    point; an invalid piece is refused with the path of the piece in the input."""
+    pieces = list(random_description(seed).pieces)
+    for extra in data.draw(st.lists(st.sampled_from([Spherical(1)] + REWRITABLE), max_size=5)):
+        pieces.insert(data.draw(st.integers(0, len(pieces))), extra)
+    invalid = data.draw(st.none() | st.sampled_from(INVALID))
+    if invalid is None:
+        n = normalize(desc(*pieces))
+        assert validate(n) == []
+        assert normalize(n) == n
+        assert n.pieces == (Spherical(1),) or Spherical(1) not in n.pieces
+        assert not any(p in REWRITABLE for p in n.pieces)
+        return
+    piece, field = invalid
+    at = data.draw(st.integers(0, len(pieces)))
+    pieces.insert(at, piece)
+    with pytest.raises(InvalidDescription) as info:
+        normalize(desc(*pieces))
+    assert [v.path for v in info.value.report] == [f"pieces[{at}]{field}"]
+    assert info.value.report == validate(desc(*pieces))
+
+
+def test_normalize_validates_once_before_any_rewrite(monkeypatch):
+    import gdim3.model as model
+
+    calls = []
+    validate_, rewrite = model.validate, model._rewrite_jsj
+    monkeypatch.setattr(model, "validate", lambda d: calls.append("validate") or validate_(d))
+    monkeypatch.setattr(model, "_rewrite_jsj",
+                        lambda graph, i: calls.append(f"rewrite {i}") or rewrite(graph, i))
+    d = desc(Spherical(1), REWRITABLE[0], REWRITABLE[-1])
+    assert normalize(d).pieces == (KleinDouble(), TorusBundle(Mat2Z(0, 1, 1, 0)))
+    assert calls == ["validate", "rewrite 1", "rewrite 2"]
 
 
 def test_normalize_raises_on_hard_violations():
@@ -381,6 +470,54 @@ def test_scalar_fields_are_read_strictly(piece, path):
     obj = {"name": "x", "pieces": [{"kind": "spherical", "pi1_order": 2}, piece]}
     with pytest.raises(DescriptionFormatError, match="^" + re.escape(path) + ": "):
         description_from_json(obj)
+
+
+SPHERICAL = {"kind": "spherical", "pi1_order": 2}
+HYPERBOLIC_LOOP = {"kind": "jsj", "vertices": [{"kind": "hyperbolic_cusped", "cusps": 2}],
+                   "edges": [[0, 0]]}
+
+
+def with_vertex(**fields):
+    vertex = {"kind": "seifert_bounded", "base": {"genus": 0, "boundary": 1},
+              "cone_pairs": [[2, 1], [3, 1]]}
+    vertex.update(fields)
+    return {"kind": "jsj", "vertices": [vertex, {"kind": "hyperbolic_cusped", "cusps": 1}],
+            "edges": [[0, 1]]}
+
+
+@pytest.mark.parametrize("obj,path", [
+    ({"name": "x", "extra": 1, "pieces": [SPHERICAL]}, "extra"),
+    ({"name": "x", "pieces": [dict(SPHERICAL, bogus=0)]}, "pieces[0].bogus"),
+    ({"name": "x", "pieces": [{"kind": "torus_bundle", "monodromy": [[2, 1], [1, 1]],
+                              "cusps": 1}]}, "pieces[0].cusps"),
+    ({"pieces": [SPHERICAL, {"kind": "geometric", "geometry": "Nil", "pi1_order": 2}]},
+     "pieces[1].pi1_order"),
+    ({"pieces": [{"kind": "klein_double", "geometry": "Sol"}]}, "pieces[0].geometry"),
+    ({"pieces": [seifert(cusps=2)]}, "pieces[0].cusps"),
+    ({"pieces": [dict(HYPERBOLIC_LOOP, b=0)]}, "pieces[0].b"),
+    ({"pieces": [{"kind": "jsj", "edges": [[0, 0]],
+                  "vertices": [{"kind": "hyperbolic_cusped", "cusps": 2, "base": {}}]}]},
+     "pieces[0].vertices[0].base"),
+    ({"pieces": [with_vertex(cusps=1)]}, "pieces[0].vertices[0].cusps"),
+    ({"pieces": [seifert(base={"genus": 1, "colour": "red"})]}, "pieces[0].base.colour"),
+    ({"pieces": [with_vertex(base={"genus": 0, "boundary": 1, "holes": 1})]},
+     "pieces[0].vertices[0].base.holes"),
+    ({"pieces": [dict(SPHERICAL, first=1, second=2)]}, "pieces[0].first"),
+])
+def test_unknown_fields_are_refused_at_every_level(obj, path):
+    """The first unknown field, in document order, is named by its path."""
+    with pytest.raises(DescriptionFormatError,
+                       match="^" + re.escape(path) + r": unknown field, expected one of \["):
+        description_from_json(obj)
+
+
+def test_fields_that_validation_judges_are_still_read():
+    """b on a bounded vertex and a misplaced graph monodromy reach validate and its message."""
+    d = description_from_json({"pieces": [with_vertex(b=7)]})
+    assert validate(d) == [
+        Violation("pieces[0].vertices[0].b", "bounded Seifert data must not carry b")]
+    d = description_from_json({"pieces": [dict(HYPERBOLIC_LOOP, monodromy=[[2, 1], [1, 1]])]})
+    assert validate(d) == [Violation("pieces[0].monodromy", MONODROMY_MISPLACED)]
 
 
 @pytest.mark.parametrize("name", [None, {"a": 1}, ["x"], 7, True])

@@ -196,6 +196,14 @@ def test_construction_normalises_sequences():
     (lambda: FreeProductSpec((2, 3.0)), ValueError, "factor orders must be integers, got 3.0"),
     (lambda: FreeProductSpec(("2", 3)), ValueError, "factor orders must be integers, got '2'"),
     (lambda: FreeProductSpec([True, 3]), ValueError, "factor orders must be integers, got True"),
+    (lambda: Mat2Z.from_rows([[1.5, 0], [True, 1]]), ValueError,
+     "matrix entries must be integers, got 1.5"),
+    (lambda: Mat2Z.from_rows([[1, 0], [True, 1]]), ValueError,
+     "matrix entries must be integers, got True"),
+    (lambda: Mat2Z.from_rows(((2, "1"), (1, 1))), ValueError,
+     "matrix entries must be integers, got '1'"),
+    (lambda: Mat2Z.from_rows([[1, 0], [0, 1.0]]), ValueError,
+     "matrix entries must be integers, got 1.0"),
 ])
 def test_refusals_keep_their_type_and_message(make_it, error, message):
     with pytest.raises(error) as info:

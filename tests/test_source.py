@@ -144,6 +144,23 @@ def test_cli_handlers_raise_and_leave_the_exit_code_to_run():
     assert not found, f"handlers calling _fail: {found}"
 
 
+def test_only_replay_returns_the_data_exit_code():
+    """Every refusal reaches `run` as an exception, so `compute` and `validate` print it the
+    same way; `replay` alone returns EX_DATA itself, to report a mismatch."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    handlers = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert "_cmd_replay" in {handler.name for handler in handlers}
+    found = [
+        f"{handler.name}:{inner.lineno}"
+        for handler in handlers if handler.name != "_cmd_replay"
+        for inner in ast.walk(handler)
+        if isinstance(inner, ast.Return) and isinstance(inner.value, ast.Name)
+        and inner.value.id == "EX_DATA"
+    ]
+    assert not found, f"handlers returning EX_DATA: {found}"
+
+
 def test_no_module_imports_dataclasses():
     """Value types derive from `_record.Record`; `dataclasses` costs every command its import."""
     found = []
