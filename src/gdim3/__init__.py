@@ -20,36 +20,6 @@ from .model import (
 
 __version__ = "1.0.0"
 
-# The Bass-Serre certificate machinery is loaded on first use (PEP 562), so
-# computing a dimension never pays for importing it.
-_BASS_SERRE_NAMES = frozenset({
-    "BallLimitExceeded",
-    "FreeProductSpec",
-    "MissingAssignment",
-    "NotHyperbolic",
-    "SemidirectSpec",
-    "UnsupportedElement",
-    "axis_of",
-    "ball",
-    "cone_off",
-    "normalizer_probe",
-    "pushout_dimension_bound",
-    "setwise_axis_stabilizer",
-})
-
-
-def __getattr__(name: str):
-    if name == "bass_serre" or name in _BASS_SERRE_NAMES:
-        from importlib import import_module
-
-        bass_serre = import_module(".bass_serre", __name__)
-        return bass_serre if name == "bass_serre" else getattr(bass_serre, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | _BASS_SERRE_NAMES | {"bass_serre"})
-
 # The README-documented calls, the types needed to make them, and the
 # exceptions they raise.  Everything else is imported from its submodule.
 __all__ = [
@@ -75,3 +45,20 @@ __all__ = [
     "pushout_dimension_bound",
     "setwise_axis_stabilizer",
 ]
+
+# The Bass-Serre certificate machinery is loaded on first use (PEP 562), so
+# computing a dimension never pays for importing it.
+_BASS_SERRE_NAMES = frozenset(__all__) - set(globals())
+
+
+def __getattr__(name: str):
+    if name == "bass_serre" or name in _BASS_SERRE_NAMES:
+        from importlib import import_module
+
+        bass_serre = import_module(".bass_serre", __name__)
+        return bass_serre if name == "bass_serre" else getattr(bass_serre, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _BASS_SERRE_NAMES | {"bass_serre"})

@@ -14,6 +14,12 @@ it, once:
 or deleted once the record is built.
 """
 
+def wrong_type(value, kind: type) -> str:
+    """The refusal of a field value that is not exactly a `kind` (a bool is no int), in
+    the words of the JSON reader and of the validators."""
+    expected = {int: "an integer", bool: "true or false", str: "a string"}[kind]
+    return f"expected {expected}, got {value!r}"
+
 
 class Record:
     def __init_subclass__(cls) -> None:

@@ -166,24 +166,6 @@ def cyclically_reduce(spec: FreeProductSpec, w: Sequence[Syllable]) -> Word:
     return c[-1:] + c[:-1] if t0 else c
 
 
-def words_up_to(spec: FreeProductSpec, length: int) -> Iterator[Word]:
-    """All normal-form words of syllable length <= length, shortest first."""
-    frontier: List[Word] = [()]
-    yield ()
-    for _ in range(length):
-        new: List[Word] = []
-        for w in frontier:
-            last = w[-1][0] if w else None
-            for factor, order in enumerate(spec.factor_orders):
-                if factor == last:
-                    continue
-                for exponent in range(1, order):
-                    nxt = w + ((factor, exponent),)
-                    new.append(nxt)
-                    yield nxt
-        frontier = new
-
-
 def word_str(w: Sequence[Syllable]) -> str:
     """Compact rendering: factor 0, 1, 2, ... print as a, b, c, ..."""
     if not w:
@@ -532,9 +514,10 @@ def setwise_axis_stabilizer(spec_ball: TreeBall, axis: Sequence[Vertex],
 
 
 def _coset_stabilizer(spec: FreeProductSpec, v: Vertex) -> Tuple[Word, ...]:
-    """The words of w Z_{n_i} w^-1 fixing a coset vertex w<i>, in words_up_to order.
+    """The words of w Z_{n_i} w^-1 fixing a coset vertex w<i>, by exponent.
 
-    Its nontrivial words all have 2|w| + 1 syllables.
+    The identity comes first.  The nontrivial words all have 2|w| + 1
+    syllables, so this is also shortest first, the order of enumeration.
     """
     back = inverse(spec, v.word)
     return ((),) + tuple(

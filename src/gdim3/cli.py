@@ -150,18 +150,10 @@ def _cmd_classify_orbifold(args: argparse.Namespace) -> int:
             raise ValueError("--surface already fixes genus, orientability and boundary")
         base = SURFACES[args.surface](*cones)
     else:
-        base = OrbifoldBase(
-            genus=args.genus if args.genus is not None else 0,
-            orientable=not args.nonorientable,
-            boundary_count=args.boundary if args.boundary is not None else 0,
-            cone_orders=cones,
-        )
-    if any(order < 2 for order in cones):
-        raise ValueError("cone orders must be >= 2")
-    if base.genus < 0 or (not base.orientable and base.genus == 0):
-        raise ValueError("genus must be >= 0, and >= 1 for nonorientable surfaces")
-    if base.boundary_count < 0:
-        raise ValueError("boundary count must be >= 0")
+        base = OrbifoldBase(args.genus or 0, not args.nonorientable, args.boundary or 0, cones)
+    violations = base.violations()
+    if violations:
+        raise ValueError("; ".join(message for _, message in violations))
     print(f"base: {base.label()}")
     print(f"orbifold Euler characteristic: {euler_characteristic_orb(base)}")
     print(f"class: {classify_base(base).value}")
@@ -226,20 +218,16 @@ def _cmd_ball(args: argparse.Namespace) -> int:
     return EX_OK
 
 
-#: `--axes auto` takes the axes of the hyperbolic words of at most this many syllables.
-_AUTO_AXIS_SYLLABLES = 2
-
-
 def _auto_axes(tree) -> List[tuple]:
-    """Axes of all short hyperbolic words, deduplicated by vertex set."""
-    from .bass_serre import axis_of, cyclically_reduce, words_up_to
+    """Axes of the hyperbolic words of at most two syllables, deduplicated by vertex set:
+    the words x y, x and y in different factors, ordered by x, then by y."""
+    from .bass_serre import axis_of
 
-    spec = tree.spec
+    orders = tree.spec.factor_orders
     axes: List[tuple] = []
     seen = set()
-    for w in words_up_to(spec, _AUTO_AXIS_SYLLABLES):
-        if len(cyclically_reduce(spec, w)) <= 1:
-            continue
+    for w in (((f, e), (g, d)) for f, n in enumerate(orders) for e in range(1, n)
+              for g, m in enumerate(orders) if g != f for d in range(1, m)):
         axis = axis_of(tree, w)
         if axis is None:
             continue
@@ -440,26 +428,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cone", type=int, action="append", help="cone point order (repeatable)")
     p.set_defaults(func=_cmd_classify_orbifold)
 
-    p = sub.add_parser("ball", help="explore a Bass-Serre tree ball")
-    p.add_argument("--factors", type=_parse_factors, required=True,
-                   help="cyclic factor orders, e.g. 2,3")
-    p.add_argument("--radius", type=_count, required=True)
-    p.add_argument("--max-vertices", type=_positive, default=50000)
+    tree = argparse.ArgumentParser(add_help=False)   # the flags of the two tree commands
+    tree.add_argument("--factors", type=_parse_factors, required=True,
+                      help="cyclic factor orders, e.g. 2,3")
+    tree.add_argument("--radius", type=_count, required=True)
+    tree.add_argument("--max-vertices", type=_positive, default=50000)
+    tree.add_argument("--format", choices=("text", "json"), default="text")
+
+    p = sub.add_parser("ball", parents=[tree], help="explore a Bass-Serre tree ball")
     p.add_argument("--list", action="store_true", help="list every vertex")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_ball)
 
-    p = sub.add_parser("cone-off", help="cone the axes in a tree ball and bound the dimension")
-    p.add_argument("--factors", type=_parse_factors, required=True)
-    p.add_argument("--radius", type=_count, required=True)
-    p.add_argument("--max-vertices", type=_positive, default=50000)
+    p = sub.add_parser("cone-off", parents=[tree],
+                       help="cone the axes in a tree ball and bound the dimension")
     p.add_argument("--axes", default="auto",
                    help="'auto' or comma-separated words like ab,ab2")
     p.add_argument("--budget", type=_count, default=4,
                    help="syllable-length cap for stabiliser words")
     p.add_argument("--assign", action="append", default=[],
                    help="cell-class value, e.g. --assign vertex=0 (once per class)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_cone_off)
 
     p = sub.add_parser("probe-normalizer",

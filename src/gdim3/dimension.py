@@ -45,14 +45,18 @@ class TraceStep(Record):
 
 
 class GdResult(Record):
-    value: int
     trace: Tuple[TraceStep, ...]
 
     def __post_init__(self) -> None:
+        if not self.trace:
+            raise AssertionError("trace must end in the step producing the value")
         if self.value not in ALLOWED_VALUES:
             raise AssertionError(f"value {self.value} outside {{0, 2, 3, 5}}")
-        if not self.trace or self.trace[-1].value != self.value:
-            raise AssertionError("trace must end in the step producing the value")
+
+    @property
+    def value(self) -> int:
+        """The value of the last step, which produced it."""
+        return self.trace[-1].value
 
 
 #: The rule table: rule id -> (value at k = 2, value at k >= 3, text), in the
@@ -135,7 +139,7 @@ def _combine(parts: Sequence[GdResult], path: str, rule: str, inputs: str) -> Gd
     """Append a combination step, valued from the table, to the traces of the parts."""
     value = TABLE[rule][0] if TABLE[rule][0] is not MAX else max(p.value for p in parts)
     steps = tuple(step for part in parts for step in part.trace)
-    return GdResult(value, steps + (TraceStep(path, rule, inputs, value),))
+    return GdResult(steps + (TraceStep(path, rule, inputs, value),))
 
 
 def _prime(piece: PrimePiece, path: str) -> Tuple[GdResult, GdResult]:
@@ -145,7 +149,7 @@ def _prime(piece: PrimePiece, path: str) -> Tuple[GdResult, GdResult]:
         return tuple(_combine(col, path, "Thm1.2-max", f"vertex values {[p.value for p in col]}")
                      for col in zip(*vertices))
     rule, inputs = piece_rule(piece)
-    return tuple(GdResult(v, (TraceStep(path, rule, inputs, v),)) for v in TABLE[rule][:2])
+    return tuple(GdResult((TraceStep(path, rule, inputs, v),)) for v in TABLE[rule][:2])
 
 
 def _sum(pieces: Sequence[PrimePiece], parts: Sequence[GdResult], k: int, path: str) -> GdResult:

@@ -67,10 +67,8 @@ class Mat2Z(Record):
         return (self.a * x + self.b * y, self.c * x + self.d * y)
 
     def inverse(self) -> "Mat2Z":
-        det = self.det()
-        if det not in (1, -1):
-            raise InvalidDeterminant(f"determinant {det} is not invertible over Z")
-        # 1/det = det for det in {1, -1}
+        _require_unimodular(self)
+        det = self.det()   # 1/det = det for det in {1, -1}
         return Mat2Z(det * self.d, -det * self.b, -det * self.c, det * self.a)
 
     def pow(self, n: int) -> "Mat2Z":

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 from typing import List, NamedTuple, Optional, Tuple, Union
 
-from ._record import Record
+from ._record import Record, wrong_type
 from .geometry import Geometry
 from .gl2z import Mat2Z
 from .orbifold2 import SURFACES, OrbifoldBase, OrbifoldClass, classify_base
@@ -73,10 +73,6 @@ class SeifertData(Record):
     def __post_init__(self) -> None:
         pairs = tuple(sorted(tuple(p) for p in self.cone_pairs))
         object.__setattr__(self, "cone_pairs", pairs)
-
-    @property
-    def boundary_count(self) -> int:
-        return self.base.boundary_count
 
     def euler_number(self) -> Fraction:
         """e = -(b + sum beta_i / alpha_i); defined for closed bases only."""
@@ -163,7 +159,7 @@ class ManifoldDescription(Record):
 def boundary_tori(vertex: JsjVertex) -> int:
     if isinstance(vertex, HyperbolicCusped):
         return vertex.cusps
-    return vertex.data.boundary_count
+    return vertex.data.base.boundary_count
 
 
 # ---------------------------------------------------------------------------
@@ -188,21 +184,26 @@ def _is_product_loop(graph: JsjGraph) -> bool:
     return len(graph.vertices) == 1 and _is_flat_bounded(graph.vertices[0], 2)
 
 
-def _validate_base(base: OrbifoldBase, path: str, report: List[Violation]) -> None:
-    if base.genus < 0:
-        report.append(Violation(f"{path}.genus", "genus must be >= 0"))
-    if not base.orientable and base.genus == 0:
-        report.append(Violation(f"{path}.genus", "nonorientable surfaces have genus >= 1"))
-    if base.boundary_count < 0:
-        report.append(Violation(f"{path}.boundary_count", "boundary_count must be >= 0"))
-    for i, alpha in enumerate(base.cone_orders):
-        if alpha < 2:
-            report.append(Violation(f"{path}.cone_orders[{i}]", "cone orders must be >= 2"))
+def _refuse_type(value, kind: type, report: List[Violation], path: str, *keys) -> None:
+    """Report a field that does not hold exactly a `kind`, in the JSON reader's words."""
+    if type(value) is not kind:
+        report.append(Violation(_at(path, keys), wrong_type(value, kind)))
+
+
+def _counted(vertex: JsjVertex) -> bool:
+    """Whether the counts that the graph checks compare have their types."""
+    return (type(vertex.cusps) is int if isinstance(vertex, HyperbolicCusped)
+            else vertex.data.base.well_typed)
 
 
 def _validate_seifert(data: SeifertData, path: str, report: List[Violation], closed: bool) -> None:
-    _validate_base(data.base, f"{path}.base", report)
+    for field, message in data.base.violations():
+        report.append(Violation(f"{path}.base.{field}", message))
     for i, (alpha, beta) in enumerate(data.cone_pairs):
+        if type(alpha) is not int or type(beta) is not int:   # only a bad pair pays for paths
+            _refuse_type(alpha, int, report, path, "cone_pairs", i, 0)
+            _refuse_type(beta, int, report, path, "cone_pairs", i, 1)
+            continue
         if alpha < 2:
             report.append(Violation(f"{path}.cone_pairs[{i}]", "alpha must be >= 2"))
         elif gcd(alpha, beta) != 1:
@@ -223,25 +224,31 @@ def _validate_seifert(data: SeifertData, path: str, report: List[Violation], clo
             report.append(Violation(f"{path}.base", "closed Seifert piece over a bounded base"))
         if data.b is None:
             report.append(Violation(f"{path}.b", "closed Seifert data needs the obstruction term b"))
+        else:
+            _refuse_type(data.b, int, report, path, "b")
     else:
-        if data.base.boundary_count < 1:
+        if type(data.base.boundary_count) is int and data.base.boundary_count < 1:
             report.append(Violation(f"{path}.base", "bounded Seifert piece over a closed base"))
         if data.b is not None:
             report.append(Violation(f"{path}.b", "bounded Seifert data must not carry b"))
 
 
 def _validate_jsj(graph: JsjGraph, path: str, report: List[Violation]) -> None:
-    if graph.monodromy is not None and not _is_product_loop(graph):
+    if (graph.monodromy is not None and all(map(_counted, graph.vertices))
+            and not _is_product_loop(graph)):
         report.append(Violation(f"{path}.monodromy", "only a single torus-times-interval "
                                 "vertex glued to itself takes a monodromy"))
     n = len(graph.vertices)
     if n == 0:
         report.append(Violation(f"{path}.vertices", "graph needs at least one vertex"))
         return
+    checked = len(report)   # vertices that add no violation have their types
     for i, vertex in enumerate(graph.vertices):
         vpath = f"{path}.vertices[{i}]"
         if isinstance(vertex, HyperbolicCusped):
-            if vertex.cusps < 1:
+            if type(vertex.cusps) is not int:
+                _refuse_type(vertex.cusps, int, report, vpath, "cusps")
+            elif vertex.cusps < 1:
                 report.append(Violation(f"{vpath}.cusps", "cusps must be >= 1"))
         else:
             _validate_seifert(vertex.data, vpath, report, closed=False)
@@ -249,13 +256,17 @@ def _validate_jsj(graph: JsjGraph, path: str, report: List[Violation]) -> None:
     degree = [0] * n
     edges_ok = True
     for j, (u, v) in enumerate(graph.edges):
-        if not (0 <= u < n and 0 <= v < n):
+        if type(u) is not int or type(v) is not int:   # only a bad edge pays for paths
+            _refuse_type(u, int, report, path, "edges", j, 0)
+            _refuse_type(v, int, report, path, "edges", j, 1)
+            edges_ok = False
+        elif not (0 <= u < n and 0 <= v < n):
             report.append(Violation(f"{path}.edges[{j}]", f"vertex index out of range: ({u}, {v})"))
             edges_ok = False
-            continue
-        degree[u] += 1
-        degree[v] += 1
-    if not edges_ok:
+        else:
+            degree[u] += 1
+            degree[v] += 1
+    if not edges_ok or len(report) > checked and not all(map(_counted, graph.vertices)):
         return
 
     for i, vertex in enumerate(graph.vertices):
@@ -293,12 +304,15 @@ def _validate_jsj(graph: JsjGraph, path: str, report: List[Violation]) -> None:
 def validate(desc: ManifoldDescription) -> List[Violation]:
     """Every violated well-formedness condition, with a path into the description."""
     report: List[Violation] = []
+    _refuse_type(desc.name, str, report, "name")
     if not desc.pieces:
         report.append(Violation("pieces", "a description needs at least one piece"))
     for i, piece in enumerate(desc.pieces):
         path = f"pieces[{i}]"
         if isinstance(piece, Spherical):
-            if piece.pi1_order < 1:
+            if type(piece.pi1_order) is not int:
+                _refuse_type(piece.pi1_order, int, report, path, "pi1_order")
+            elif piece.pi1_order < 1:
                 report.append(Violation(f"{path}.pi1_order", "group order must be >= 1"))
         elif isinstance(piece, Geometric):
             if not isinstance(piece.geometry, Geometry):
@@ -310,8 +324,16 @@ def validate(desc: ManifoldDescription) -> List[Violation]:
         elif not isinstance(piece, (TorusBundle, KleinDouble)):
             report.append(Violation(path, f"unknown piece type {type(piece).__name__}"))
         monodromy = getattr(piece, "monodromy", None)   # of a torus bundle or a graph
-        if monodromy is not None and monodromy.det() not in (1, -1):
-            report.append(Violation(f"{path}.monodromy", "monodromy determinant must be +1 or -1"))
+        if monodromy is None:
+            continue
+        if type(monodromy.a) is type(monodromy.b) is type(monodromy.c) is type(monodromy.d) is int:
+            if monodromy.det() not in (1, -1):
+                report.append(Violation(f"{path}.monodromy",
+                                        "monodromy determinant must be +1 or -1"))
+        else:   # only a bad matrix pays for paths
+            for r, row in enumerate(monodromy.rows()):
+                for c, entry in enumerate(row):
+                    _refuse_type(entry, int, report, path, "monodromy", r, c)
     return report
 
 
@@ -358,17 +380,6 @@ def normalize(desc: ManifoldDescription) -> ManifoldDescription:
 # ---------------------------------------------------------------------------
 # JSON wire format
 
-def _base_to_json(base: OrbifoldBase) -> dict:
-    obj = {
-        "genus": base.genus,
-        "orientable": base.orientable,
-        "boundary_count": base.boundary_count,
-    }
-    if base.cone_orders:
-        obj["cone_orders"] = list(base.cone_orders)
-    return obj
-
-
 def _at(path: str, keys: tuple) -> str:
     """The JSON path of a field: `path` followed by keys (names) and indices (ints)."""
     return path + "".join(f"[{key}]" if type(key) is int else f".{key}" for key in keys)
@@ -393,32 +404,25 @@ def _kind(obj, kinds: dict, path: str, what: str) -> str:
     return kind
 
 
-def _integer(value, path: str, *keys) -> int:
-    """An integer field: a JSON integer, never a boolean, a float or a string."""
-    if type(value) is not int:
-        raise DescriptionFormatError(f"{_at(path, keys)}: expected an integer, got {value!r}")
-    return value
-
-
-def _boolean(value, path: str, *keys) -> bool:
-    """A boolean field: JSON true or false, never 0, 1 or a string."""
-    if type(value) is not bool:
-        raise DescriptionFormatError(f"{_at(path, keys)}: expected true or false, got {value!r}")
+def _read(value, kind: type, path: str, *keys):
+    """A field of exactly type `kind`: no boolean, float or string for an integer."""
+    if type(value) is not kind:
+        raise DescriptionFormatError(f"{_at(path, keys)}: {wrong_type(value, kind)}")
     return value
 
 
 def _integers(value, path: str, key: str) -> Tuple[int, ...]:
-    """A list of integers, each read by _integer."""
+    """A list of integers, each read by _read."""
     if not isinstance(value, (list, tuple)):
         raise DescriptionFormatError(f"{path}.{key}: expected a list, got {value!r}")
     for i, entry in enumerate(value):
         if type(entry) is not int:   # only a bad entry pays for building its path
-            _integer(entry, path, key, i)
+            _read(entry, int, path, key, i)
     return tuple(value)
 
 
 def _integer_rows(value, path: str, key: str, width: int) -> Tuple[Tuple[int, ...], ...]:
-    """A list of rows of `width` integers (cone pairs, edges, matrix rows), read by _integer."""
+    """A list of rows of `width` integers (cone pairs, edges, matrix rows), read by _read."""
     if not isinstance(value, (list, tuple)):
         raise DescriptionFormatError(f"{path}.{key}: expected a list, got {value!r}")
     for i, row in enumerate(value):
@@ -428,18 +432,18 @@ def _integer_rows(value, path: str, key: str, width: int) -> Tuple[Tuple[int, ..
             )
         for j, entry in enumerate(row):
             if type(entry) is not int:   # only a bad entry pays for building its path
-                _integer(entry, path, key, i, j)
+                _read(entry, int, path, key, i, j)
     return tuple(tuple(row) for row in value)
 
 
 # A description names only the closed surfaces: its boundary count is a separate field.
 _NAMED_SURFACES = {name: make() for name, make in SURFACES.items() if make().closed}
-_BASE_QUANTITIES = {   # base field -> (OrbifoldBase field it sets, reader)
-    "genus": ("genus", _integer),
-    "orientable": ("orientable", _boolean),
-    "nonorientable": ("orientable", lambda value, path, key: not _boolean(value, path, key)),
-    "boundary": ("boundary_count", _integer),
-    "boundary_count": ("boundary_count", _integer),
+_BASE_QUANTITIES = {   # base field -> (OrbifoldBase field it sets, type)
+    "genus": ("genus", int),
+    "orientable": ("orientable", bool),
+    "nonorientable": ("orientable", bool),   # read negated
+    "boundary": ("boundary_count", int),
+    "boundary_count": ("boundary_count", int),
 }
 _BASE_FIELDS = frozenset(_BASE_QUANTITIES) | {"surface", "cone_orders"}
 _SEIFERT_FIELDS = frozenset({"kind", "base", "cone_pairs", "b"})
@@ -475,9 +479,11 @@ def _base_from_json(obj: dict, cone_pairs: Tuple[Tuple[int, int], ...],
             )
         named = _NAMED_SURFACES[surface]
         found = {"genus": ("surface", named.genus), "orientable": ("surface", named.orientable)}
-    for key, (quantity, read) in _BASE_QUANTITIES.items():
+    for key, (quantity, kind) in _BASE_QUANTITIES.items():
         if key in obj:
-            value = read(obj[key], path, key)
+            value = _read(obj[key], kind, path, key)
+            if key == "nonorientable":
+                value = not value
             earlier = found.setdefault(quantity, (key, value))
             if earlier[1] != value:
                 raise DescriptionFormatError(
@@ -507,13 +513,13 @@ def _seifert_from_json(obj: dict, path: str) -> SeifertData:
     base = _base_from_json(obj.get("base", {}), pairs, f"{path}.base")
     b = obj.get("b")
     if b is not None:
-        b = _integer(b, path, "b")
+        b = _read(b, int, path, "b")
     return SeifertData(base=base, cone_pairs=pairs, b=b)
 
 
 def _vertex_from_json(obj: dict, path: str) -> JsjVertex:
     if _kind(obj, _VERTEX_FIELDS, path, "vertex") == "hyperbolic_cusped":
-        return HyperbolicCusped(cusps=_integer(obj.get("cusps", 0), path, "cusps"))
+        return HyperbolicCusped(cusps=_read(obj.get("cusps", 0), int, path, "cusps"))
     return SeifertBounded(_seifert_from_json(obj, path))
 
 
@@ -523,7 +529,7 @@ def piece_from_json(obj: dict, path: str = "piece") -> PrimePiece:
     if kind == "spherical":
         if "pi1_order" not in obj:
             raise DescriptionFormatError(f"{path}.pi1_order: missing")
-        return Spherical(pi1_order=_integer(obj["pi1_order"], path, "pi1_order"))
+        return Spherical(pi1_order=_read(obj["pi1_order"], int, path, "pi1_order"))
     if kind == "geometric":
         try:
             return Geometric(Geometry(obj["geometry"]))
@@ -558,13 +564,7 @@ def piece_to_json(piece: PrimePiece) -> dict:
     if isinstance(piece, KleinDouble):
         return {"kind": "klein_double"}
     if isinstance(piece, SeifertClosed):
-        data = piece.data
-        return {
-            "kind": "seifert_closed",
-            "base": _base_to_json(data.base),
-            "cone_pairs": [list(p) for p in data.cone_pairs],
-            "b": data.b,
-        }
+        return {**_seifert_to_json("seifert_closed", piece.data), "b": piece.data.b}
     if isinstance(piece, JsjGraph):
         obj = {
             "kind": "jsj",
@@ -580,12 +580,17 @@ def piece_to_json(piece: PrimePiece) -> dict:
 def _vertex_to_json(vertex: JsjVertex) -> dict:
     if isinstance(vertex, HyperbolicCusped):
         return {"kind": "hyperbolic_cusped", "cusps": vertex.cusps}
-    data = vertex.data
-    return {
-        "kind": "seifert_bounded",
-        "base": _base_to_json(data.base),
-        "cone_pairs": [list(p) for p in data.cone_pairs],
-    }
+    return _seifert_to_json("seifert_bounded", vertex.data)
+
+
+def _seifert_to_json(kind: str, data: SeifertData) -> dict:
+    """The fields a closed Seifert piece shares with a bounded vertex, in wire order."""
+    base = data.base
+    obj = {"genus": base.genus, "orientable": base.orientable,
+           "boundary_count": base.boundary_count}
+    if base.cone_orders:
+        obj["cone_orders"] = list(base.cone_orders)
+    return {"kind": kind, "base": obj, "cone_pairs": [list(p) for p in data.cone_pairs]}
 
 
 def description_to_json(desc: ManifoldDescription) -> dict:
@@ -599,11 +604,8 @@ def description_from_json(obj: dict) -> ManifoldDescription:
     if not isinstance(pieces, list):
         raise DescriptionFormatError("description needs a 'pieces' list")
     _known_fields(obj, _DESCRIPTION_FIELDS, "")
-    name = obj.get("name", "")
-    if type(name) is not str:
-        raise DescriptionFormatError(f"name: expected a string, got {name!r}")
     return ManifoldDescription(
-        name=name,
+        name=_read(obj.get("name", ""), str, "name"),
         pieces=tuple(piece_from_json(p, f"pieces[{i}]") for i, p in enumerate(pieces)),
     )
 

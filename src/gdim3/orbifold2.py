@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Tuple
+from typing import List, Tuple
 
-from ._record import Record
+from ._record import Record, wrong_type
 
 
 class OrbifoldBase(Record):
@@ -43,6 +43,34 @@ class OrbifoldBase(Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cone_orders", tuple(sorted(self.cone_orders)))
+
+    @property
+    def well_typed(self) -> bool:
+        """Whether `orientable` is a bool and every other field an int (never a bool)."""
+        return (type(self.genus) is type(self.boundary_count) is int
+                and type(self.orientable) is bool
+                and all(type(alpha) is int for alpha in self.cone_orders))
+
+    def violations(self) -> List[Tuple[str, str]]:
+        """Every violated well-formedness condition, as (field, message) pairs; fields
+        of the wrong type are refused alone, since the range checks compare them."""
+        if not self.well_typed:
+            fields = (("genus", self.genus, int), ("orientable", self.orientable, bool),
+                      ("boundary_count", self.boundary_count, int),
+                      *((f"cone_orders[{i}]", a, int) for i, a in enumerate(self.cone_orders)))
+            return [(field, wrong_type(value, kind)) for field, value, kind in fields
+                    if type(value) is not kind]
+        found = []
+        if self.genus < 0:
+            found.append(("genus", "genus must be >= 0"))
+        if not self.orientable and self.genus == 0:
+            found.append(("genus", "nonorientable surfaces have genus >= 1"))
+        if self.boundary_count < 0:
+            found.append(("boundary_count", "boundary_count must be >= 0"))
+        for i, alpha in enumerate(self.cone_orders):
+            if alpha < 2:
+                found.append((f"cone_orders[{i}]", "cone orders must be >= 2"))
+        return found
 
     @property
     def closed(self) -> bool:

@@ -8,16 +8,17 @@ distances inside the ball, displacement minimisation over every vertex,
 stabilisers by testing every budgeted word on every vertex, axis
 stabilisers from every product of two axis elements, the stabiliser
 record of every cell of a coned complex built in one pass, the push-out
-bound by walking every cell) so the tests can compare the two.  The
-group operations that only these comparisons need (the product of
-words, the action on vertices, the product, inverse and conjugation in
-Z^2 x| Z) live here too.
+bound by walking every cell, the short hyperbolic words of `--axes auto`
+by filtering every word) so the tests can compare the two.  The group
+operations that only these comparisons need (the enumeration of words,
+their product, the action on vertices, the product, inverse and
+conjugation in Z^2 x| Z) live here too.
 """
 from __future__ import annotations
 
 from collections import deque
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from gdim3.bass_serre import (
     AxisStabilizerReport,
@@ -38,7 +39,6 @@ from gdim3.bass_serre import (
     inverse,
     normal_form,
     setwise_axis_stabilizer,
-    words_up_to,
 )
 from gdim3.gl2z import IDENTITY, Mat2Z, _require_unimodular
 
@@ -99,6 +99,29 @@ def sd_inv(group: SemidirectSpec, g: SdElement) -> SdElement:
 def conjugate(group: SemidirectSpec, g: SdElement, h: SdElement) -> SdElement:
     """g h g^-1 in Z^2 x| Z."""
     return sd_mul(group, sd_mul(group, g, h), sd_inv(group, g))
+
+
+def words_up_to(spec: FreeProductSpec, length: int) -> Iterator[Word]:
+    """All normal-form words of syllable length <= length, shortest first."""
+    frontier: List[Word] = [()]
+    yield ()
+    for _ in range(length):
+        new: List[Word] = []
+        for w in frontier:
+            last = w[-1][0] if w else None
+            for factor, order in enumerate(spec.factor_orders):
+                if factor == last:
+                    continue
+                for exponent in range(1, order):
+                    nxt = w + ((factor, exponent),)
+                    new.append(nxt)
+                    yield nxt
+        frontier = new
+
+
+def auto_axis_words(spec: FreeProductSpec) -> List[Word]:
+    """The hyperbolic words of at most two syllables, found by enumeration."""
+    return [w for w in words_up_to(spec, 2) if len(rotate_to_cyclically_reduced(spec, w)) >= 2]
 
 
 def mul(spec: FreeProductSpec, u: Sequence[Syllable], v: Sequence[Syllable]) -> Word:

@@ -30,7 +30,6 @@ from gdim3.bass_serre import (
     pushout_dimension_bound,
     setwise_axis_stabilizer,
     word_str,
-    words_up_to,
 )
 from gdim3.gl2z import Mat2Z, MatKind, classify
 
@@ -51,6 +50,7 @@ from oracles import (
     setwise_by_scan,
     translation_syllables,
     tree_cell_records,
+    words_up_to,
 )
 
 Z22 = FreeProductSpec((2, 2))

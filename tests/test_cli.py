@@ -8,10 +8,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gdim3 import corpus
-from gdim3.cli import EX_DATA, EX_OK, EX_RESOURCE, report_to_json, run
+from gdim3.bass_serre import FreeProductSpec, axis_of, ball
+from gdim3.cli import EX_DATA, EX_OK, EX_RESOURCE, _auto_axes, report_to_json, run
 from gdim3.dimension import MAX, RULES, TABLE, compute
 from gdim3.geometry import Geometry
 from gdim3.orbifold2 import SURFACES
+
+from oracles import auto_axis_words
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -252,6 +255,27 @@ def test_classify_orbifold_general_surface(capsys):
     assert "flat" in stdout
 
 
+@pytest.mark.parametrize("flags,base", [
+    (["--genus", "-1"], {"genus": -1}),
+    (["--nonorientable"], {"genus": 0, "nonorientable": True}),
+    (["--boundary", "-1"], {"boundary": -1}),
+    (["--cone", "1"], {"cone_orders": [1]}),
+], ids=["genus", "nonorientable-genus", "boundary", "cone-order"])
+def test_classify_orbifold_and_validate_word_a_bad_base_alike(flags, base, tmp_path, capsys):
+    """Both commands refuse the base with the messages of the one base check."""
+    assert run(["classify-orbifold", *flags]) == EX_DATA
+    stdout, stderr = out(capsys)
+    assert stdout == "" and stderr.startswith("error: ")
+    refused = stderr[len("error: "):].rstrip("\n").split("; ")
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps({"name": "b", "pieces": [
+        {"kind": "seifert_closed", "base": base, "cone_pairs": [[2, 1]] * 3, "b": 0}]}))
+    assert run(["validate", str(path)]) == EX_DATA
+    _, stderr = out(capsys)
+    lines = re.findall(r"^  pieces\[0\]\.base\.\S+: (.*)$", stderr, re.MULTILINE)
+    assert refused == lines and lines
+
+
 # --- tree front ends ---
 
 def test_ball_text_and_json(capsys):
@@ -312,6 +336,24 @@ def test_cone_off_rejects_elliptic_axis_words(capsys):
                 "--axes", "b"]) == EX_DATA
     _, stderr = out(capsys)
     assert "elliptic" in stderr
+
+
+@pytest.mark.parametrize("orders", [
+    (2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 4), (2, 2, 3), (5, 2), (4, 4), (2, 2, 2, 2),
+], ids=str)
+def test_auto_axes_are_those_of_the_enumerated_hyperbolic_words(orders):
+    """`--axes auto` builds the two-syllable words directly; the oracle filters every word of
+    at most two syllables.  Both give the same axes, in the same order."""
+    spec = FreeProductSpec(orders)
+    for radius in range(9):
+        tree = ball(spec, radius)
+        expected, seen = [], set()
+        for word in auto_axis_words(spec):
+            axis = axis_of(tree, word)
+            if axis is not None and frozenset(axis) not in seen:
+                seen.add(frozenset(axis))
+                expected.append(axis)
+        assert _auto_axes(tree) == expected, radius
 
 
 def test_cone_off_json(capsys):
@@ -649,8 +691,8 @@ def exit_code(argv):
      "error: the description does not validate\n  pieces[0].pi1_order: group order must be >= 1"),
     (["classify-orbifold", "--cone", "1"], "error: cone orders must be >= 2"),
     (["classify-orbifold", "--genus", "-1"], "error: genus must be >= 0"),
-    (["classify-orbifold", "--boundary", "-1"], "error: boundary count must be >= 0"),
-    (["classify-orbifold", "--nonorientable"], "and >= 1 for nonorientable surfaces"),
+    (["classify-orbifold", "--boundary", "-1"], "error: boundary_count must be >= 0"),
+    (["classify-orbifold", "--nonorientable"], "error: nonorientable surfaces have genus >= 1"),
     (["probe-normalizer", "--monodromy", "2,1;1,1", "--element", "1,2"],
      "error: --element expects x,y,l, got '1,2'"),
     (["probe-normalizer", "--monodromy", "2,1;1,1", "--element", "a,b,c"],

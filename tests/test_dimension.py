@@ -241,9 +241,11 @@ def test_every_trace_rule_is_registered():
 
 def test_gd_result_rejects_forbidden_values():
     with pytest.raises(AssertionError):
-        GdResult(1, (TraceStep("p", "Table1-row1", "x", 1),))
+        GdResult((TraceStep("p", "Table1-row1", "x", 1),))
     with pytest.raises(AssertionError):
-        GdResult(3, (TraceStep("p", "Table1-row1", "x", 2),))
+        GdResult(())
+    step = TraceStep("p", "Table1-row1", "x", 3)
+    assert GdResult((TraceStep("q", "Table1-row3", "y", 0), step)).value == 3
 
 
 # --- whole-description reports ---

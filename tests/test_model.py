@@ -193,6 +193,53 @@ def test_the_torus_times_interval_loop_takes_a_unimodular_monodromy():
         Violation("pieces[0].monodromy", "monodromy determinant must be +1 or -1")]
 
 
+def _bounded(base, pairs=()) -> SeifertBounded:
+    return SeifertBounded(SeifertData(base=base, cone_pairs=pairs))
+
+
+@pytest.mark.parametrize("description,report", [
+    (desc(Spherical(2.0), Spherical(2)), [("pieces[0].pi1_order", "expected an integer, got 2.0")]),
+    (desc(Spherical(True), Spherical(2)),
+     [("pieces[0].pi1_order", "expected an integer, got True")]),
+    (desc(Spherical(2.5)), [("pieces[0].pi1_order", "expected an integer, got 2.5")]),
+    (desc(Spherical("2")), [("pieces[0].pi1_order", "expected an integer, got '2'")]),
+    (desc(closed_seifert(sphere(3, 3, 3), ((3, 1),) * 3, 0.5)),
+     [("pieces[0].b", "expected an integer, got 0.5")]),
+    (desc(closed_seifert(OrbifoldBase(True, True, 0), (), 0)),
+     [("pieces[0].base.genus", "expected an integer, got True")]),
+    (desc(closed_seifert(OrbifoldBase(1, 1, 0), (), 0)),
+     [("pieces[0].base.orientable", "expected true or false, got 1")]),
+    (desc(TorusBundle(Mat2Z(2.0, 1, 1, 1))),
+     [("pieces[0].monodromy[0][0]", "expected an integer, got 2.0")]),
+    (desc(closed_seifert(sphere(2, 3, 7), ((2, 1), (3, 1.5), (7, 1)), -1)),
+     [("pieces[0].cone_pairs[1][1]", "expected an integer, got 1.5")]),
+    (ManifoldDescription(3, (Spherical(2),)), [("name", "expected a string, got 3")]),
+    (desc(JsjGraph((HyperbolicCusped("1"), HyperbolicCusped(1)), ((0, 1),))),
+     [("pieces[0].vertices[0].cusps", "expected an integer, got '1'")]),
+    (desc(JsjGraph((_bounded(OrbifoldBase(0, True, 2, (2.5,)), ((2.5, 1),)),
+                    HyperbolicCusped(2)), ((0, 1), (0, 1)))),
+     [("pieces[0].vertices[0].base.cone_orders[0]", "expected an integer, got 2.5"),
+      ("pieces[0].vertices[0].cone_pairs[0][0]", "expected an integer, got 2.5")]),
+    (desc(JsjGraph((_bounded(OrbifoldBase(0, True, "2")),), ((0, 0),), Mat2Z(0, 1, 1, 0))),
+     [("pieces[0].vertices[0].base.boundary_count", "expected an integer, got '2'")]),
+    (desc(JsjGraph((_bounded(OrbifoldBase("0", True, 2)),), ((0, 0),), Mat2Z(0, 1, 1, 0))),
+     [("pieces[0].vertices[0].base.genus", "expected an integer, got '0'")]),
+    (desc(JsjGraph((HyperbolicCusped(2),), ((0, 0.0),))),
+     [("pieces[0].edges[0][1]", "expected an integer, got 0.0")]),
+], ids=["float-order", "bool-order", "fractional-order", "string-order", "float-b",
+        "bool-genus", "int-orientable", "float-matrix-entry", "float-cone-pair", "int-name",
+        "string-cusps", "float-cone-order-in-a-graph", "string-boundary-count",
+        "string-genus-with-a-monodromy", "float-edge"])
+def test_a_field_of_the_wrong_type_is_refused_with_its_path(description, report):
+    """A description built in Python is refused in the JSON reader's words, with the path
+    of the field, before any range check, rewrite or evaluation reads the field."""
+    expected = [Violation(path, message) for path, message in report]
+    assert validate(description) == expected
+    with pytest.raises(InvalidDescription) as info:
+        compute(description)
+    assert info.value.report == expected
+
+
 def test_corpus_descriptions_validate_cleanly():
     for name in corpus.names():
         assert validate(corpus.load(name)) == [], name

@@ -35,8 +35,8 @@ BOUNDED_REPR = (f"SeifertBounded(data=SeifertData(base={DISK_REPR}, "
                 "cone_pairs=((2, 1), (3, 1)), b=None))")
 STEP = TraceStep("pieces[0]", "Table1-row3", "spherical", 0)
 STEP_REPR = "TraceStep(path='pieces[0]', rule='Table1-row3', inputs='spherical', value=0)"
-RESULT = GdResult(0, (STEP,))
-RESULT_REPR = f"GdResult(value=0, trace=({STEP_REPR},))"
+RESULT = GdResult((STEP,))
+RESULT_REPR = f"GdResult(trace=({STEP_REPR},))"
 DESC = ManifoldDescription("rp3", (Spherical(2),))
 DESC_REPR = "ManifoldDescription(name='rp3', pieces=(Spherical(pi1_order=2),))"
 SPEC = FreeProductSpec((2, 2))
@@ -69,7 +69,7 @@ CASES = {
     "TraceStep": (TraceStep, ("pieces[0]", "Table1-row3", "spherical", 0),
                   ("path", "rule", "inputs", "value"), ("pieces[0]", "Table1-row3", "spherical", 0),
                   STEP_REPR),
-    "GdResult": (GdResult, (0, (STEP,)), ("value", "trace"), (0, (STEP,)), RESULT_REPR),
+    "GdResult": (GdResult, ((STEP,),), ("trace",), ((STEP,),), RESULT_REPR),
     "DimensionReport": (DimensionReport, ("rp3", DESC, RESULT, RESULT, 2),
                         ("name", "description", "k2", "k3plus", "rank_cap"),
                         ("rp3", DESC, RESULT, RESULT, 2),
@@ -185,10 +185,9 @@ def test_construction_normalises_sequences():
 
 
 @pytest.mark.parametrize("make_it,error,message", [
-    (lambda: GdResult(1, (STEP,)), AssertionError, "value 1 outside {0, 2, 3, 5}"),
-    (lambda: GdResult(2, ()), AssertionError, "trace must end in the step producing the value"),
-    (lambda: GdResult(0, (TraceStep("p", "r", "i", 3),)), AssertionError,
-     "trace must end in the step producing the value"),
+    (lambda: GdResult((TraceStep("p", "r", "i", 1),)), AssertionError,
+     "value 1 outside {0, 2, 3, 5}"),
+    (lambda: GdResult(()), AssertionError, "trace must end in the step producing the value"),
     (lambda: FreeProductSpec((2,)), ValueError, "a free product needs at least two factors"),
     (lambda: FreeProductSpec(()), ValueError, "a free product needs at least two factors"),
     (lambda: FreeProductSpec((2, 1)), ValueError, "factor orders must be >= 2"),

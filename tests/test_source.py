@@ -128,6 +128,18 @@ def test_the_test_oracles_stay_out_of_the_package():
     assert not found, f"test-only names defined in the package: {found}"
 
 
+def test_word_enumeration_is_a_test_oracle():
+    """`--axes auto` builds its words directly; `words_up_to` lives in tests/oracles.py."""
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name == "words_up_to"
+    ]
+    assert not found, f"words_up_to defined in the package: {found}"
+
+
 def test_cli_handlers_raise_and_leave_the_exit_code_to_run():
     """A refusal in a `_cmd_*` handler is a raised exception; only `run` prints it."""
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
