@@ -15,8 +15,8 @@ or deleted once the record is built.
 """
 
 def wrong_type(value, kind: type) -> str:
-    """The refusal of a field value that is not exactly a `kind` (a bool is no int), in
-    the words of the JSON reader and of the validators."""
+    """The refusal of a field value that is not exactly a `kind` (a bool is no int): the one
+    wording of `validate`, of the JSON reader's base fields and of `FreeProductSpec`."""
     expected = {int: "an integer", bool: "true or false", str: "a string"}[kind]
     return f"expected {expected}, got {value!r}"
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from ._record import Record
+from ._record import Record, wrong_type
 from .gl2z import Mat2Z, MatKind, classify
 
 Syllable = Tuple[int, int]
@@ -79,9 +79,9 @@ class FreeProductSpec(Record):
 
     def __post_init__(self) -> None:
         orders = tuple(self.factor_orders)
-        for n in orders:
+        for i, n in enumerate(orders):
             if type(n) is not int:
-                raise ValueError(f"factor orders must be integers, got {n!r}")
+                raise ValueError(f"factor_orders[{i}]: {wrong_type(n, int)}")
         object.__setattr__(self, "factor_orders", orders)
         if len(orders) < 2:
             raise ValueError("a free product needs at least two factors")

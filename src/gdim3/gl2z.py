@@ -88,9 +88,6 @@ class Mat2Z(Record):
     @classmethod
     def from_rows(cls, rows) -> "Mat2Z":
         (a, b), (c, d) = rows
-        for entry in (a, b, c, d):
-            if type(entry) is not int:
-                raise ValueError(f"matrix entries must be integers, got {entry!r}")
         return cls(a, b, c, d)
 
     @classmethod

@@ -9,8 +9,9 @@ nontrivial torus decomposition recorded as a graph whose vertices are
 finite-volume hyperbolic pieces or bounded Seifert pieces and whose
 edges are the gluing tori.
 
-validate() reports every violated well-formedness condition with a path
-into the description instead of raising on the first one.  normalize()
+Records keep their fields as written.  validate() reports every violated
+well-formedness condition, field types included, with a path into the
+description as written instead of raising on the first one.  normalize()
 validates the description as written, once, and only then removes
 trivial summands and rewrites the two torus-decomposition shapes that
 are secretly geometric (a doubled twisted I-bundle is Sol, a torus times
@@ -63,7 +64,8 @@ class SeifertData(Record):
     cone_pairs lists (alpha, beta) for the exceptional fibres, with
     alpha >= 2 and gcd(alpha, beta) = 1; the multiset of alphas must
     agree with base.cone_orders.  The integer b is the obstruction term
-    and is present exactly when the base is closed.
+    and is present exactly when the base is closed.  The pairs are kept
+    in the order given.
     """
 
     base: OrbifoldBase
@@ -71,8 +73,7 @@ class SeifertData(Record):
     b: Optional[int] = None
 
     def __post_init__(self) -> None:
-        pairs = tuple(sorted(tuple(p) for p in self.cone_pairs))
-        object.__setattr__(self, "cone_pairs", pairs)
+        object.__setattr__(self, "cone_pairs", tuple(tuple(p) for p in self.cone_pairs))
 
     def euler_number(self) -> Fraction:
         """e = -(b + sum beta_i / alpha_i); defined for closed bases only."""
@@ -130,9 +131,9 @@ JsjVertex = Union[HyperbolicCusped, SeifertBounded]
 class JsjGraph(Record):
     """Torus decomposition graph: vertices are pieces, edges are gluing tori.
 
-    Edges are unordered index pairs with multiplicity.  The optional
-    monodromy is consumed only by the normalization rewrite of a single
-    torus-times-interval vertex with a self-edge into a TorusBundle.
+    Edges are unordered index pairs with multiplicity, each kept as given.
+    The optional monodromy is consumed only by the normalization rewrite of
+    a single torus-times-interval vertex with a self-edge into a TorusBundle.
     """
 
     vertices: Tuple[JsjVertex, ...]
@@ -141,8 +142,7 @@ class JsjGraph(Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        normalised = tuple(tuple(sorted(e)) for e in self.edges)
-        object.__setattr__(self, "edges", normalised)
+        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
 
 
 PrimePiece = Union[Spherical, Geometric, TorusBundle, KleinDouble, SeifertClosed, JsjGraph]
@@ -185,9 +185,11 @@ def _is_product_loop(graph: JsjGraph) -> bool:
 
 
 def _refuse_type(value, kind: type, report: List[Violation], path: str, *keys) -> None:
-    """Report a field that does not hold exactly a `kind`, in the JSON reader's words."""
+    """Report a field that does not hold exactly a `kind`, in the words of `wrong_type`, at
+    `path` followed by `keys` (names and indices)."""
     if type(value) is not kind:
-        report.append(Violation(_at(path, keys), wrong_type(value, kind)))
+        path += "".join(f"[{key}]" if type(key) is int else f".{key}" for key in keys)
+        report.append(Violation(path, wrong_type(value, kind)))
 
 
 def _counted(vertex: JsjVertex) -> bool:
@@ -199,26 +201,24 @@ def _counted(vertex: JsjVertex) -> bool:
 def _validate_seifert(data: SeifertData, path: str, report: List[Violation], closed: bool) -> None:
     for field, message in data.base.violations():
         report.append(Violation(f"{path}.base.{field}", message))
+    typed = data.base.well_typed
     for i, (alpha, beta) in enumerate(data.cone_pairs):
         if type(alpha) is not int or type(beta) is not int:   # only a bad pair pays for paths
             _refuse_type(alpha, int, report, path, "cone_pairs", i, 0)
             _refuse_type(beta, int, report, path, "cone_pairs", i, 1)
-            continue
-        if alpha < 2:
+            typed = False
+        elif alpha < 2:
             report.append(Violation(f"{path}.cone_pairs[{i}]", "alpha must be >= 2"))
         elif gcd(alpha, beta) != 1:
             report.append(
                 Violation(f"{path}.cone_pairs[{i}]", f"gcd({alpha}, {beta}) != 1")
             )
-    alphas = tuple(sorted(alpha for alpha, _ in data.cone_pairs))
-    if alphas != data.base.cone_orders:
-        report.append(
-            Violation(
-                f"{path}.cone_pairs",
-                "cone order mismatch: pairs carry orders "
-                f"{list(alphas)} but the base carries {list(data.base.cone_orders)}",
-            )
-        )
+    if typed:   # the multisets compare, as sorted lists, once pairs and base have their types
+        alphas = sorted(alpha for alpha, _ in data.cone_pairs)
+        orders = sorted(data.base.cone_orders)
+        if alphas != orders:
+            report.append(Violation(f"{path}.cone_pairs", "cone order mismatch: pairs carry "
+                                    f"orders {alphas} but the base carries {orders}"))
     if closed:
         if data.base.boundary_count != 0:
             report.append(Violation(f"{path}.base", "closed Seifert piece over a bounded base"))
@@ -380,11 +380,6 @@ def normalize(desc: ManifoldDescription) -> ManifoldDescription:
 # ---------------------------------------------------------------------------
 # JSON wire format
 
-def _at(path: str, keys: tuple) -> str:
-    """The JSON path of a field: `path` followed by keys (names) and indices (ints)."""
-    return path + "".join(f"[{key}]" if type(key) is int else f".{key}" for key in keys)
-
-
 def _known_fields(obj: dict, known: frozenset, path: str) -> None:
     """Refuse the first field of `obj` that is not in `known`, naming its path."""
     if not known.issuperset(obj):   # only a failing check builds a message
@@ -404,36 +399,21 @@ def _kind(obj, kinds: dict, path: str, what: str) -> str:
     return kind
 
 
-def _read(value, kind: type, path: str, *keys):
-    """A field of exactly type `kind`: no boolean, float or string for an integer."""
-    if type(value) is not kind:
-        raise DescriptionFormatError(f"{_at(path, keys)}: {wrong_type(value, kind)}")
+def _listed(value, path: str, key: str):
+    """A JSON list, as written; validate judges its entries."""
+    if not isinstance(value, (list, tuple)):
+        raise DescriptionFormatError(f"{path}.{key}: expected a list, got {value!r}")
     return value
 
 
-def _integers(value, path: str, key: str) -> Tuple[int, ...]:
-    """A list of integers, each read by _read."""
-    if not isinstance(value, (list, tuple)):
-        raise DescriptionFormatError(f"{path}.{key}: expected a list, got {value!r}")
-    for i, entry in enumerate(value):
-        if type(entry) is not int:   # only a bad entry pays for building its path
-            _read(entry, int, path, key, i)
-    return tuple(value)
-
-
-def _integer_rows(value, path: str, key: str, width: int) -> Tuple[Tuple[int, ...], ...]:
-    """A list of rows of `width` integers (cone pairs, edges, matrix rows), read by _read."""
-    if not isinstance(value, (list, tuple)):
-        raise DescriptionFormatError(f"{path}.{key}: expected a list, got {value!r}")
-    for i, row in enumerate(value):
+def _rows(value, path: str, key: str, width: int):
+    """A list of rows of `width` entries (cone pairs, edges, matrix rows), as written."""
+    for i, row in enumerate(_listed(value, path, key)):
         if not isinstance(row, (list, tuple)) or len(row) != width:
             raise DescriptionFormatError(
                 f"{path}.{key}[{i}]: expected a list of {width} integers, got {row!r}"
             )
-        for j, entry in enumerate(row):
-            if type(entry) is not int:   # only a bad entry pays for building its path
-                _read(entry, int, path, key, i, j)
-    return tuple(tuple(row) for row in value)
+    return value
 
 
 # A description names only the closed surfaces: its boundary count is a separate field.
@@ -458,13 +438,14 @@ _VERTEX_FIELDS = {   # vertex kind -> fields; a vertex's b is read for validatio
 _DESCRIPTION_FIELDS = frozenset({"name", "pieces"})
 
 
-def _base_from_json(obj: dict, cone_pairs: Tuple[Tuple[int, int], ...],
-                    path: str) -> OrbifoldBase:
+def _base_from_json(obj: dict, cone_pairs: list, path: str) -> OrbifoldBase:
     """Read a base given by `surface` or by `genus` / `nonorientable` / `boundary`.
 
     `orientable` and `boundary_count` (the spelling of `description_to_json`)
     are read as well.  Unknown fields are refused, and so are fields that
-    give the same quantity different values.
+    give the same quantity different values; since they are merged, they are
+    typed here, under the spelling in the file.  Missing cone orders are those
+    of the pairs that validate will not refuse, so no refusal names them.
     """
     if not isinstance(obj, dict):
         raise DescriptionFormatError(f"{path}: base must be an object, got {obj!r}")
@@ -481,7 +462,9 @@ def _base_from_json(obj: dict, cone_pairs: Tuple[Tuple[int, int], ...],
         found = {"genus": ("surface", named.genus), "orientable": ("surface", named.orientable)}
     for key, (quantity, kind) in _BASE_QUANTITIES.items():
         if key in obj:
-            value = _read(obj[key], kind, path, key)
+            value = obj[key]
+            if type(value) is not kind:
+                raise DescriptionFormatError(f"{path}.{key}: {wrong_type(value, kind)}")
             if key == "nonorientable":
                 value = not value
             earlier = found.setdefault(quantity, (key, value))
@@ -490,17 +473,20 @@ def _base_from_json(obj: dict, cone_pairs: Tuple[Tuple[int, int], ...],
                     f"{path}: base fields {earlier[0]!r} and {key!r} disagree on {quantity} "
                     f"in {obj!r}"
                 )
-    default_orders = sorted(alpha for alpha, _ in cone_pairs)
+    if "cone_orders" in obj:
+        orders = _listed(obj["cone_orders"], path, "cone_orders")
+    else:
+        orders = [alpha for alpha, _ in cone_pairs if type(alpha) is int and alpha >= 2]
     return OrbifoldBase(
         genus=found.get("genus", (None, 0))[1],
         orientable=found.get("orientable", (None, True))[1],
         boundary_count=found.get("boundary_count", (None, 0))[1],
-        cone_orders=_integers(obj.get("cone_orders", default_orders), path, "cone_orders"),
+        cone_orders=orders,
     )
 
 
 def _matrix_from_json(obj, path: str) -> Mat2Z:
-    rows = _integer_rows(obj, path, "monodromy", 2)
+    rows = _rows(obj, path, "monodromy", 2)
     if len(rows) != 2:
         raise DescriptionFormatError(
             f"{path}.monodromy: monodromy must be [[a, b], [c, d]], got {obj!r}"
@@ -509,17 +495,14 @@ def _matrix_from_json(obj, path: str) -> Mat2Z:
 
 
 def _seifert_from_json(obj: dict, path: str) -> SeifertData:
-    pairs = _integer_rows(obj.get("cone_pairs", []), path, "cone_pairs", 2)
+    pairs = _rows(obj.get("cone_pairs", []), path, "cone_pairs", 2)
     base = _base_from_json(obj.get("base", {}), pairs, f"{path}.base")
-    b = obj.get("b")
-    if b is not None:
-        b = _read(b, int, path, "b")
-    return SeifertData(base=base, cone_pairs=pairs, b=b)
+    return SeifertData(base=base, cone_pairs=pairs, b=obj.get("b"))
 
 
 def _vertex_from_json(obj: dict, path: str) -> JsjVertex:
     if _kind(obj, _VERTEX_FIELDS, path, "vertex") == "hyperbolic_cusped":
-        return HyperbolicCusped(cusps=_read(obj.get("cusps", 0), int, path, "cusps"))
+        return HyperbolicCusped(cusps=obj.get("cusps", 0))
     return SeifertBounded(_seifert_from_json(obj, path))
 
 
@@ -529,7 +512,7 @@ def piece_from_json(obj: dict, path: str = "piece") -> PrimePiece:
     if kind == "spherical":
         if "pi1_order" not in obj:
             raise DescriptionFormatError(f"{path}.pi1_order: missing")
-        return Spherical(pi1_order=_read(obj["pi1_order"], int, path, "pi1_order"))
+        return Spherical(pi1_order=obj["pi1_order"])
     if kind == "geometric":
         try:
             return Geometric(Geometry(obj["geometry"]))
@@ -541,15 +524,13 @@ def piece_from_json(obj: dict, path: str = "piece") -> PrimePiece:
         return KleinDouble()
     if kind == "seifert_closed":
         return SeifertClosed(_seifert_from_json(obj, path))
-    vertices = obj.get("vertices", [])   # kind == "jsj"
-    if not isinstance(vertices, list):
-        raise DescriptionFormatError(f"{path}.vertices: expected a list, got {vertices!r}")
+    vertices = _listed(obj.get("vertices", []), path, "vertices")   # kind == "jsj"
     monodromy = obj.get("monodromy")
     return JsjGraph(
         vertices=tuple(
             _vertex_from_json(v, f"{path}.vertices[{i}]") for i, v in enumerate(vertices)
         ),
-        edges=_integer_rows(obj.get("edges", []), path, "edges", 2),
+        edges=_rows(obj.get("edges", []), path, "edges", 2),
         monodromy=None if monodromy is None else _matrix_from_json(monodromy, path),
     )
 
@@ -569,7 +550,7 @@ def piece_to_json(piece: PrimePiece) -> dict:
         obj = {
             "kind": "jsj",
             "vertices": [_vertex_to_json(v) for v in piece.vertices],
-            "edges": [list(e) for e in piece.edges],
+            "edges": [sorted(e) for e in piece.edges],
         }
         if piece.monodromy is not None:
             obj["monodromy"] = [list(r) for r in piece.monodromy.rows()]
@@ -584,13 +565,14 @@ def _vertex_to_json(vertex: JsjVertex) -> dict:
 
 
 def _seifert_to_json(kind: str, data: SeifertData) -> dict:
-    """The fields a closed Seifert piece shares with a bounded vertex, in wire order."""
+    """The fields a closed Seifert piece shares with a bounded vertex, in wire order, with
+    cone orders and pairs ascending."""
     base = data.base
     obj = {"genus": base.genus, "orientable": base.orientable,
            "boundary_count": base.boundary_count}
     if base.cone_orders:
-        obj["cone_orders"] = list(base.cone_orders)
-    return {"kind": kind, "base": obj, "cone_pairs": [list(p) for p in data.cone_pairs]}
+        obj["cone_orders"] = sorted(base.cone_orders)
+    return {"kind": kind, "base": obj, "cone_pairs": [list(p) for p in sorted(data.cone_pairs)]}
 
 
 def description_to_json(desc: ManifoldDescription) -> dict:
@@ -605,22 +587,32 @@ def description_from_json(obj: dict) -> ManifoldDescription:
         raise DescriptionFormatError("description needs a 'pieces' list")
     _known_fields(obj, _DESCRIPTION_FIELDS, "")
     return ManifoldDescription(
-        name=_read(obj.get("name", ""), str, "name"),
+        name=obj.get("name", ""),
         pieces=tuple(piece_from_json(p, f"pieces[{i}]") for i, p in enumerate(pieces)),
     )
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of `pairs`, refused if a key repeats (the last would silently win)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def read_json(path: str):
     """The JSON document in the file at `path`.
 
     A missing file raises FileNotFoundError.  Any other file that cannot
-    be read or decoded (not UTF-8, not JSON, nested too deeply, or holding
-    an integer too long to convert) raises DescriptionFormatError naming
-    the path.
+    be read or decoded (not UTF-8, not JSON, a key repeated in one object,
+    nested too deeply, or holding an integer too long to convert) raises
+    DescriptionFormatError naming the path.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise
     except OSError as exc:

@@ -33,7 +33,7 @@ from ._record import Record, wrong_type
 class OrbifoldBase(Record):
     """Compact 2-orbifold with cone points only.
 
-    cone_orders is kept sorted; the multiset is what matters.
+    cone_orders is kept as given; the multiset is what matters.
     """
 
     genus: int = 0
@@ -42,7 +42,7 @@ class OrbifoldBase(Record):
     cone_orders: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cone_orders", tuple(sorted(self.cone_orders)))
+        object.__setattr__(self, "cone_orders", tuple(self.cone_orders))
 
     @property
     def well_typed(self) -> bool:
@@ -102,7 +102,7 @@ class OrbifoldBase(Record):
             else:
                 name = f"crosscap-{g} surface with {b} boundary"
         if self.cone_orders:
-            name += "(" + ",".join(str(a) for a in self.cone_orders) + ")"
+            name += "(" + ",".join(str(a) for a in sorted(self.cone_orders)) + ")"
         return name
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 import shlex
@@ -12,9 +13,11 @@ from gdim3.bass_serre import FreeProductSpec, axis_of, ball
 from gdim3.cli import EX_DATA, EX_OK, EX_RESOURCE, _auto_axes, report_to_json, run
 from gdim3.dimension import MAX, RULES, TABLE, compute
 from gdim3.geometry import Geometry
+from gdim3.model import description_to_json
 from gdim3.orbifold2 import SURFACES
 
 from oracles import auto_axis_words
+from randgen import random_description
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -562,6 +565,9 @@ def test_compute_refuses_conflicting_base_fields(tmp_path, capsys):
     assert "disagree on orientable" in stderr
 
 
+INVALID = "error: the description does not validate\n"
+
+
 @pytest.mark.parametrize("name", ['{"a": 1}', "null", "3"])
 def test_compute_refuses_a_name_that_is_not_a_string(name, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -570,18 +576,56 @@ def test_compute_refuses_a_name_that_is_not_a_string(name, tmp_path, capsys):
     for command in ("compute", "validate"):
         assert run([command, str(path)]) == EX_DATA
         stdout, stderr = out(capsys)
-        assert stdout == "" and stderr.startswith("error: name: expected a string, got ")
+        assert stdout == "" and stderr.startswith(INVALID + "  name: expected a string, got ")
 
 
 @pytest.mark.parametrize("order", ['"x"', "true", "2.7", None])
 def test_compute_refuses_a_non_integer_or_missing_group_order(order, tmp_path, capsys):
+    """A missing order is the reader's refusal; a wrongly typed one is validate's."""
     piece = '{"kind": "spherical"' + ("" if order is None else f', "pi1_order": {order}') + "}"
     path = tmp_path / "bad.json"
     path.write_text('{"name": "bad", "pieces": [' + piece + "]}", encoding="utf-8")
     for command in ("compute", "validate"):
         assert run([command, str(path)]) == EX_DATA
         stdout, stderr = out(capsys)
-        assert stdout == "" and stderr.startswith("error: pieces[0].pi1_order: ")
+        expected = ("error: pieces[0].pi1_order: missing\n" if order is None else INVALID
+                    + f"  pieces[0].pi1_order: expected an integer, got {json.loads(order)!r}\n")
+        assert stdout == "" and stderr == expected
+
+
+def test_every_wrongly_typed_field_is_listed(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": 7, "pieces": [
+        {"kind": "spherical", "pi1_order": 2.0},
+        {"kind": "seifert_closed", "base": {"genus": 1}, "cone_pairs": [[2, 1], [3, "1"]],
+         "b": True},
+        {"kind": "jsj", "vertices": [{"kind": "hyperbolic_cusped", "cusps": 2}],
+         "edges": [[0, 0], [0, None]]},
+    ]}), encoding="utf-8")
+    for command in ("compute", "validate"):
+        assert run([command, str(path)]) == EX_DATA
+        assert out(capsys) == ("", INVALID + "".join(f"  {line}\n" for line in [
+            "name: expected a string, got 7",
+            "pieces[0].pi1_order: expected an integer, got 2.0",
+            "pieces[1].cone_pairs[1][1]: expected an integer, got '1'",
+            "pieces[1].b: expected an integer, got True",
+            "pieces[2].edges[1][1]: expected an integer, got None",
+        ]))
+
+
+@pytest.mark.parametrize("command", ["compute", "validate", "replay"])
+@pytest.mark.parametrize("text,key", [
+    ('{"name": "d", "pieces": [{"kind": "spherical", "pi1_order": 0, "pi1_order": 2}]}',
+     "pi1_order"),
+    ('{"name": "d", "pieces": [{"kind": "spherical", "pi1_order": 2}], "pieces": []}', "pieces"),
+    ('{"k2": 0, "description": {"name": "d", "name": "e", "pieces": []}}', "name"),
+], ids=["piece-field", "pieces", "report-description-name"])
+def test_a_repeated_key_is_refused(command, text, key, tmp_path, capsys):
+    """JSON keeps the last of two equal keys; a description must not lose the first silently."""
+    path = tmp_path / "twice.json"
+    path.write_text(text, encoding="utf-8")
+    assert run([command, str(path)]) == EX_DATA
+    assert out(capsys) == ("", f"error: {path}: duplicate key {key!r}\n")
 
 
 @pytest.mark.parametrize("command", ["compute", "validate", "replay"])
@@ -671,6 +715,35 @@ def test_any_json_document_exits_0_or_2(document, tmp_path, capsys):
     assert set(codes.values()) <= {EX_OK, EX_DATA}, (codes, document)
     assert codes["compute"] == codes["validate"], (codes, document)
     assert errors["compute"] == errors["validate"], (errors, document)
+
+
+def _permuted(obj: dict, data) -> dict:
+    """`obj` with its cone pairs, cone orders and edge ends in orders drawn from `data`."""
+    for piece in obj["pieces"]:
+        for part in [piece, *piece.get("vertices", ())]:
+            if "cone_pairs" in part:
+                part["cone_pairs"] = data.draw(st.permutations(part["cone_pairs"]))
+                if "cone_orders" in part["base"]:
+                    part["base"]["cone_orders"] = data.draw(
+                        st.permutations(part["base"]["cone_orders"]))
+        if "edges" in piece:
+            piece["edges"] = [data.draw(st.permutations(edge)) for edge in piece["edges"]]
+    return obj
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_permuting_cone_data_and_edge_ends_keeps_the_json_report(seed, data, tmp_path, capsys):
+    """Records keep the order written; the report writes it ascending, byte for byte."""
+    written = description_to_json(random_description(seed))
+    reports = []
+    for obj in (written, _permuted(copy.deepcopy(written), data)):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert run(["compute", str(path), "--format", "json"]) == EX_OK
+        reports.append(out(capsys))
+    assert reports[0] == reports[1]
 
 
 def exit_code(argv):

@@ -47,6 +47,8 @@ def test_parse_and_str_round_trip():
 def test_from_rows_takes_integer_rows_as_lists_or_tuples():
     assert Mat2Z.from_rows([[2, 1], [1, 1]]) == Mat2Z(2, 1, 1, 1)
     assert Mat2Z.from_rows(((0, -1), (1, 0))) == Mat2Z(0, -1, 1, 0)
+    # entries are kept as given; validate refuses a description whose matrix holds a non-integer
+    assert Mat2Z.from_rows([[1.5, 0], [True, 1]]).rows() == ((1.5, 0), (True, 1))
 
 
 def test_parse_rejects_bad_shapes():

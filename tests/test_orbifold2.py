@@ -130,6 +130,8 @@ def test_labels():
     assert mobius_band().label() == "Mobius band"
 
 
-def test_cone_orders_are_stored_sorted():
-    assert sphere(7, 2, 3).cone_orders == (2, 3, 7)
-    assert sphere(7, 2, 3) == sphere(3, 7, 2)
+def test_cone_orders_are_stored_as_written_and_labelled_ascending():
+    assert sphere(7, 2, 3).cone_orders == (7, 2, 3)
+    assert sphere(7, 2, 3) != sphere(3, 7, 2)
+    assert sphere(7, 2, 3).label() == sphere(3, 7, 2).label() == "S2(2,3,7)"
+    assert classify_base(sphere(3, 2)) is classify_base(sphere(2, 3)) is OrbifoldClass.BAD

@@ -187,3 +187,32 @@ def test_no_module_imports_dataclasses():
             if any(name.split(".")[0] == "dataclasses" for name in names):
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert not found, f"imports of dataclasses: {found}"
+
+
+def test_no_record_constructor_reorders_its_fields():
+    """Records are kept as written: `validate` reports paths into the input as given, and the
+    canonical ascending order belongs to the JSON encoder and `OrbifoldBase.label`."""
+    found = [
+        f"{path.relative_to(PACKAGE)}:{inner.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Name) and inner.id == "sorted"
+        or isinstance(inner, ast.Attribute) and inner.attr == "sort"
+    ]
+    assert not found, f"constructors that sort: {found}"
+
+
+def test_model_types_fields_only_in_the_validators_and_the_base_reader():
+    """`validate` is the one judge of field types; the reader types only the base fields it
+    merges or negates, so that a refusal names the spelling in the file."""
+    tree = ast.parse((PACKAGE / "model.py").read_text(encoding="utf-8"))
+    callers = {
+        node.name
+        for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Name) and inner.id == "wrong_type"
+    }
+    assert "_base_from_json" in callers and callers <= {
+        "validate", "_validate_seifert", "_validate_jsj", "_refuse_type", "_base_from_json"}, callers
