@@ -597,6 +597,39 @@ def seifert(**fields):
 
 
 @pytest.mark.parametrize("piece,path", [
+    ({"kind": "spherical", "pi1_order": "x"}, "pieces[1].pi1_order"),
+    ({"kind": "spherical", "pi1_order": True}, "pieces[1].pi1_order"),
+    ({"kind": "spherical", "pi1_order": 2.7}, "pieces[1].pi1_order"),
+    ({"kind": "spherical", "pi1_order": 2.0}, "pieces[1].pi1_order"),
+    ({"kind": "spherical"}, "pieces[1].pi1_order"),
+    (seifert(base={"genus": 2.9}), "pieces[1].base.genus"),
+    (seifert(base={"genus": 1, "orientable": "false"}), "pieces[1].base.orientable"),
+    (seifert(base={"genus": 1, "nonorientable": 1}), "pieces[1].base.nonorientable"),
+    (seifert(base={"boundary": "0"}), "pieces[1].base.boundary"),
+    (seifert(base={"boundary_count": None}), "pieces[1].base.boundary_count"),
+    (seifert(base={"cone_orders": [2.0]}), "pieces[1].base.cone_orders[0]"),
+    (seifert(base={"cone_orders": 2}), "pieces[1].base.cone_orders"),
+    (seifert(b=1.5), "pieces[1].b"),
+    (seifert(b=False), "pieces[1].b"),
+    (seifert(cone_pairs=[[2, True]]), "pieces[1].cone_pairs[0][1]"),
+    (seifert(cone_pairs=[[2]]), "pieces[1].cone_pairs[0]"),
+    (seifert(cone_pairs=[2, 1]), "pieces[1].cone_pairs[0]"),
+    ({"kind": "torus_bundle", "monodromy": [[2, 1], [1, True]]}, "pieces[1].monodromy[1][1]"),
+    ({"kind": "torus_bundle", "monodromy": [[1, 0]]}, "pieces[1].monodromy"),
+    ({"kind": "jsj", "vertices": [{"kind": "hyperbolic_cusped", "cusps": "2"}]},
+     "pieces[1].vertices[0].cusps"),
+    ({"kind": "jsj", "vertices": [{"kind": "hyperbolic_cusped", "cusps": 2}],
+      "edges": [[0, 0.0]]}, "pieces[1].edges[0][1]"),
+])
+def test_scalar_fields_are_read_strictly(piece, path):
+    """Integers are JSON integers and booleans JSON booleans; the one refusal, by the reader
+    or by validate, names the path."""
+    obj = {"name": "x", "pieces": [{"kind": "spherical", "pi1_order": 2}, piece]}
+    refusals = refusals_of_json(obj)
+    assert len(refusals) == 1 and refusals[0].startswith(path + ": "), refusals
+
+
+@pytest.mark.parametrize("piece,path", [
     ({"kind": "spherical"}, "pieces[1].pi1_order"),
     (seifert(base={"genus": 2.9}), "pieces[1].base.genus"),
     (seifert(base={"genus": 1, "orientable": "false"}), "pieces[1].base.orientable"),
