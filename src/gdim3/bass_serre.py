@@ -38,12 +38,12 @@ oracles in tests/oracles.py.
 
 The second gadget is algebraic: in Gamma = Z^2 x|_A Z with hyperbolic
 monodromy A, the normaliser of the infinite cyclic subgroup generated
-by c is Z when c lies outside the fibre Z^2 and Z^2 when c is a fibre
-vector.  The probe verifies the defining identities for all exponents
-up to a budget and returns the certificate lines.
-
-Everything here is budget bounded.  A result only certifies the
-statement "within radius r" or "for words of syllable length <= B".
+by c is infinite cyclic when c lies outside the fibre Z^2, and the
+fibre when c is a fibre vector.  The probe reads both from the
+conjugation formula and names the normaliser in a two-line certificate
+that holds for every power of A.  The tree gadget is budget bounded: a
+result only certifies "within radius r" or "for words of syllable
+length <= B".
 """
 from __future__ import annotations
 
@@ -69,7 +69,7 @@ class NotHyperbolic(ValueError):
 
 
 class UnsupportedElement(ValueError):
-    """The probe handles fibre vectors and powers of the stable letter only."""
+    """The identity generates no infinite cyclic subgroup to probe."""
 
 
 class FreeProductSpec(Record):
@@ -681,60 +681,45 @@ class NormalizerProbe(Record):
     certificate: Tuple[str, ...]
 
 
-def normalizer_probe(spec: SemidirectSpec, c: SdElement, bound: int = 8) -> NormalizerProbe:
-    """Rank of the normaliser of <c> in Z^2 x|_A Z, A hyperbolic.
+def normalizer_probe(spec: SemidirectSpec, c: SdElement) -> NormalizerProbe:
+    """The normaliser of <c> in Z^2 x|_A Z, A hyperbolic, in closed form.
 
-    For c a nonzero power of the stable letter, conjugating c by
-    ((x, y), w) multiplies the fibre part by I - A^(exponent of c); the
-    probe certifies det(A^t - I) != 0 for all relevant nonzero t, so
-    only fibre part zero normalises and the normaliser is <c> itself,
-    rank 1.  For c a nonzero fibre vector the fibre Z^2 normalises, and
-    an element with stable exponent l sends c to A^l c; the probe
-    certifies A^l c != +-c for 0 < |l| <= bound, so the normaliser is
-    the fibre, rank 2.  Mixed elements are out of scope.
+    Conjugating c = (v, l) by g = (u, m) gives ((I - A^l)u + A^m v, l).
+    For l != 0 that is never c^-1, so the normaliser is the centraliser
+    (I - A^l)u = (I - A^m)v, on which det(A^l - I) != 0 makes u a function
+    of m: it is infinite cyclic (rank 1).  Its admissible m form a subgroup
+    of Z containing l, so the generator has the least divisor m of |l| for
+    which the adjugate of I - A^l carries (I - A^m)v into det(I - A^l) Z^2,
+    and contains <c> with index |l| / m.  For l = 0, g sends c to
+    (A^m v, 0), and no A^m with m != 0 has an eigenvalue +-1, so the
+    normaliser is the fibre Z^2 (rank 2).
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
     matrix = spec.monodromy
     if classify(matrix).kind is not MatKind.HYPERBOLIC:
         raise NotHyperbolic(f"monodromy {matrix} is {classify(matrix)}")
     (x, y), l = c
-    if (x, y) == (0, 0) and l == 0:
-        raise UnsupportedElement("the identity generates no infinite cyclic subgroup")
-    if (x, y) != (0, 0) and l != 0:
-        raise UnsupportedElement(
-            "mixed elements (nonzero fibre part and nonzero stable exponent) "
-            "are not supported"
-        )
-    certificate: List[str] = []
-    if l != 0:
-        for t in sorted((set(range(-bound, bound + 1)) | {l, -l}) - {0}):
-            power = matrix.pow(t)
-            det = (power.a - 1) * (power.d - 1) - power.b * power.c
-            if det == 0:
-                raise AssertionError(f"A^{t} fixes a vector, monodromy is not hyperbolic")
-            certificate.append(
-                f"det(A^{t} - I) = {det} != 0: conjugation by ((x, y), w) moves "
-                f"((0, 0), {l}) off <c> unless (x, y) = (0, 0)"
-            )
-        certificate.append(
-            f"normaliser of <((0, 0), {l})> is the cyclic group itself (rank 1), "
-            f"verified for exponents up to {bound}"
-        )
-        return NormalizerProbe(rank=1, certificate=tuple(certificate))
-    for t in range(1, bound + 1):
-        for exponent in (t, -t):
-            moved = matrix.pow(exponent).apply((x, y))
-            if moved == (x, y) or moved == (-x, -y):
-                raise AssertionError(
-                    f"A^{exponent} maps {(x, y)} to +-itself, monodromy is not hyperbolic"
-                )
-            certificate.append(
-                f"A^{exponent}{(x, y)} = {moved} differs from +-{(x, y)}: no element "
-                f"with stable exponent {exponent} normalises <c>"
-            )
-    certificate.append(
-        f"normaliser of <(({x}, {y}), 0)> is the fibre Z^2 (rank 2), "
-        f"verified for exponents up to {bound}"
-    )
-    return NormalizerProbe(rank=2, certificate=tuple(certificate))
+    if l == 0:
+        if (x, y) == (0, 0):
+            raise UnsupportedElement("the identity generates no infinite cyclic subgroup")
+        return NormalizerProbe(rank=2, certificate=(
+            f"tr A = {matrix.trace()}, det A = {matrix.det()}: the eigenvalues of A are real "
+            f"and off the unit circle, so (u, m) maps c to +-c only for m = 0",
+            f"normaliser of <(({x}, {y}), 0)> is the fibre Z^2 (rank 2)",
+        ))
+    power = matrix.pow(l)
+    det = (power.a - 1) * (power.d - 1) - power.b * power.c
+    adjugate = Mat2Z(1 - power.d, power.b, power.c, 1 - power.a)   # of I - A^l
+    n = abs(l)
+    divisors = {k for j in range(1, int(n ** 0.5) + 2) if n % j == 0 for k in (j, n // j)}
+    for m in sorted(divisors):
+        moved = matrix.pow(m).apply((x, y))
+        u = adjugate.apply((x - moved[0], y - moved[1]))
+        if u[0] % det == u[1] % det == 0:
+            break   # m = |l| always passes: c or c^-1 has stable exponent |l|
+    generator = ((u[0] // det, u[1] // det), m)
+    return NormalizerProbe(rank=1, certificate=(
+        f"det(A^{l} - I) = {det} != 0: (u, m) normalises <c> only if "
+        f"(I - A^{l})u = (I - A^m)v, which fixes u given m",
+        f"normaliser of <(({x}, {y}), {l})> is <{generator}> (rank 1), "
+        f"containing it with index {n // m}",
+    ))

@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 on success, 2 for invalid input (malformed files,
-descriptions that fail validation, unsupported probe elements), 3 when a
+descriptions that fail validation, a probe of the identity), 3 when a
 tree exploration exceeds its resource cap.  The handlers raise; `run` is
 the one place that turns an exception into a message and an exit code.
 
@@ -186,7 +186,7 @@ def _count(text: str) -> int:
 
 
 def _positive(text: str) -> int:
-    """An integer >= 1: a vertex cap or an exponent bound."""
+    """An integer >= 1: a vertex cap."""
     return _at_least(text, 1)
 
 
@@ -348,7 +348,7 @@ def _cmd_probe_normalizer(args: argparse.Namespace) -> int:
         x, y, l = (int(p) for p in parts)
     except ValueError:
         raise ValueError(f"--element expects integers x,y,l, got {args.element!r}") from None
-    probe = normalizer_probe(SemidirectSpec(matrix), ((x, y), l), bound=args.bound)
+    probe = normalizer_probe(SemidirectSpec(matrix), ((x, y), l))
     print(f"element (({x}, {y}), {l}) in Z^2 x| Z with monodromy {matrix}")
     print(f"normaliser rank: {probe.rank}")
     for line in probe.certificate:
@@ -453,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="normaliser rank of a cyclic subgroup of Z^2 x| Z")
     p.add_argument("--monodromy", required=True, help="hyperbolic matrix as 'a,b;c,d'")
     p.add_argument("--element", required=True, help="generator as x,y,l")
-    p.add_argument("--bound", type=_positive, default=8)
     p.set_defaults(func=_cmd_probe_normalizer)
 
     p = sub.add_parser("replay", help="recompute a stored JSON report and compare")

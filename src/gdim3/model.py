@@ -399,6 +399,13 @@ def _kind(obj, kinds: dict, path: str, what: str) -> str:
     return kind
 
 
+def _required(obj: dict, key: str, path: str):
+    """The value of a field that the description must give."""
+    if key not in obj:
+        raise DescriptionFormatError(f"{path}.{key}: missing")
+    return obj[key]
+
+
 def _listed(value, path: str, key: str):
     """A JSON list, as written; validate judges its entries."""
     if not isinstance(value, (list, tuple)):
@@ -496,13 +503,13 @@ def _matrix_from_json(obj, path: str) -> Mat2Z:
 
 def _seifert_from_json(obj: dict, path: str) -> SeifertData:
     pairs = _rows(obj.get("cone_pairs", []), path, "cone_pairs", 2)
-    base = _base_from_json(obj.get("base", {}), pairs, f"{path}.base")
+    base = _base_from_json(_required(obj, "base", path), pairs, f"{path}.base")
     return SeifertData(base=base, cone_pairs=pairs, b=obj.get("b"))
 
 
 def _vertex_from_json(obj: dict, path: str) -> JsjVertex:
     if _kind(obj, _VERTEX_FIELDS, path, "vertex") == "hyperbolic_cusped":
-        return HyperbolicCusped(cusps=obj.get("cusps", 0))
+        return HyperbolicCusped(cusps=_required(obj, "cusps", path))
     return SeifertBounded(_seifert_from_json(obj, path))
 
 
@@ -510,9 +517,7 @@ def piece_from_json(obj: dict, path: str = "piece") -> PrimePiece:
     """Decode one prime piece; errors name the JSON path, starting at `path`."""
     kind = _kind(obj, _PIECE_FIELDS, path, "piece")
     if kind == "spherical":
-        if "pi1_order" not in obj:
-            raise DescriptionFormatError(f"{path}.pi1_order: missing")
-        return Spherical(pi1_order=obj["pi1_order"])
+        return Spherical(pi1_order=_required(obj, "pi1_order", path))
     if kind == "geometric":
         try:
             return Geometric(Geometry(obj["geometry"]))
@@ -576,7 +581,15 @@ def _seifert_to_json(kind: str, data: SeifertData) -> dict:
 
 
 def description_to_json(desc: ManifoldDescription) -> dict:
-    return {"name": desc.name, "pieces": [piece_to_json(p) for p in desc.pieces]}
+    """The wire form of `desc`.  A description that cannot be encoded because
+    validate refuses it raises InvalidDescription."""
+    try:
+        return {"name": desc.name, "pieces": [piece_to_json(p) for p in desc.pieces]}
+    except TypeError:
+        report = validate(desc)
+        if report:
+            raise InvalidDescription(report) from None
+        raise
 
 
 def description_from_json(obj: dict) -> ManifoldDescription:

@@ -9,10 +9,11 @@ stabilisers by testing every budgeted word on every vertex, axis
 stabilisers from every product of two axis elements, the stabiliser
 record of every cell of a coned complex built in one pass, the push-out
 bound by walking every cell, the short hyperbolic words of `--axes auto`
-by filtering every word) so the tests can compare the two.  The group
-operations that only these comparisons need (the enumeration of words,
-their product, the action on vertices, the product, inverse and
-conjugation in Z^2 x| Z) live here too.
+by filtering every word, the normaliser of a cyclic subgroup of
+Z^2 x| Z by conjugating with every element of a box) so the tests can
+compare the two.  The group operations that only these comparisons need
+(the enumeration of words, their product, the action on vertices, the
+product, inverse, powers and conjugation in Z^2 x| Z) live here too.
 """
 from __future__ import annotations
 
@@ -99,6 +100,36 @@ def sd_inv(group: SemidirectSpec, g: SdElement) -> SdElement:
 def conjugate(group: SemidirectSpec, g: SdElement, h: SdElement) -> SdElement:
     """g h g^-1 in Z^2 x| Z."""
     return sd_mul(group, sd_mul(group, g, h), sd_inv(group, g))
+
+
+def sd_pow(group: SemidirectSpec, g: SdElement, k: int) -> SdElement:
+    """g^k in Z^2 x| Z, by repeated multiplication."""
+    factor = g if k >= 0 else sd_inv(group, g)
+    power: SdElement = ((0, 0), 0)
+    for _ in range(abs(k)):
+        power = sd_mul(group, power, factor)
+    return power
+
+
+def normalising_elements(group: SemidirectSpec, c: SdElement, reach: int,
+                         height: int) -> List[SdElement]:
+    """Every ((x, y), m) with |x|, |y| <= reach and |m| <= height that
+    conjugates c to c or c^-1, found by testing each."""
+    targets = (c, sd_inv(group, c))
+    box = range(-reach, reach + 1)
+    return [
+        g for g in (((x, y), m) for x in box for y in box for m in range(-height, height + 1))
+        if conjugate(group, g, c) in targets
+    ]
+
+
+def rank_seen(elements: Sequence[SdElement]) -> int:
+    """The Hirsch length that a set of normalising elements shows: the rank of
+    its fibre vectors, plus 1 when one has a nonzero stable exponent."""
+    fibre = [v for v, m in elements if m == 0 and v != (0, 0)]
+    independent = any(v[0] * w[1] != v[1] * w[0] for v in fibre for w in fibre)
+    fibre_rank = 2 if independent else 1 if fibre else 0
+    return fibre_rank + any(m != 0 for _, m in elements)
 
 
 def words_up_to(spec: FreeProductSpec, length: int) -> Iterator[Word]:

@@ -1,9 +1,9 @@
-import random
+import re
 from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gdim3 import bass_serre
@@ -40,18 +40,22 @@ from oracles import (
     cone_cell_records,
     cone_off_records,
     mul,
+    normalising_elements,
     order_path,
     path_stabilizer,
     pushout_bound_by_walk,
+    rank_seen,
     rotate_to_cyclically_reduced,
     sd_inv,
     sd_mul,
+    sd_pow,
     setwise_by_pairs,
     setwise_by_scan,
     translation_syllables,
     tree_cell_records,
     words_up_to,
 )
+from test_acceptance import unimodular_matrices
 
 Z22 = FreeProductSpec((2, 2))
 Z23 = FreeProductSpec((2, 3))
@@ -475,25 +479,45 @@ ANOSOV = Mat2Z(2, 1, 1, 1)
 
 def test_probe_matches_the_dichotomy_for_the_reference_monodromy():
     group = SemidirectSpec(ANOSOV)
-    probe = normalizer_probe(group, ((0, 0), 1), bound=8)
+    probe = normalizer_probe(group, ((0, 0), 1))
     assert probe.rank == 1
     assert probe.certificate
-    probe = normalizer_probe(group, ((1, 0), 0), bound=8)
+    probe = normalizer_probe(group, ((1, 0), 0))
     assert probe.rank == 2
     assert probe.certificate
 
 
-@pytest.mark.parametrize("l,bound,exponents", [
-    (1, 3, [-3, -2, -1, 1, 2, 3]),
-    (-2, 2, [-2, -1, 1, 2]),
-    (5, 2, [-5, -2, -1, 1, 2, 5]),
-    (-4, 1, [-4, -1, 1, 4]),
+NAMED = re.compile(
+    r"is <\(\((-?\d+), (-?\d+)\), (\d+)\)> \(rank 1\), containing it with index (\d+)$")
+
+
+def named_generator(probe):
+    """The generator and index that a rank-1 certificate prints."""
+    x, y, m, index = map(int, NAMED.search(probe.certificate[-1]).groups())
+    return ((x, y), m), index
+
+
+@pytest.mark.parametrize("element,generator,index", [
+    (((0, 0), 2), ((0, 0), 1), 2),
+    (((0, 0), -4), ((0, 0), 1), 4),
+    (((1, 2), 3), ((1, 2), 3), 1),
+    (((1, 2), -3), ((-29, -18), 3), 1),
+    (((3, 1), 2), ((1, 0), 1), 2),
+    (((35, 21), 8), ((1, 0), 4), 2),
 ])
-def test_probe_certifies_each_nonzero_exponent_once_in_order(l, bound, exponents):
-    probe = normalizer_probe(SemidirectSpec(ANOSOV), ((0, 0), l), bound=bound)
-    *lines, summary = probe.certificate
-    assert [line.split(" ", 1)[0] for line in lines] == [f"det(A^{t}" for t in exponents]
-    assert summary.startswith(f"normaliser of <((0, 0), {l})> is the cyclic group itself")
+def test_probe_names_the_generator_and_its_index(element, generator, index):
+    probe = normalizer_probe(SemidirectSpec(ANOSOV), element)
+    assert probe.rank == 1 and len(probe.certificate) == 2
+    assert named_generator(probe) == (generator, index)
+
+
+def test_probe_states_the_fibre_once():
+    probe = normalizer_probe(SemidirectSpec(ANOSOV), ((1, 0), 0))
+    assert probe.certificate == (
+        "tr A = 3, det A = 1: the eigenvalues of A are real and off the unit circle, "
+        "so (u, m) maps c to +-c only for m = 0",
+        "normaliser of <((1, 0), 0)> is the fibre Z^2 (rank 2)",
+    )
 
 
 def test_probe_rejects_bad_inputs():
@@ -501,44 +525,31 @@ def test_probe_rejects_bad_inputs():
         normalizer_probe(SemidirectSpec(Mat2Z(0, -1, 1, 0)), ((0, 0), 1))
     with pytest.raises(NotHyperbolic):
         normalizer_probe(SemidirectSpec(Mat2Z(1, 1, 0, 1)), ((0, 0), 1))
-    group = SemidirectSpec(ANOSOV)
     with pytest.raises(UnsupportedElement):
-        normalizer_probe(group, ((0, 0), 0))
-    with pytest.raises(UnsupportedElement):
-        normalizer_probe(group, ((1, 0), 1))
+        normalizer_probe(SemidirectSpec(ANOSOV), ((0, 0), 0))
 
 
-def test_probe_bounds_below_one_are_refused():
-    """A bound below 1 would check no exponent yet still print a certificate."""
-    group = SemidirectSpec(ANOSOV)
-    for element in (((0, 0), 1), ((1, 0), 0)):
-        for bound in (0, -1):
-            with pytest.raises(ValueError, match="bound must be >= 1"):
-                normalizer_probe(group, element, bound=bound)
-    probe = normalizer_probe(group, ((1, 0), 0), bound=1)
-    assert probe.rank == 2 and len(probe.certificate) == 3
+HYPERBOLIC_MATRICES = [m for m in unimodular_matrices() if classify(m).kind is MatKind.HYPERBOLIC]
 
 
-def test_probe_over_random_hyperbolic_monodromies():
-    from itertools import product as iproduct
-    hyperbolics = [
-        m for m in (
-            Mat2Z(a, b, c, d)
-            for a, b, c, d in iproduct(range(-3, 4), repeat=4)
-        )
-        if m.det() in (1, -1) and classify(m).kind is MatKind.HYPERBOLIC
-    ]
-    rng = random.Random(42)
-    for m in rng.sample(hyperbolics, 10):
-        group = SemidirectSpec(m)
-        for _ in range(10):
-            l = rng.choice([i for i in range(-5, 6) if i])
-            assert normalizer_probe(group, ((0, 0), l), bound=8).rank == 1
-        for _ in range(10):
-            x, y = rng.randint(-5, 5), rng.randint(-5, 5)
-            if (x, y) == (0, 0):
-                x = 1
-            assert normalizer_probe(group, ((x, y), 0), bound=8).rank == 2
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(HYPERBOLIC_MATRICES),
+       st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-4, 4))
+def test_probe_over_random_hyperbolic_monodromies(matrix, v, l):
+    assume((v, l) != ((0, 0), 0))
+    group, c = SemidirectSpec(matrix), (v, l)
+    probe = normalizer_probe(group, c)
+    found = normalising_elements(group, c, reach=6, height=4)
+    assert probe.rank == rank_seen(found)
+    assert len(probe.certificate) == 2
+    if probe.rank == 2:
+        assert all(m == 0 for _, m in found)
+        return
+    generator, index = named_generator(probe)
+    m = generator[1]
+    for g in found:
+        assert g[1] % m == 0 and sd_pow(group, generator, g[1] // m) == g
+    assert sd_pow(group, generator, index) in (c, sd_inv(group, c))
 
 
 def test_semidirect_group_laws():

@@ -392,12 +392,8 @@ def test_negative_radius_and_budget_are_refused(argv, message, capsys):
      "argument --max-vertices: must be >= 1, got 0"),
     (["ball", "--factors", "2,3", "--radius", "2", "--max-vertices", "1e3"],
      "argument --max-vertices: expected an integer >= 1, got '1e3'"),
-    (["probe-normalizer", "--monodromy", "2,1;1,1", "--element", "1,0,0", "--bound", "-1"],
-     "argument --bound: must be >= 1, got -1"),
-    (["probe-normalizer", "--monodromy", "2,1;1,1", "--element", "0,0,1", "--bound", "0"],
-     "argument --bound: must be >= 1, got 0"),
-    (["probe-normalizer", "--monodromy", "2,1;1,1", "--element", "0,0,1", "--bound", "x"],
-     "argument --bound: expected an integer >= 1, got 'x'"),
+    (["probe-normalizer", "--monodromy", "2,1;1,1", "--element", "1,0,0", "--bound", "8"],
+     "unrecognized arguments: --bound 8"),
 ])
 def test_vertex_caps_and_probe_bounds_below_one_are_refused(argv, message, capsys):
     with pytest.raises(SystemExit) as raised:
@@ -407,15 +403,12 @@ def test_vertex_caps_and_probe_bounds_below_one_are_refused(argv, message, capsy
     assert message in stderr and stdout == ""
 
 
-def test_a_vertex_cap_and_a_probe_bound_of_one_are_accepted(capsys):
+def test_a_vertex_cap_of_one_is_accepted(capsys):
     assert run(["ball", "--factors", "2,3", "--radius", "0", "--max-vertices", "1"]) == EX_OK
     assert "vertices: 1 " in out(capsys)[0]
     assert run(["ball", "--factors", "2,3", "--radius", "1", "--max-vertices", "1"]) \
         == EX_RESOURCE
     assert "exceeds 1 vertices" in out(capsys)[1]
-    assert run(["probe-normalizer", "--monodromy", "2,1;1,1", "--element", "1,0,0",
-                "--bound", "1"]) == EX_OK
-    assert "verified for exponents up to 1" in out(capsys)[0]
 
 
 def test_zero_radius_and_budget_are_accepted(capsys):
@@ -428,25 +421,32 @@ def test_zero_radius_and_budget_are_accepted(capsys):
 
 def test_probe_normalizer(capsys):
     assert run(["probe-normalizer", "--monodromy", "2,1;1,1",
-                "--element", "0,0,1", "--bound", "8"]) == EX_OK
+                "--element", "0,0,1"]) == EX_OK
     stdout, _ = out(capsys)
     assert "rank: 1" in stdout
     assert run(["probe-normalizer", "--monodromy", "2,1;1,1",
-                "--element", "1,0,0", "--bound", "8"]) == EX_OK
+                "--element", "1,0,0"]) == EX_OK
     stdout, _ = out(capsys)
     assert "rank: 2" in stdout
 
 
 def test_probe_normalizer_equals_form_for_negative_entries(capsys):
     assert run(["probe-normalizer", "--monodromy=-2,-1;-1,-1",
-                "--element=3,-2,0", "--bound", "6"]) == EX_OK
+                "--element=3,-2,0"]) == EX_OK
     stdout, _ = out(capsys)
     assert "rank: 2" in stdout
 
 
-def test_probe_normalizer_rejects_mixed_elements(capsys):
+def test_probe_normalizer_accepts_mixed_elements(capsys):
     assert run(["probe-normalizer", "--monodromy", "2,1;1,1",
-                "--element", "1,0,1"]) == EX_DATA
+                "--element", "1,2,3"]) == EX_OK
+    stdout, _ = out(capsys)
+    assert stdout.splitlines()[1:] == [
+        "normaliser rank: 1",
+        "  det(A^3 - I) = -16 != 0: (u, m) normalises <c> only if (I - A^3)u = (I - A^m)v, "
+        "which fixes u given m",
+        "  normaliser of <((1, 2), 3)> is <((1, 2), 3)> (rank 1), containing it with index 1",
+    ]
 
 
 def test_probe_normalizer_rejects_elliptic_monodromy(capsys):
@@ -782,6 +782,8 @@ def exit_code(argv):
      "itself is a torus bundle; supply the gluing monodromy on the graph piece"),
     (["compute", "ambiguous.json"], "error: pieces[0]: a torus-times-interval vertex glued to "
      "itself is a torus bundle; supply the gluing monodromy on the graph piece"),
+    (["probe-normalizer", "--monodromy", "2,1;1,1", "--element", "0,0,0"],
+     "error: the identity generates no infinite cyclic subgroup"),
 ])
 def test_bad_arguments_and_inputs_exit_2(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

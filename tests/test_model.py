@@ -650,6 +650,35 @@ def test_the_reader_refuses_what_it_cannot_build_with_its_path(piece, path):
         description_from_json(obj)
 
 
+@pytest.mark.parametrize("piece,path", [
+    ({"kind": "seifert_closed", "cone_pairs": [[2, 1], [3, 1], [5, 1]], "b": -1},
+     "pieces[1].base"),
+    ({"kind": "jsj", "vertices": [{"kind": "hyperbolic_cusped"}]}, "pieces[1].vertices[0].cusps"),
+    ({"kind": "jsj", "vertices": [{"kind": "seifert_bounded", "cone_pairs": [[2, 1]]}]},
+     "pieces[1].vertices[0].base"),
+])
+def test_a_missing_required_field_is_refused_with_its_path(piece, path):
+    """Nothing stands in for a missing base or cusp count."""
+    obj = {"name": "x", "pieces": [{"kind": "spherical", "pi1_order": 2}, piece]}
+    with pytest.raises(DescriptionFormatError, match="^" + re.escape(path) + ": missing$"):
+        description_from_json(obj)
+
+
+@pytest.mark.parametrize("piece,path", [
+    (SeifertClosed(SeifertData(sphere(2, "3"), ((2, 1), ("3", 1)), 0)),
+     "pieces[0].cone_pairs[1][0]"),
+    (JsjGraph((HyperbolicCusped(1), HyperbolicCusped(1)), ((0, "1"),)), "pieces[0].edges[0][1]"),
+])
+def test_the_encoder_refuses_a_description_that_validate_refuses(piece, path):
+    """Mixed types cannot be put in ascending order; the refusal is validate's report."""
+    desc = ManifoldDescription("x", (piece,))
+    with pytest.raises(InvalidDescription) as raised:
+        description_to_json(desc)
+    assert raised.value.report == validate(desc)
+    assert Violation(path, "expected an integer, got '3'" if "cone" in path
+                     else "expected an integer, got '1'") in raised.value.report
+
+
 SPHERICAL = {"kind": "spherical", "pi1_order": 2}
 HYPERBOLIC_LOOP = {"kind": "jsj", "vertices": [{"kind": "hyperbolic_cusped", "cusps": 2}],
                    "edges": [[0, 0]]}

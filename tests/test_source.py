@@ -74,6 +74,24 @@ def test_cone_off_records_no_cell():
     assert not found, f"per-cell work in cone_off: {found}"
 
 
+def test_the_normaliser_probe_is_a_closed_form():
+    """The probe reads the normaliser off the conjugation formula for every power of A at
+    once: it takes no exponent bound, and no per-power check is left to fail."""
+    tree = ast.parse((PACKAGE / "bass_serre.py").read_text(encoding="utf-8"))
+    (probe,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "normalizer_probe"]
+    parameters = [arg.arg for arg in probe.args.args + probe.args.kwonlyargs]
+    assert "bound" not in parameters, parameters
+    found = [
+        f"bass_serre.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and any(isinstance(inner, ast.Name) and inner.id == "AssertionError"
+                for inner in ast.walk(node.exc))
+    ]
+    assert not found, f"AssertionError raised in bass_serre.py: {found}"
+
+
 def _import_time_nodes(node: ast.AST):
     """Every node that runs when the module is imported: function bodies are skipped."""
     for child in ast.iter_child_nodes(node):
