@@ -1,40 +1,26 @@
-"""Finite-scale certificates for groups acting on trees.
-
-Two independent gadgets live here.
+"""Finite-scale certificates for groups acting on trees: two independent gadgets.
 
 The first is the Bass-Serre tree of a free product of finite cyclic
 groups, Z_{n_1} * ... * Z_{n_m}, for the star-shaped splitting with a
 central trivial vertex group: its vertices are the group elements (one
 per reduced word) and the cosets w * Z_{n_i}, and each element w is
 joined to its m cosets.  Every geometric fact is read off normal forms
-(Serre, *Trees*, I.4) rather than searched for.  An element vertex w
-lies at distance 2|w| from the identity vertex and a coset vertex w<i>
-at 2|w| + 1.  A hyperbolic word h c h^-1, with c cyclically reduced of
-L >= 2 syllables, translates by 2L along the line through the elements
-h c^k (prefix of c).  Element vertices and edges have trivial
+(Serre, *Trees*, I.4) rather than searched for, so a ball of the tree is
+implicit: membership, distance, parents and the vertex count are closed
+forms, and the vertex table is built only when it is read.  An element
+vertex w lies at distance 2|w| from the identity vertex and a coset
+vertex w<i> at 2|w| + 1.  A hyperbolic word h c h^-1, with c cyclically
+reduced of L >= 2 syllables, translates by 2L along the line through the
+elements h c^k (prefix of c).  Element vertices and edges have trivial
 stabilisers and a coset vertex w<i> has stabiliser w Z_{n_i} w^-1, so
 every path with at least one edge has trivial stabiliser.  Coning each
 axis to a point produces a two-complex whose cell stabilisers are
 computed per cell on request, and the push-out dimension bound
 max(gd(stabiliser class) + dim cell) is evaluated per cell class.
 
-Axes must be geodesics of the ball.  A word preserving one maps an
-element vertex v_i of it onto an element vertex v_j, so only the
-products v_j v_i^-1 are tested, and only with v_i and v_j within
-2 * budget + 1 steps of the axis vertex nearest the identity vertex,
-because a word of syllable length <= budget moves the identity vertex
-by at most 2 * budget and projecting onto the axis shrinks no distance.
-Each is tested at a few vertices: along the geodesic v_0 ... v_{n-1}
-the distance from g^-1 * (identity vertex) is |t - s| + delta, so the
-depths of the images of the two ends give the window v_lo ... v_hi of
-vertices whose images stay in the ball.  g maps that segment onto the
-geodesic between the images of its ends, so it carries the visible axis
-into itself exactly when those two images lie on the axis, and it then
-shifts or reflects the indices.  A cone edge keeps the identity and the
-reflections about its vertex, a face the identity only.  The
-breadth-first distances, displacement-minimising axis search and
-word-by-word stabilisers these closed forms replace are kept as test
-oracles in tests/oracles.py.
+The breadth-first ball and distances, displacement-minimising axis
+search and word-by-word stabilisers these closed forms replace are kept
+as test oracles in tests/oracles.py.
 
 The second gadget is algebraic: in Gamma = Z^2 x|_A Z with hyperbolic
 monodromy A, the normaliser of the infinite cyclic subgroup generated
@@ -168,35 +154,23 @@ def cyclically_reduce(spec: FreeProductSpec, w: Sequence[Syllable]) -> Word:
 
 def word_str(w: Sequence[Syllable]) -> str:
     """Compact rendering: factor 0, 1, 2, ... print as a, b, c, ..."""
-    if not w:
-        return "1"
-    parts = []
-    for factor, exponent in w:
-        letter = chr(ord("a") + factor)
-        parts.append(letter if exponent == 1 else f"{letter}{exponent}")
-    return "".join(parts)
+    return "".join(chr(ord("a") + f) + ("" if e == 1 else str(e)) for f, e in w) or "1"
 
 
 def parse_word(spec: FreeProductSpec, text: str) -> Word:
     """Inverse of word_str: letters with optional positive exponents."""
-    text = text.strip()
-    if text in ("", "1"):
-        return ()
-    syllables: List[Syllable] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
+    text, syllables, i = text.strip(), [], 0
+    while text != "1" and i < len(text):
+        ch, j = text[i], i + 1
         if not ch.isalpha():
             raise ValueError(f"bad word syntax at {text[i:]!r}")
         factor = ord(ch.lower()) - ord("a")
         if not 0 <= factor < spec.num_factors:
             raise ValueError(f"letter {ch!r} has no factor in {spec.factor_orders}")
-        i += 1
-        digits = ""
-        while i < len(text) and text[i].isdigit():
-            digits += text[i]
-            i += 1
-        syllables.append((factor, int(digits) if digits else 1))
+        while j < len(text) and text[j].isdigit():
+            j += 1
+        syllables.append((factor, int(text[i + 1:j] or 1)))
+        i = j
     return normal_form(spec, syllables)
 
 
@@ -214,24 +188,18 @@ class Vertex(NamedTuple):
     factor: Optional[int]
 
     def label(self) -> str:
-        if self.factor is None:
-            return word_str(self.word)
-        letter = chr(ord("a") + self.factor)
-        return f"{word_str(self.word)}<{letter}>"
+        coset = "" if self.factor is None else f"<{chr(ord('a') + self.factor)}>"
+        return word_str(self.word) + coset
 
 
 def coset_canonical(word: Word, factor: int) -> Word:
-    if word and word[-1][0] == factor:
-        return word[:-1]
-    return word
+    return word[:-1] if word and word[-1][0] == factor else word
 
 
 def _act(spec: FreeProductSpec, g: Word, v: Vertex) -> Vertex:
     """The left translation g * v, for a normal-form g and a canonical vertex."""
     moved = _join(spec, g, v.word)
-    if v.factor is None:
-        return Vertex(moved, None)
-    return Vertex(coset_canonical(moved, v.factor), v.factor)
+    return Vertex(moved if v.factor is None else coset_canonical(moved, v.factor), v.factor)
 
 
 BASE_VERTEX = Vertex((), None)
@@ -242,97 +210,128 @@ def _depth(v: Vertex) -> int:
     return 2 * len(v.word) + (v.factor is not None)
 
 
-class TreeBall(Record):
-    """Ball of given radius around the identity vertex.
+def _parent(v: Vertex) -> Vertex:
+    """The neighbour one step nearer the identity vertex: w<i> for w ending in i, w for w<i>."""
+    return Vertex(v.word, None) if v.factor is not None else Vertex(v.word[:-1], v.word[-1][0])
 
-    vertices are listed level by level, each edge is (nearer, farther) and
-    each adjacency list starts with the neighbour nearer to the identity.
+
+def _adjacent(spec: FreeProductSpec, u: Vertex, v: object) -> bool:
+    """Whether v is the parent or a canonical child of the canonical vertex u, in O(1): an
+    element a has a[:-1]<last> and a<j>, j not last, and a coset a<i> has a and a (i, e)."""
+    try:
+        (a, i), (b, j) = u, v
+        if i is None:
+            last = a[-1][0] if a else None
+            parent = bool(a) and b == a[:-1] and j == last
+            return j is not None and (parent or b == a and j != last and 0 <= j < spec.num_factors)
+        return j is None and (b == a or b[:-1] == a and b[-1][0] == i
+                              and 0 < b[-1][1] < spec.factor_orders[i])
+    except (TypeError, ValueError, IndexError):
+        return False
+
+
+def _distance(u: Vertex, v: Vertex) -> int:
+    """Tree distance between two canonical vertices.
+
+    The path from the identity vertex to w or w<i> runs through the
+    prefixes of w, leaving w[:p] through the coset of the factor of w[p];
+    two such paths share the common prefix of the words, and one step more
+    when both leave it through the same coset.
+    """
+    a, b, p = u.word, v.word, 0
+    while p < len(a) and p < len(b) and a[p] == b[p]:
+        p += 1
+    leave_u = a[p][0] if p < len(a) else u.factor
+    leave_v = b[p][0] if p < len(b) else v.factor
+    shared = 2 * p + (leave_u is not None and leave_u == leave_v)
+    return _depth(u) + _depth(v) - 2 * shared
+
+
+def _ball_size(spec: FreeProductSpec, radius: int, cap: float = float("inf")) -> int:
+    """The vertices within radius, counted level by level until the count passes cap: the
+    words of L syllables at 2L, and at 2L + 1 their cosets w<i>, i not the last factor of w."""
+    ends, words, size = [0] * spec.num_factors, 1, 0   # the words of L syllables, by last factor
+    for depth in range(0, radius + 1, 2):
+        size += words + (spec.num_factors * words - sum(ends) if depth < radius else 0)
+        if size > cap:
+            break
+        ends = [(n - 1) * (words - e) for n, e in zip(spec.factor_orders, ends)]
+        words = sum(ends)
+    return size
+
+
+class TreeBall(Record):
+    """Ball of given radius around the identity vertex, implicit in the words.
+
+    The vertex table is built when it is first read: vertices level by
+    level, each edge as (nearer, farther), and, only when adjacency itself
+    is read, lists starting with the neighbour nearer the identity vertex.
     """
 
     spec: FreeProductSpec
     radius: int
-    vertices: Tuple[Vertex, ...]
-    edges: Tuple[Tuple[Vertex, Vertex], ...]
-    adjacency: Dict[Vertex, Tuple[Vertex, ...]]
 
-    def __contains__(self, v: Vertex) -> bool:
-        return v in self.adjacency
+    def __post_init__(self) -> None:
+        if self.radius < 0:
+            raise ValueError("radius must be >= 0")
+
+    def __contains__(self, v: object) -> bool:
+        """Whether v is a vertex within the radius: w, or w (i, 1) for w<i>, in normal form."""
+        try:
+            word = v.word + ((v.factor, 1),) * (v.factor is not None)
+            inside = isinstance(v, Vertex) and _depth(v) <= self.radius
+            return inside and normal_form(self.spec, word) == word
+        except (AttributeError, TypeError, ValueError):
+            return False
+
+    def __getattr__(self, name: str):
+        if name in ("vertices", "edges"):
+            # each level from the one before it, in the order of a breadth-first search
+            new, factors = tuple.__new__, range(self.spec.num_factors)
+            others = [[j for j in factors if j != i] for i in factors] + [factors]
+            orders = enumerate(self.spec.factor_orders)
+            steps = [[((i, e),) for e in range(1, n)] for i, n in orders]
+            level, vertices, edges = [BASE_VERTEX], [BASE_VERTEX], []
+            for depth in range(self.radius):
+                if depth % 2:
+                    pairs = [(v, new(Vertex, (v[0] + step, None)))
+                             for v in level for step in steps[v[1]]]
+                else:
+                    pairs = [(v, new(Vertex, (v[0], i)))
+                             for v in level for i in others[v[0][-1][0] if v[0] else -1]]
+                edges += pairs
+                level = [child for _, child in pairs]
+                vertices += level
+            self.__dict__.update(vertices=tuple(vertices), edges=tuple(edges))
+        elif name == "adjacency":
+            near = {v: (_parent(v),) if v != BASE_VERTEX else () for v in self.vertices}
+            for u, v in self.edges:
+                near[u] += (v,)
+            self.__dict__[name] = near
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.__dict__[name]
 
     def degree(self, v: Vertex) -> int:
         return len(self.adjacency[v])
 
     def distance(self, u: Vertex, v: Vertex) -> int:
-        """Tree distance between two vertices of the ball (KeyError outside it).
-
-        The path from the identity vertex to w or w<i> runs through the
-        prefixes of w, leaving w[:p] through the coset of the factor of
-        w[p]; two such paths share the common prefix of the words, and one
-        step more when both leave it through the same coset.
-        """
+        """Tree distance between two vertices of the ball (KeyError outside it)."""
         for x in (u, v):
-            if x not in self.adjacency:
+            if x not in self:
                 raise KeyError(x)
-        a, b = u.word, v.word
-        p = 0
-        while p < len(a) and p < len(b) and a[p] == b[p]:
-            p += 1
-        leave_u = a[p][0] if p < len(a) else u.factor
-        leave_v = b[p][0] if p < len(b) else v.factor
-        shared = 2 * p + (leave_u is not None and leave_u == leave_v)
-        depth = 2 * (len(a) + len(b)) + (u.factor is not None) + (v.factor is not None)
-        return depth - 2 * shared
-
-
-def _children(spec: FreeProductSpec, v: Vertex) -> List[Vertex]:
-    """Neighbours of v one step farther from the identity vertex."""
-    if v.factor is None:
-        last = v.word[-1][0] if v.word else None
-        return [Vertex(v.word, i) for i in range(spec.num_factors) if i != last]
-    return [
-        Vertex(v.word + ((v.factor, exponent),), None)
-        for exponent in range(1, spec.factor_orders[v.factor])
-    ]
+        return _distance(u, v)
 
 
 def ball(spec: FreeProductSpec, radius: int, max_vertices: int = 50000) -> TreeBall:
-    """The ball around the identity vertex, one distance level at a time.
-
-    Element vertices sit at even distance 2 * (syllable length), coset
-    vertices at odd distance 2 * (syllable length of the canonical
-    representative) + 1.  Radius 0 is the base vertex alone.
-    """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    """The ball around the identity vertex; BallLimitExceeded past max_vertices, which is
+    compared with the vertex count in closed form before anything is built."""
+    tree = TreeBall(spec, radius)
     if max_vertices < 1:
         raise ValueError("max_vertices must be >= 1")
-    # neighbours[k] lists the neighbours of order[k], so that each vertex is
-    # hashed once, when the adjacency dict is built
-    order: List[Vertex] = [BASE_VERTEX]
-    neighbours: List[List[Vertex]] = [[]]
-    edges: List[Tuple[Vertex, Vertex]] = []
-    start = 0
-    for _ in range(radius):
-        end = len(order)
-        for k in range(start, end):
-            v = order[k]
-            children = _children(spec, v)
-            if len(order) + len(children) > max_vertices:
-                raise BallLimitExceeded(
-                    f"ball of radius {radius} exceeds {max_vertices} vertices"
-                )
-            order += children
-            for child in children:
-                edges.append((v, child))
-                neighbours.append([v])
-            neighbours[k] += children
-        start = end
-    return TreeBall(
-        spec=spec,
-        radius=radius,
-        vertices=tuple(order),
-        edges=tuple(edges),
-        adjacency=dict(zip(order, map(tuple, neighbours))),
-    )
+    if _ball_size(spec, radius, max_vertices) > max_vertices:
+        raise BallLimitExceeded(f"ball of radius {radius} exceeds {max_vertices} vertices")
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +404,24 @@ class AxisStabilizerReport(Record):
 
 
 def _geodesic(spec_ball: TreeBall, axis: Sequence[Vertex]) -> Tuple[Vertex, ...]:
-    """The axis as a tuple; ValueError unless it is a geodesic path in the ball."""
-    axis = tuple(axis)
-    for v in axis:
-        if v not in spec_ball:
+    """The axis as a tuple; ValueError unless it is a geodesic path in the ball.
+
+    A vertex that is the parent or a child of the ball vertex before it is checked in O(1),
+    any other in full, so a vertex outside the ball is reported before a gap in the path.
+    """
+    axis, spec, gap = tuple(axis), spec_ball.spec, None
+    for u, v in zip((None,) + axis, axis):
+        if u is not None and _adjacent(spec, u, v):
+            inside = _depth(v) <= spec_ball.radius
+        else:
+            inside, gap = v in spec_ball, gap or (u is not None and (u, v))
+        if not inside:
             raise ValueError(f"axis vertex {v.label()} lies outside the ball")
-    for u, v in zip(axis, axis[1:]):
-        if v not in spec_ball.adjacency[u]:
-            raise ValueError(f"axis vertices {u.label()} and {v.label()} are not adjacent")
-    if axis and spec_ball.distance(axis[0], axis[-1]) != len(axis) - 1:
-        raise ValueError(
-            f"the axis from {axis[0].label()} to {axis[-1].label()} is not a geodesic"
-        )
+    if gap:
+        raise ValueError(f"axis vertices {gap[0].label()} and {gap[1].label()} are not adjacent")
+    if axis and _distance(axis[0], axis[-1]) != len(axis) - 1:
+        raise ValueError(f"the axis from {axis[0].label()} to {axis[-1].label()} "
+                         "is not a geodesic")
     return axis
 
 
@@ -454,8 +459,8 @@ def _axis_action(spec_ball: TreeBall, axis: Tuple[Vertex, ...],
     lo, hi = max(0, s - reach), min(last, s + reach)
     if hi <= lo:
         return None
-    ja = _axis_position(spec_ball, axis, head if lo == 0 else _act(spec, g, axis[lo]))
-    jb = _axis_position(spec_ball, axis, tail if hi == last else _act(spec, g, axis[hi]))
+    ja = _axis_position(axis, head if lo == 0 else _act(spec, g, axis[lo]))
+    jb = _axis_position(axis, tail if hi == last else _act(spec, g, axis[hi]))
     if ja is None or jb is None:
         return None
     if jb - ja == hi - lo:
@@ -463,9 +468,9 @@ def _axis_action(spec_ball: TreeBall, axis: Tuple[Vertex, ...],
     return _AxisAction(True, ja + lo)
 
 
-def _axis_position(spec_ball: TreeBall, axis: Tuple[Vertex, ...], v: Vertex) -> Optional[int]:
-    """The index of a ball vertex on a geodesic axis, None when it is off the axis."""
-    t = spec_ball.distance(axis[0], v)
+def _axis_position(axis: Tuple[Vertex, ...], v: Vertex) -> Optional[int]:
+    """The index of a canonical vertex on a geodesic axis (so in the ball), else None."""
+    t = _distance(axis[0], v)
     return t if t < len(axis) and axis[t] == v else None
 
 
@@ -482,8 +487,7 @@ def setwise_axis_stabilizer(spec_ball: TreeBall, axis: Sequence[Vertex],
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    axis = _geodesic(spec_ball, axis)
-    spec = spec_ball.spec
+    axis, spec = _geodesic(spec_ball, axis), spec_ball.spec
     # For a kept g, let q = g^-1 * (identity vertex) and v_s the axis vertex
     # nearest q: |s - p| <= 2 * budget, and g * v_s, at depth d(q, v_s) <=
     # depth(v_p) + 2 * budget, also lies within 2 * budget of v_p.  The
@@ -496,19 +500,13 @@ def setwise_axis_stabilizer(spec_ball: TreeBall, axis: Sequence[Vertex],
     backs = [inverse(spec, w) for w in words]
     products = (_join(spec, w, back) for w in words for back in backs)
     candidates = {g for g in products if len(g) <= budget}
-    elements: List[Word] = []
-    translations: List[Tuple[Word, int]] = []
-    reflections: List[Tuple[Word, int]] = []
-    for g in sorted(candidates, key=lambda w: (len(w), w)):
-        action = _axis_action(spec_ball, axis, g)
-        if action is None:
-            continue
-        elements.append(g)
-        (reflections if action.reflection else translations).append((g, action.value))
+    ordered = sorted(candidates, key=lambda w: (len(w), w))
+    actions = ((g, _axis_action(spec_ball, axis, g)) for g in ordered)
+    kept = [(g, action) for g, action in actions if action is not None]
     return AxisStabilizerReport(
-        elements=tuple(elements),
-        translations=tuple(translations),
-        reflections=tuple(reflections),
+        elements=tuple(g for g, _ in kept),
+        translations=tuple((g, action.value) for g, action in kept if not action.reflection),
+        reflections=tuple((g, action.value) for g, action in kept if action.reflection),
         violations=(),
     )
 
@@ -556,25 +554,26 @@ class ConedComplex(Record):
     axis_reports: Tuple[AxisStabilizerReport, ...]
 
     def cells(self) -> Iterator[Cell]:
-        for v in self.tree.vertices:
-            yield Cell("vertex", 0, (v,))
+        for v in self.tree.vertices:   # tuple.__new__ skips Cell's per-call constructor
+            yield tuple.__new__(Cell, ("vertex", 0, (v,)))
         for i in range(len(self.axes)):
-            yield Cell("cone_vertex", 0, (i,))
+            yield tuple.__new__(Cell, ("cone_vertex", 0, (i,)))
         for e in self.tree.edges:
-            yield Cell("edge", 1, e)
+            yield tuple.__new__(Cell, ("edge", 1, e))
         for i, axis in enumerate(self.axes):
             for v in axis:
-                yield Cell("cone_edge", 1, (i, v))
+                yield tuple.__new__(Cell, ("cone_edge", 1, (i, v)))
             for u, v in zip(axis, axis[1:]):
-                yield Cell("face", 2, (i, u, v))
+                yield tuple.__new__(Cell, ("face", 2, (i, u, v)))
 
     def cell_counts(self) -> Dict[str, int]:
         """The number of cells of each class present, in the order cells() first yields them."""
         lengths = [len(axis) for axis in self.axes]
+        vertices = _ball_size(self.tree.spec, self.tree.radius)
         counts = {
-            "vertex": len(self.tree.vertices),
+            "vertex": vertices,
             "cone_vertex": len(lengths),
-            "edge": len(self.tree.edges),
+            "edge": vertices - 1,
             "cone_edge": sum(lengths),
             "face": sum(n - 1 for n in lengths if n),
         }
@@ -593,8 +592,8 @@ class ConedComplex(Record):
         cone edge over v_t keeps the identity and the reflections about
         v_t (index sum 2t: a reflection has finite order, so it fixes the
         middle of the segment it reverses, a vertex since it keeps element
-        and coset vertices apart), in the iteration order of a set filled
-        by add in report order.  The cost grows with the axis and its
+        and coset vertices apart), in the iteration order of the set of the
+        report's elements.  The cost grows with the axis and its
         report, never with the ball.  KeyError for a cell not in the complex.
         """
         cell_class, dim, key = cell
@@ -605,25 +604,20 @@ class ConedComplex(Record):
         if cell_class == "vertex":
             v = key[0]
             if v in tree:
-                if v.factor is None or 2 * len(v.word) + 1 > self.budget:
-                    return _TRIVIAL
-                return _coset_stabilizer(tree.spec, v)
+                trivial = v.factor is None or _depth(v) > self.budget
+                return _TRIVIAL if trivial else _coset_stabilizer(tree.spec, v)
         elif cell_class == "edge":
-            # each adjacency list but the identity vertex's starts with the parent
             u, v = key
-            if v in tree and v != BASE_VERTEX and tree.adjacency[v][0] == u:
+            if v in tree and v != BASE_VERTEX and _parent(v) == u:
                 return _TRIVIAL
         elif isinstance(key[0], int) and 0 <= key[0] < len(axes):
             axis, report = axes[key[0]], self.axis_reports[key[0]]
             if cell_class == "cone_vertex":
                 return tuple(sorted(report.elements))
-            t = _axis_position(tree, axis, key[1]) if axis and key[1] in tree else None
+            t = _axis_position(axis, key[1]) if axis and key[1] in tree else None
             if t is not None and cell_class == "cone_edge":
-                keep = set()
-                for g in report.elements:
-                    keep.add(g)
                 centres = {g: value // 2 for g, value in report.reflections}
-                return tuple(g for g in keep if not g or centres.get(g) == t)
+                return tuple(g for g in set(report.elements) if not g or centres.get(g) == t)
             if t is not None and axis[t + 1:t + 2] == key[2:]:
                 return _TRIVIAL
         raise KeyError(cell)
@@ -637,13 +631,9 @@ def cone_off(spec_ball: TreeBall, axes: Sequence[Sequence[Vertex]],
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    axis_tuples = tuple(tuple(a) for a in axes)
-    return ConedComplex(
-        tree=spec_ball,
-        axes=axis_tuples,
-        budget=budget,
-        axis_reports=tuple(setwise_axis_stabilizer(spec_ball, a, budget) for a in axis_tuples),
-    )
+    axes = tuple(tuple(a) for a in axes)
+    reports = tuple(setwise_axis_stabilizer(spec_ball, a, budget) for a in axes)
+    return ConedComplex(tree=spec_ball, axes=axes, budget=budget, axis_reports=reports)
 
 
 def pushout_dimension_bound(complex_: ConedComplex, cell_gd: Dict[str, int]) -> int:
@@ -666,6 +656,14 @@ def pushout_dimension_bound(complex_: ConedComplex, cell_gd: Dict[str, int]) -> 
 # normaliser probe in Z^2 x| Z
 
 SdElement = Tuple[Tuple[int, int], int]
+
+
+def _shown(n: int) -> str:
+    """An integer in full, or as its sign and digit count past Python's 4300-digit str cap."""
+    digits = (abs(n).bit_length() - 1) * 30102 // 100000 + 1   # log10(2) > 0.30102
+    while 10 ** digits <= abs(n):
+        digits += 1
+    return str(n) if digits <= 4300 else f"{'-' if n < 0 else ''}<{digits} digits>"
 
 
 class SemidirectSpec(Record):
@@ -702,9 +700,9 @@ def normalizer_probe(spec: SemidirectSpec, c: SdElement) -> NormalizerProbe:
         if (x, y) == (0, 0):
             raise UnsupportedElement("the identity generates no infinite cyclic subgroup")
         return NormalizerProbe(rank=2, certificate=(
-            f"tr A = {matrix.trace()}, det A = {matrix.det()}: the eigenvalues of A are real "
-            f"and off the unit circle, so (u, m) maps c to +-c only for m = 0",
-            f"normaliser of <(({x}, {y}), 0)> is the fibre Z^2 (rank 2)",
+            f"tr A = {_shown(matrix.trace())}, det A = {_shown(matrix.det())}: the eigenvalues "
+            f"of A are real and off the unit circle, so (u, m) maps c to +-c only for m = 0",
+            f"normaliser of <(({_shown(x)}, {_shown(y)}), 0)> is the fibre Z^2 (rank 2)",
         ))
     power = matrix.pow(l)
     det = (power.a - 1) * (power.d - 1) - power.b * power.c
@@ -716,10 +714,10 @@ def normalizer_probe(spec: SemidirectSpec, c: SdElement) -> NormalizerProbe:
         u = adjugate.apply((x - moved[0], y - moved[1]))
         if u[0] % det == u[1] % det == 0:
             break   # m = |l| always passes: c or c^-1 has stable exponent |l|
-    generator = ((u[0] // det, u[1] // det), m)
     return NormalizerProbe(rank=1, certificate=(
-        f"det(A^{l} - I) = {det} != 0: (u, m) normalises <c> only if "
-        f"(I - A^{l})u = (I - A^m)v, which fixes u given m",
-        f"normaliser of <(({x}, {y}), {l})> is <{generator}> (rank 1), "
-        f"containing it with index {n // m}",
+        f"det(A^{_shown(l)} - I) = {_shown(det)} != 0: (u, m) normalises <c> only if "
+        f"(I - A^{_shown(l)})u = (I - A^m)v, which fixes u given m",
+        f"normaliser of <(({_shown(x)}, {_shown(y)}), {_shown(l)})> is "
+        f"<(({_shown(u[0] // det)}, {_shown(u[1] // det)}), {_shown(m)})> (rank 1), "
+        f"containing it with index {_shown(n // m)}",
     ))

@@ -529,13 +529,13 @@ def piece_from_json(obj: dict, path: str = "piece") -> PrimePiece:
         return KleinDouble()
     if kind == "seifert_closed":
         return SeifertClosed(_seifert_from_json(obj, path))
-    vertices = _listed(obj.get("vertices", []), path, "vertices")   # kind == "jsj"
+    vertices = _listed(_required(obj, "vertices", path), path, "vertices")   # kind == "jsj"
     monodromy = obj.get("monodromy")
     return JsjGraph(
         vertices=tuple(
             _vertex_from_json(v, f"{path}.vertices[{i}]") for i, v in enumerate(vertices)
         ),
-        edges=_rows(obj.get("edges", []), path, "edges", 2),
+        edges=_rows(_required(obj, "edges", path), path, "edges", 2),
         monodromy=None if monodromy is None else _matrix_from_json(monodromy, path),
     )
 

@@ -3,8 +3,9 @@
 The package classifies GL(2, Z) matrices by trace and determinant and
 measures tree geometry in closed form; these helpers recompute the same
 facts by search and enumeration (the order of a matrix by taking powers,
-a lattice basis by the extended Euclidean algorithm, breadth-first
-distances inside the ball, displacement minimisation over every vertex,
+a lattice basis by the extended Euclidean algorithm, the ball grown
+breadth first from each vertex's children, breadth-first distances
+inside the ball, displacement minimisation over every vertex,
 stabilisers by testing every budgeted word on every vertex, axis
 stabilisers from every product of two axis elements, the stabiliser
 record of every cell of a coned complex built in one pass, the push-out
@@ -19,9 +20,10 @@ from __future__ import annotations
 
 from collections import deque
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from gdim3.bass_serre import (
+    BASE_VERTEX,
     AxisStabilizerReport,
     Cell,
     ConedComplex,
@@ -190,10 +192,63 @@ def path_stabilizer(spec_ball: TreeBall, path: Sequence[Vertex],
     return [g for g in words_up_to(spec, budget) if all(act(spec, g, v) == v for v in path)]
 
 
+def children(spec: FreeProductSpec, v: Vertex) -> List[Vertex]:
+    """Neighbours of v one step farther from the identity vertex."""
+    if v.factor is None:
+        last = v.word[-1][0] if v.word else None
+        return [Vertex(v.word, i) for i in range(spec.num_factors) if i != last]
+    exponents = range(1, spec.factor_orders[v.factor])
+    return [Vertex(v.word + ((v.factor, e),), None) for e in exponents]
+
+
+class BfsBall(NamedTuple):
+    """The vertex table of a ball as a breadth-first search meets it."""
+
+    vertices: Tuple[Vertex, ...]
+    edges: Tuple[Tuple[Vertex, Vertex], ...]
+    adjacency: Dict[Vertex, Tuple[Vertex, ...]]
+
+
+def bfs_ball(spec: FreeProductSpec, radius: int) -> BfsBall:
+    """The ball grown from the identity vertex one distance level at a time: vertices in the
+    order met, each edge (nearer, farther), each adjacency list nearer neighbour first."""
+    order: List[Vertex] = [BASE_VERTEX]
+    neighbours: List[List[Vertex]] = [[]]
+    edges: List[Tuple[Vertex, Vertex]] = []
+    start = 0
+    for _ in range(radius):
+        end = len(order)
+        for k in range(start, end):
+            v = order[k]
+            for child in children(spec, v):
+                order.append(child)
+                edges.append((v, child))
+                neighbours.append([v])
+                neighbours[k].append(child)
+        start = end
+    return BfsBall(tuple(order), tuple(edges), dict(zip(order, map(tuple, neighbours))))
+
+
+def geodesic_by_adjacency(oracle: BfsBall, axis: Sequence[Vertex]) -> Tuple[Vertex, ...]:
+    """The axis check by table lookups: every vertex in the ball first, then every step
+    along an edge, then the ends as far apart as the path is long."""
+    axis = tuple(axis)
+    for v in axis:
+        if v not in oracle.adjacency:
+            raise ValueError(f"axis vertex {v.label()} lies outside the ball")
+    for u, v in zip(axis, axis[1:]):
+        if v not in oracle.adjacency[u]:
+            raise ValueError(f"axis vertices {u.label()} and {v.label()} are not adjacent")
+    if axis and BfsDistances(oracle)(axis[0], axis[-1]) != len(axis) - 1:
+        raise ValueError(
+            f"the axis from {axis[0].label()} to {axis[-1].label()} is not a geodesic")
+    return axis
+
+
 class BfsDistances:
     """Graph distances inside a ball, one breadth-first search per source."""
 
-    def __init__(self, tree: TreeBall) -> None:
+    def __init__(self, tree: TreeBall | BfsBall) -> None:
         self.tree = tree
         self.tables: Dict[Vertex, Dict[Vertex, int]] = {}
 

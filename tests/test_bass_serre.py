@@ -15,9 +15,12 @@ from gdim3.bass_serre import (
     MissingAssignment,
     NotHyperbolic,
     SemidirectSpec,
-    TreeBall,
     UnsupportedElement,
     Vertex,
+    _ball_size,
+    _geodesic,
+    _parent,
+    _shown,
     axis_of,
     ball,
     cone_off,
@@ -37,8 +40,10 @@ from oracles import (
     BfsDistances,
     act,
     axis_by_displacement,
+    bfs_ball,
     cone_cell_records,
     cone_off_records,
+    geodesic_by_adjacency,
     mul,
     normalising_elements,
     order_path,
@@ -227,6 +232,11 @@ def test_vertex_caps_below_one_are_refused(radius):
         with pytest.raises(ValueError, match="max_vertices must be >= 1"):
             ball(Z23, radius, max_vertices=cap)
     assert len(ball(Z23, 0, max_vertices=1).vertices) == 1
+
+
+def test_a_negative_radius_is_refused_before_a_bad_cap():
+    with pytest.raises(ValueError, match="^radius must be >= 0$"):
+        ball(Z23, -1, max_vertices=0)
 
 
 @pytest.mark.parametrize("spec,radius", [(Z23, 6), (Z33, 5), (Z222, 4)])
@@ -520,6 +530,22 @@ def test_probe_states_the_fibre_once():
     )
 
 
+@pytest.mark.parametrize("digits", [1, 2, 4299, 4300, 4301, 5016, 20000])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_certificate_integer_past_the_str_cap_shows_its_digit_count(digits, sign):
+    """Integers of up to 4300 digits print in full; longer ones as their sign and length."""
+    for n in (sign * 10 ** (digits - 1), sign * (10 ** digits - 1)):
+        shown = str(n) if digits <= 4300 else f"{'-' if sign < 0 else ''}<{digits} digits>"
+        assert _shown(n) == shown
+    assert _shown(0) == "0"
+
+
+def test_a_fibre_vector_past_the_str_cap_is_shown_by_its_digit_count():
+    probe = normalizer_probe(SemidirectSpec(ANOSOV), ((10 ** 5000, -1), 0))
+    assert probe.certificate[1] == (
+        "normaliser of <((<5001 digits>, -1), 0)> is the fibre Z^2 (rank 2)")
+
+
 def test_probe_rejects_bad_inputs():
     with pytest.raises(NotHyperbolic):
         normalizer_probe(SemidirectSpec(Mat2Z(0, -1, 1, 0)), ((0, 0), 1))
@@ -617,6 +643,65 @@ def test_distance_refuses_vertices_outside_the_ball():
         tree.distance(BASE_VERTEX, outside)
     with pytest.raises(KeyError):
         tree.distance(outside, BASE_VERTEX)
+
+
+# --- the implicit ball against the breadth-first one ---
+
+IMPLICIT_SPECS = (Z22, Z23, Z33, Z222, Z234)
+oracle_ball = lru_cache(maxsize=None)(bfs_ball)
+
+
+def non_members(spec, radius, v):
+    """Objects that are not vertices of the ball, built from one of its vertices."""
+    m, word = spec.num_factors, v.word
+    found = [
+        Vertex(word, m),                                    # a coset of no factor
+        Vertex(word + ((m, 1),), None),                     # a syllable of no factor
+        None, 0, "a", word, Cell("vertex", 0, (v,)),        # no Vertex at all
+    ]
+    if word:
+        (factor, exponent), n = word[-1], spec.factor_orders[word[-1][0]]
+        found += [
+            Vertex(word, factor),                           # a coset word ending in its factor
+            Vertex(word[:-1] + ((factor, 0),), v.factor),   # a zero exponent
+            Vertex(word[:-1] + ((factor, n),), v.factor),   # exponents run up to n - 1
+            Vertex(word[:-1] + ((factor, -exponent),), v.factor),
+            Vertex(list(word), v.factor),                   # a word that is no tuple
+        ]
+    deeper = oracle_ball(spec, radius + 1).vertices[len(oracle_ball(spec, radius).vertices):]
+    return found + list(deeper[:3])                         # depth radius + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(IMPLICIT_SPECS), st.integers(0, 9), st.data())
+def test_the_implicit_ball_matches_breadth_first_search(spec, radius, data):
+    """Membership, distance, parent and size come from the words; the vertex table, built
+    when it is read, is the breadth-first one in the same order."""
+    oracle = oracle_ball(spec, radius)
+    tree = ball(spec, radius)
+    assert _ball_size(spec, radius) == len(oracle.vertices)
+    assert all(v in tree for v in oracle.vertices)
+    assert all(_parent(v) == oracle.adjacency[v][0] for v in oracle.vertices[1:])
+    v = data.draw(st.sampled_from(oracle.vertices))
+    distances = BfsDistances(oracle)
+    assert all(tree.distance(v, u) == distances(v, u) for u in oracle.vertices)
+    for outside in non_members(spec, radius, v):
+        assert outside not in tree
+        with pytest.raises(KeyError):
+            tree.distance(v, outside)
+    assert tuple(v) not in tree                             # equal to a vertex, but no Vertex
+    assert "vertices" not in vars(tree)
+    assert tree.vertices == oracle.vertices and tree.edges == oracle.edges
+    assert "adjacency" not in vars(tree)
+    assert list(tree.adjacency.items()) == list(oracle.adjacency.items())
+
+
+@pytest.mark.parametrize("spec", [Z22, Z23, Z234])
+def test_a_vertex_cap_refuses_a_huge_radius_without_counting_it_all(spec):
+    """The count stops once it passes the cap, however large the radius."""
+    message = f"^ball of radius {10 ** 9} exceeds 50000 vertices$"
+    with pytest.raises(BallLimitExceeded, match=message):
+        ball(spec, 10 ** 9)
 
 
 @pytest.mark.parametrize("spec,radius", [(Z22, 6), (Z23, 6), (Z23, 9), (Z33, 5), (Z222, 4), (Z222, 6)])
@@ -833,24 +918,23 @@ def test_cone_off_computes_no_cell_stabiliser(monkeypatch):
     assert calls == [cell.key[0] for cell in cosets] and calls
 
 
-class Unwalkable(tuple):
-    """A sequence of the ball's cells that refuses to be walked."""
-
-    def __iter__(self):
-        raise AssertionError("walked the whole ball")
-
-    def __len__(self):
-        raise AssertionError("counted the whole ball")
-
-
 def test_cone_off_and_stabilizer_never_walk_the_ball():
+    """Axes, cone_off, every cell's stabiliser, the cell counts and the push-out bound read
+    the tree in closed form: its vertex table is never built."""
+    walked = ball(Z222, 6)
     tree = ball(Z222, 6)
     axes = [axis_of(tree, parse_word(Z222, w)) for w in ("ab", "cabc")]
-    cells = list(cone_off(tree, axes, 4).cells())
-    blind = TreeBall(tree.spec, tree.radius, Unwalkable(), Unwalkable(), tree.adjacency)
-    cx = cone_off(blind, axes, 4)
-    expected = cone_off_records(tree, axes, 4)
+    cells = list(cone_off(walked, axes, 4).cells())
+    expected = cone_off_records(walked, axes, 4)
+    cx = cone_off(tree, axes, 4)
     assert [cx.stabilizer(cell) for cell in cells] == [expected[cell] for cell in cells]
+    walked_counts = {}
+    for cell in cells:
+        walked_counts[cell.cell_class] = walked_counts.get(cell.cell_class, 0) + 1
+    assert cx.cell_counts() == walked_counts
+    assert pushout_dimension_bound(cx, dict.fromkeys(walked_counts, 0)) == 2
+    assert [setwise_axis_stabilizer(tree, axis, 4) for axis in axes] == list(cx.axis_reports)
+    assert not {"vertices", "edges", "adjacency"} & set(vars(tree)), sorted(vars(tree))
 
 
 def tree_geodesic(tree, u, v):
@@ -917,6 +1001,59 @@ def test_products_formed_grow_with_the_budget_not_the_axis(monkeypatch):
         setwise_axis_stabilizer(tree, axis, budget)
         # each _act call forms one product of its own with _join
         assert counts["join"] - counts["act"] <= (2 * budget + 2) ** 2
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(geodesic_case(), st.data())
+def test_the_axis_check_keeps_its_messages_and_their_order(case, data):
+    """Stepping to a parent or child in O(1) refuses the same paths, with the same message,
+    as looking every vertex and every step up in the breadth-first table."""
+    tree, path, _ = case
+    oracle = oracle_ball(tree.spec, tree.radius)
+    v = data.draw(st.sampled_from(oracle.vertices))
+    extra = data.draw(st.sampled_from(
+        [x for x in non_members(tree.spec, tree.radius, v)
+         if isinstance(x, Vertex) and isinstance(x.word, tuple)]   # the table needs a hash
+        + list(oracle.adjacency[v]) + [v]))
+    path = list(path)
+    for _ in range(data.draw(st.integers(0, 2))):
+        path.insert(data.draw(st.integers(0, len(path))), extra)
+    if path and data.draw(st.booleans()):
+        del path[data.draw(st.integers(0, len(path) - 1))]
+    onward = oracle_ball(tree.spec, tree.radius + 1).adjacency.get(path[-1]) if path else None
+    if onward and data.draw(st.booleans()):   # one step on, perhaps past the radius
+        path.append(data.draw(st.sampled_from(onward)))
+    assert outcome(_geodesic, tree, path) == outcome(geodesic_by_adjacency, oracle, path)
+
+
+def steps_from(spec, u):
+    """Every vertex one syllable change away from u: its neighbours, and near misses with a
+    factor or exponent out of range or a coset word ending in its own factor."""
+    word, m = u.word, spec.num_factors
+    found = [Vertex(w, j) for w in (word, word[:-1]) for j in range(-1, m + 1)]
+    found += [Vertex(w, None) for w in (word, word[:-1])]
+    for k in range(-1, m + 1):
+        n = spec.factor_orders[k] if 0 <= k < m else 3
+        found += [Vertex(word + ((k, e),), None) for e in range(-1, n + 1)]
+    return found
+
+
+@pytest.mark.parametrize("spec,radius", [(Z22, 4), (Z23, 5), (Z222, 4), (Z234, 3)])
+def test_every_step_of_an_axis_is_checked_as_the_table_would(spec, radius):
+    """Each step from a ball vertex, to a neighbour or a near miss of one, is accepted or
+    refused with the message of the breadth-first table."""
+    tree, oracle = ball(spec, radius), oracle_ball(spec, radius)
+    for u in oracle.vertices:
+        for v in steps_from(spec, u):
+            expected = outcome(geodesic_by_adjacency, oracle, (u, v))
+            assert outcome(_geodesic, tree, (u, v)) == expected
 
 
 def test_non_geodesic_axes_are_refused():

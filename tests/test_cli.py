@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gdim3 import corpus
-from gdim3.bass_serre import FreeProductSpec, axis_of, ball
+from gdim3.bass_serre import FreeProductSpec, TreeBall, axis_of, ball
 from gdim3.cli import EX_DATA, EX_OK, EX_RESOURCE, _auto_axes, report_to_json, run
 from gdim3.dimension import MAX, RULES, TABLE, compute
 from gdim3.geometry import Geometry
@@ -308,6 +308,25 @@ def test_cone_off_with_bound(capsys):
     assert "push-out dimension bound: 2" in stdout
 
 
+def test_text_cone_off_never_builds_the_vertex_table(capsys, monkeypatch):
+    """The text report counts the cells in closed form; only --format json walks the ball."""
+    def unbuilt(tree, name):
+        if name in ("vertices", "edges", "adjacency"):
+            raise AssertionError(f"built the vertex table to read {name}")
+        raise AttributeError(name)
+
+    monkeypatch.setattr(TreeBall, "__getattr__", unbuilt)
+    argv = ["cone-off", "--factors", "2,3", "--radius", "40", "--budget", "2",
+            "--assign", "vertex=0", "--assign", "cone_vertex=0", "--assign", "edge=0",
+            "--assign", "cone_edge=0", "--assign", "face=0"]
+    assert run(argv) == EX_OK
+    stdout, _ = out(capsys)
+    assert "  vertex: 12277 cell(s)\n  cone_vertex: 2 cell(s)\n  edge: 12276 cell(s)\n" in stdout
+    assert "push-out dimension bound: 2" in stdout
+    with pytest.raises(AssertionError, match="built the vertex table to read vertices"):
+        run(argv + ["--format", "json"])
+
+
 def test_cone_off_missing_assignment(capsys):
     assert run([
         "cone-off", "--factors", "2,2", "--radius", "6", "--axes", "ab",
@@ -446,6 +465,20 @@ def test_probe_normalizer_accepts_mixed_elements(capsys):
         "  det(A^3 - I) = -16 != 0: (u, m) normalises <c> only if (I - A^3)u = (I - A^m)v, "
         "which fixes u given m",
         "  normaliser of <((1, 2), 3)> is <((1, 2), 3)> (rank 1), containing it with index 1",
+    ]
+
+
+def test_probe_normalizer_shows_a_huge_integer_by_its_digit_count(capsys):
+    """det(A^12000 - I) has 5016 digits, past Python's cap on printing an integer."""
+    assert run(["probe-normalizer", "--monodromy", "2,1;1,1",
+                "--element", "0,0,12000"]) == EX_OK
+    stdout, stderr = out(capsys)
+    assert stderr == "" and stdout.splitlines()[1:] == [
+        "normaliser rank: 1",
+        "  det(A^12000 - I) = -<5016 digits> != 0: (u, m) normalises <c> only if "
+        "(I - A^12000)u = (I - A^m)v, which fixes u given m",
+        "  normaliser of <((0, 0), 12000)> is <((0, 0), 1)> (rank 1), "
+        "containing it with index 12000",
     ]
 
 

@@ -616,8 +616,8 @@ def seifert(**fields):
     (seifert(cone_pairs=[2, 1]), "pieces[1].cone_pairs[0]"),
     ({"kind": "torus_bundle", "monodromy": [[2, 1], [1, True]]}, "pieces[1].monodromy[1][1]"),
     ({"kind": "torus_bundle", "monodromy": [[1, 0]]}, "pieces[1].monodromy"),
-    ({"kind": "jsj", "vertices": [{"kind": "hyperbolic_cusped", "cusps": "2"}]},
-     "pieces[1].vertices[0].cusps"),
+    ({"kind": "jsj", "vertices": [{"kind": "hyperbolic_cusped", "cusps": "2"}],
+      "edges": [[0, 0]]}, "pieces[1].vertices[0].cusps"),
     ({"kind": "jsj", "vertices": [{"kind": "hyperbolic_cusped", "cusps": 2}],
       "edges": [[0, 0.0]]}, "pieces[1].edges[0][1]"),
 ])
@@ -656,9 +656,12 @@ def test_the_reader_refuses_what_it_cannot_build_with_its_path(piece, path):
     ({"kind": "jsj", "vertices": [{"kind": "hyperbolic_cusped"}]}, "pieces[1].vertices[0].cusps"),
     ({"kind": "jsj", "vertices": [{"kind": "seifert_bounded", "cone_pairs": [[2, 1]]}]},
      "pieces[1].vertices[0].base"),
+    ({"kind": "jsj"}, "pieces[1].vertices"),
+    ({"kind": "jsj", "edges": [[0, 0]]}, "pieces[1].vertices"),
+    ({"kind": "jsj", "vertices": [{"kind": "hyperbolic_cusped", "cusps": 2}]}, "pieces[1].edges"),
 ])
 def test_a_missing_required_field_is_refused_with_its_path(piece, path):
-    """Nothing stands in for a missing base or cusp count."""
+    """Nothing stands in for a missing base, cusp count, or graph vertex or edge list."""
     obj = {"name": "x", "pieces": [{"kind": "spherical", "pi1_order": 2}, piece]}
     with pytest.raises(DescriptionFormatError, match="^" + re.escape(path) + ": missing$"):
         description_from_json(obj)

@@ -42,9 +42,8 @@ DESC_REPR = "ManifoldDescription(name='rp3', pieces=(Spherical(pi1_order=2),))"
 SPEC = FreeProductSpec((2, 2))
 SPEC_REPR = "FreeProductSpec(factor_orders=(2, 2))"
 VERTEX_REPR = "Vertex(word=(), factor=None)"
-TREE = TreeBall(SPEC, 0, (BASE_VERTEX,), (), {BASE_VERTEX: ()})
-TREE_REPR = (f"TreeBall(spec={SPEC_REPR}, radius=0, vertices=({VERTEX_REPR},), edges=(), "
-             f"adjacency={{{VERTEX_REPR}: ()}})")
+TREE = TreeBall(SPEC, 0)
+TREE_REPR = f"TreeBall(spec={SPEC_REPR}, radius=0)"
 AXIS_ARGS = (((), ((0, 1),)), (((), 0),), (((0, 1), 1),), ())
 AXIS_REPORT = AxisStabilizerReport(*AXIS_ARGS)
 
@@ -83,9 +82,7 @@ CASES = {
                      ("genus", "orientable", "boundary_count", "cone_orders"),
                      (0, True, 0, (7, 2, 3)), BASE_REPR.replace("(2, 3, 7)", "(7, 2, 3)")),
     "FreeProductSpec": (FreeProductSpec, ([2, 2],), ("factor_orders",), ((2, 2),), SPEC_REPR),
-    "TreeBall": (TreeBall, (SPEC, 0, (BASE_VERTEX,), (), {BASE_VERTEX: ()}),
-                 ("spec", "radius", "vertices", "edges", "adjacency"),
-                 (SPEC, 0, (BASE_VERTEX,), (), {BASE_VERTEX: ()}), TREE_REPR),
+    "TreeBall": (TreeBall, (SPEC, 0), ("spec", "radius"), (SPEC, 0), TREE_REPR),
     "AxisStabilizerReport": (AxisStabilizerReport, AXIS_ARGS,
                              ("elements", "translations", "reflections", "violations"), AXIS_ARGS,
                              "AxisStabilizerReport(elements=((), ((0, 1),)), "
@@ -103,8 +100,8 @@ CASES = {
                         "NormalizerProbe(rank=1, certificate=('det(A - I) = -1',))"),
 }
 NAMES = sorted(CASES)
-#: the two records that hold a dict, so they have no hash
-UNHASHABLE = {"TreeBall", "ConedComplex"}
+#: the two records of the tree, whose vertex table is built when it is first read
+TREE_RECORDS = ("ConedComplex", "TreeBall")
 
 
 def make(name):
@@ -150,8 +147,8 @@ def test_an_extra_or_repeated_argument_is_a_type_error(name):
     (JsjGraph, "JsjGraph.__init__() missing 1 required positional argument: 'vertices'"),
     (TraceStep, "TraceStep.__init__() missing 4 required positional arguments: "
                 "'path', 'rule', 'inputs', and 'value'"),
-    (TreeBall, "TreeBall.__init__() missing 5 required positional arguments: "
-               "'spec', 'radius', 'vertices', 'edges', and 'adjacency'"),
+    (TreeBall, "TreeBall.__init__() missing 2 required positional arguments: "
+               "'spec' and 'radius'"),
 ])
 def test_missing_fields_are_named(cls, message):
     with pytest.raises(TypeError) as info:
@@ -204,6 +201,7 @@ def test_construction_normalises_sequences():
      "factor_orders[0]: expected an integer, got '2'"),
     (lambda: FreeProductSpec([True, 3]), ValueError,
      "factor_orders[0]: expected an integer, got True"),
+    (lambda: TreeBall(SPEC, -1), ValueError, "radius must be >= 0"),
 ])
 def test_refusals_keep_their_type_and_message(make_it, error, message):
     with pytest.raises(error) as info:
@@ -244,10 +242,6 @@ def test_records_of_two_classes_with_equal_values_differ(left, right):
 def test_hash_is_the_hash_of_the_field_values(name):
     record = make(name)
     _, _, fields, expected, _ = CASES[name]
-    if name in UNHASHABLE:
-        with pytest.raises(TypeError):
-            hash(record)
-        return
     assert hash(record) == hash(values(record, fields)) == hash(expected)
     assert hash(record) == hash(make(name))
 
@@ -257,7 +251,7 @@ def test_repr(name):
     assert repr(make(name)) == CASES[name][4]
 
 
-@pytest.mark.parametrize("name", sorted(set(NAMES) - UNHASHABLE))
+@pytest.mark.parametrize("name", NAMES)
 def test_fields_cannot_be_assigned_or_deleted(name):
     record = make(name)
     _, _, fields, expected, _ = CASES[name]
@@ -278,13 +272,26 @@ def test_copies_and_pickles_are_equal(name):
         assert type(twin) is type(record) and twin == record
 
 
-@pytest.mark.parametrize("name", sorted(UNHASHABLE))
+@pytest.mark.parametrize("name", TREE_RECORDS)
 def test_tree_balls_and_coned_complexes_are_frozen_too(name):
+    """Reading the vertex table changes no value, hash or repr, and the table is frozen too."""
     record = make(name)
-    _, _, fields, expected, _ = CASES[name]
-    for field in fields:
-        with pytest.raises(AttributeError, match=f"cannot assign to field {field!r}"):
-            setattr(record, field, 1)
-        with pytest.raises(AttributeError, match=f"cannot delete field {field!r}"):
-            delattr(record, field)
+    _, _, fields, expected, text = CASES[name]
+    tree = record if name == "TreeBall" else record.tree
+    assert "vertices" not in vars(tree)
+    table = (tree.vertices, tree.edges, tree.adjacency)
+    assert table == ((BASE_VERTEX,), (), {BASE_VERTEX: ()})
+    assert record == make(name) and hash(record) == hash(make(name)) and repr(record) == text
+    targets = [(record, field) for field in fields]
+    targets += [(tree, attribute) for attribute in ("vertices", "edges", "adjacency")]
+    for target, attribute in targets:
+        with pytest.raises(AttributeError, match=f"cannot assign to field {attribute!r}"):
+            setattr(target, attribute, 1)
+        with pytest.raises(AttributeError, match=f"cannot delete field {attribute!r}"):
+            delattr(target, attribute)
     assert values(record, fields) == expected
+    assert (tree.vertices, tree.edges, tree.adjacency) == table
+    twin = pickle.loads(pickle.dumps(tree))
+    assert twin == tree and (twin.vertices, twin.edges, twin.adjacency) == table
+    with pytest.raises(AttributeError, match="'TreeBall' object has no attribute 'nodes'"):
+        tree.nodes

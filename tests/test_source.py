@@ -34,8 +34,30 @@ def _names(path: Path) -> set:
 def test_bass_serre_measures_the_tree_without_breadth_first_search():
     """Distances and axes come from normal forms; the search versions are test oracles."""
     found = _names(PACKAGE / "bass_serre.py") & {
-        "deque", "_distance_cache", "_farthest_pair", "_order_path"}
+        "deque", "_distance_cache", "_farthest_pair", "_order_path", "_children"}
     assert not found, f"breadth-first search machinery in bass_serre.py: {sorted(found)}"
+
+
+def test_the_certificate_path_builds_no_vertex_table():
+    """The ball, its axes, their stabilisers, the coned complex's counts and its cell
+    stabilisers read the tree in closed form: none of them reads the vertex table."""
+    tree = ast.parse((PACKAGE / "bass_serre.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (coned,) = [node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "ConedComplex"]
+    functions.update({f"ConedComplex.{node.name}": node for node in coned.body
+                      if isinstance(node, ast.FunctionDef)})
+    names = ("ball", "axis_of", "_geodesic", "_axis_action", "_axis_position",
+             "setwise_axis_stabilizer", "cone_off", "ConedComplex.cell_counts",
+             "ConedComplex.stabilizer")
+    assert set(names) <= set(functions), sorted(set(names) - set(functions))
+    found = [
+        f"{name}:{inner.lineno}"
+        for name in names
+        for inner in ast.walk(functions[name])
+        if isinstance(inner, ast.Attribute) and inner.attr in ("vertices", "edges", "adjacency")
+    ]
+    assert not found, f"vertex table read on the certificate path: {found}"
 
 
 def test_bass_serre_assesses_axes_without_a_vertex_scan():
