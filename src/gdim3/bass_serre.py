@@ -33,6 +33,7 @@ length <= B".
 """
 from __future__ import annotations
 
+from math import isqrt
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._record import Record, wrong_type
@@ -247,21 +248,28 @@ def _distance(u: Vertex, v: Vertex) -> int:
     return _depth(u) + _depth(v) - 2 * shared
 
 
-def _ball_size(spec: FreeProductSpec, radius: int, cap: float = float("inf")) -> int:
+def _ball_size(spec: FreeProductSpec, radius: int, cap: Optional[int] = None) -> int:
     """The vertices within radius, counted level by level until the count passes cap: the
-    words of L syllables at 2L, and at 2L + 1 their cosets w<i>, i not the last factor of w."""
+    words of L syllables at 2L, and at 2L + 1 their cosets w<i>, i not the last factor of w.
+    A level that repeats the one before it repeats for good, so the rest are counted at once;
+    only Z_2 * Z_2 does this, and its ball is a line."""
     ends, words, size = [0] * spec.num_factors, 1, 0   # the words of L syllables, by last factor
     for depth in range(0, radius + 1, 2):
-        size += words + (spec.num_factors * words - sum(ends) if depth < radius else 0)
-        if size > cap:
+        cosets = spec.num_factors * words - sum(ends)
+        size += words + (cosets if depth < radius else 0)
+        if cap is not None and size > cap:
             break
-        ends = [(n - 1) * (words - e) for n, e in zip(spec.factor_orders, ends)]
-        words = sum(ends)
+        level = [(n - 1) * (words - e) for n, e in zip(spec.factor_orders, ends)]
+        if level == ends:   # and so is every later level
+            return (size + len(range(depth + 2, radius + 1, 2)) * words
+                    + len(range(depth + 2, radius, 2)) * cosets)
+        ends, words = level, sum(level)
     return size
 
 
 class TreeBall(Record):
-    """Ball of given radius around the identity vertex, implicit in the words.
+    """Ball of given radius around the identity vertex, implicit in the words; any radius
+    is accepted, since only ball() applies the vertex cap.
 
     The vertex table is built when it is first read: vertices level by
     level, each edge as (nearer, farther), and, only when adjacency itself
@@ -579,10 +587,6 @@ class ConedComplex(Record):
         }
         return {cell_class: n for cell_class, n in counts.items() if n}
 
-    def cell_classes(self) -> Tuple[str, ...]:
-        """The classes present, in the order cells() first yields them."""
-        return tuple(self.cell_counts())
-
     def stabilizer(self, cell: Cell) -> Tuple[Word, ...]:
         """The words of syllable length <= budget preserving a cell setwise.
 
@@ -643,9 +647,7 @@ def pushout_dimension_bound(complex_: ConedComplex, cell_gd: Dict[str, int]) -> 
     that do not occur need no value.  The cells of one class share a
     dimension, so the maximum runs over the classes present.
     """
-    classes = complex_.cell_classes()
-    if not classes:
-        raise ValueError("the complex has no cells")
+    classes = complex_.cell_counts()
     for cell_class in classes:
         if cell_class not in cell_gd:
             raise MissingAssignment(cell_class)
@@ -708,7 +710,7 @@ def normalizer_probe(spec: SemidirectSpec, c: SdElement) -> NormalizerProbe:
     det = (power.a - 1) * (power.d - 1) - power.b * power.c
     adjugate = Mat2Z(1 - power.d, power.b, power.c, 1 - power.a)   # of I - A^l
     n = abs(l)
-    divisors = {k for j in range(1, int(n ** 0.5) + 2) if n % j == 0 for k in (j, n // j)}
+    divisors = {k for j in range(1, isqrt(n) + 1) if n % j == 0 for k in (j, n // j)}
     for m in sorted(divisors):
         moved = matrix.pow(m).apply((x, y))
         u = adjugate.apply((x - moved[0], y - moved[1]))

@@ -17,7 +17,7 @@ def names() -> List[str]:
 
 
 def load(name: str) -> ManifoldDescription:
-    path = resources.files(__package__) / f"{name}.json"
+    path = resources.files(__package__).joinpath(f"{name}.json")
     if not path.is_file():
         raise KeyError(f"no bundled description named {name!r}; see `gdim3 corpus`")
     return description_from_json(json.loads(path.read_text(encoding="utf-8")))

@@ -156,12 +156,6 @@ class ManifoldDescription(Record):
         object.__setattr__(self, "pieces", tuple(self.pieces))
 
 
-def boundary_tori(vertex: JsjVertex) -> int:
-    if isinstance(vertex, HyperbolicCusped):
-        return vertex.cusps
-    return vertex.data.base.boundary_count
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -192,17 +186,35 @@ def _refuse_type(value, kind: type, report: List[Violation], path: str, *keys) -
         report.append(Violation(path, wrong_type(value, kind)))
 
 
-def _counted(vertex: JsjVertex) -> bool:
-    """Whether the counts that the graph checks compare have their types."""
-    return (type(vertex.cusps) is int if isinstance(vertex, HyperbolicCusped)
-            else vertex.data.base.well_typed)
+def _unknown(value, what: str, path: str) -> Violation:
+    """The refusal of a piece, vertex, data, base or monodromy of another type."""
+    return Violation(path, f"unknown {what} type {type(value).__name__}")
 
 
-def _validate_seifert(data: SeifertData, path: str, report: List[Violation], closed: bool) -> None:
-    for field, message in data.base.violations():
+def _row_refusal(row, width: int) -> str:
+    """The refusal of a cone pair, edge or matrix row without `width` entries."""
+    return f"expected a list of {width} integers, got {row!r}"
+
+
+def _validate_seifert(data: SeifertData, path: str, report: List[Violation], closed: bool) -> bool:
+    """Report the violations of Seifert data at `path`; return whether its base is well typed,
+    as the counts that a graph compares need."""
+    if not isinstance(data, SeifertData):
+        report.append(_unknown(data, "data", path))
+        return False
+    base = data.base
+    known = isinstance(base, OrbifoldBase)
+    if not known:
+        report.append(_unknown(base, "base", f"{path}.base"))
+    for field, message in base.violations() if known else ():
         report.append(Violation(f"{path}.base.{field}", message))
-    typed = data.base.well_typed
-    for i, (alpha, beta) in enumerate(data.cone_pairs):
+    typed = well_typed = known and base.well_typed   # `typed` asks it of the pairs too
+    for i, pair in enumerate(data.cone_pairs):
+        if len(pair) != 2:
+            report.append(Violation(f"{path}.cone_pairs[{i}]", _row_refusal(pair, 2)))
+            typed = False
+            continue
+        alpha, beta = pair
         if type(alpha) is not int or type(beta) is not int:   # only a bad pair pays for paths
             _refuse_type(alpha, int, report, path, "cone_pairs", i, 0)
             _refuse_type(beta, int, report, path, "cone_pairs", i, 1)
@@ -210,52 +222,67 @@ def _validate_seifert(data: SeifertData, path: str, report: List[Violation], clo
         elif alpha < 2:
             report.append(Violation(f"{path}.cone_pairs[{i}]", "alpha must be >= 2"))
         elif gcd(alpha, beta) != 1:
-            report.append(
-                Violation(f"{path}.cone_pairs[{i}]", f"gcd({alpha}, {beta}) != 1")
-            )
+            report.append(Violation(f"{path}.cone_pairs[{i}]", f"gcd({alpha}, {beta}) != 1"))
     if typed:   # the multisets compare, as sorted lists, once pairs and base have their types
         alphas = sorted(alpha for alpha, _ in data.cone_pairs)
-        orders = sorted(data.base.cone_orders)
+        orders = sorted(base.cone_orders)
         if alphas != orders:
             report.append(Violation(f"{path}.cone_pairs", "cone order mismatch: pairs carry "
                                     f"orders {alphas} but the base carries {orders}"))
     if closed:
-        if data.base.boundary_count != 0:
+        if known and base.boundary_count != 0:
             report.append(Violation(f"{path}.base", "closed Seifert piece over a bounded base"))
         if data.b is None:
             report.append(Violation(f"{path}.b", "closed Seifert data needs the obstruction term b"))
         else:
             _refuse_type(data.b, int, report, path, "b")
     else:
-        if type(data.base.boundary_count) is int and data.base.boundary_count < 1:
+        if known and type(base.boundary_count) is int and base.boundary_count < 1:
             report.append(Violation(f"{path}.base", "bounded Seifert piece over a closed base"))
         if data.b is not None:
             report.append(Violation(f"{path}.b", "bounded Seifert data must not carry b"))
+    return well_typed
+
+
+def _validate_vertex(vertex: JsjVertex, path: str, report: List[Violation]) -> Optional[int]:
+    """Report the violations of a graph vertex at `path`; return its boundary tori, or None
+    while a count lacks its type."""
+    if isinstance(vertex, HyperbolicCusped):
+        cusps = vertex.cusps
+        if type(cusps) is not int:
+            _refuse_type(cusps, int, report, path, "cusps")
+            return None
+        if cusps < 1:
+            report.append(Violation(f"{path}.cusps", "cusps must be >= 1"))
+        return cusps
+    if isinstance(vertex, SeifertBounded):
+        typed = _validate_seifert(vertex.data, path, report, closed=False)
+        return vertex.data.base.boundary_count if typed else None
+    report.append(_unknown(vertex, "vertex", path))
+    return None
 
 
 def _validate_jsj(graph: JsjGraph, path: str, report: List[Violation]) -> None:
-    if (graph.monodromy is not None and all(map(_counted, graph.vertices))
-            and not _is_product_loop(graph)):
+    found: List[Violation] = []   # the vertices' violations, which follow the monodromy's
+    tori = [_validate_vertex(vertex, f"{path}.vertices[{i}]", found)
+            for i, vertex in enumerate(graph.vertices)]
+    edges_ok = None not in tori   # the counts compare once they have their types
+    if graph.monodromy is not None and edges_ok and not _is_product_loop(graph):
         report.append(Violation(f"{path}.monodromy", "only a single torus-times-interval "
                                 "vertex glued to itself takes a monodromy"))
-    n = len(graph.vertices)
+    n = len(tori)
     if n == 0:
         report.append(Violation(f"{path}.vertices", "graph needs at least one vertex"))
         return
-    checked = len(report)   # vertices that add no violation have their types
-    for i, vertex in enumerate(graph.vertices):
-        vpath = f"{path}.vertices[{i}]"
-        if isinstance(vertex, HyperbolicCusped):
-            if type(vertex.cusps) is not int:
-                _refuse_type(vertex.cusps, int, report, vpath, "cusps")
-            elif vertex.cusps < 1:
-                report.append(Violation(f"{vpath}.cusps", "cusps must be >= 1"))
-        else:
-            _validate_seifert(vertex.data, vpath, report, closed=False)
+    report += found
 
     degree = [0] * n
-    edges_ok = True
-    for j, (u, v) in enumerate(graph.edges):
+    for j, edge in enumerate(graph.edges):
+        if len(edge) != 2:
+            report.append(Violation(f"{path}.edges[{j}]", _row_refusal(edge, 2)))
+            edges_ok = False
+            continue
+        u, v = edge
         if type(u) is not int or type(v) is not int:   # only a bad edge pays for paths
             _refuse_type(u, int, report, path, "edges", j, 0)
             _refuse_type(v, int, report, path, "edges", j, 1)
@@ -266,18 +293,13 @@ def _validate_jsj(graph: JsjGraph, path: str, report: List[Violation]) -> None:
         else:
             degree[u] += 1
             degree[v] += 1
-    if not edges_ok or len(report) > checked and not all(map(_counted, graph.vertices)):
+    if not edges_ok:
         return
 
-    for i, vertex in enumerate(graph.vertices):
-        tori = boundary_tori(vertex)
-        if tori >= 1 and degree[i] != tori:
-            report.append(
-                Violation(
-                    f"{path}.vertices[{i}]",
-                    f"boundary bookkeeping: {tori} tori but {degree[i]} edge ends",
-                )
-            )
+    for i, count in enumerate(tori):
+        if count >= 1 and degree[i] != count:
+            report.append(Violation(f"{path}.vertices[{i}]", "boundary bookkeeping: "
+                                    f"{count} tori but {degree[i]} edge ends"))
 
     # connectivity (a description stands for one connected manifold)
     parent = list(range(n))
@@ -322,11 +344,13 @@ def validate(desc: ManifoldDescription) -> List[Violation]:
         elif isinstance(piece, JsjGraph):
             _validate_jsj(piece, path, report)
         elif not isinstance(piece, (TorusBundle, KleinDouble)):
-            report.append(Violation(path, f"unknown piece type {type(piece).__name__}"))
-        monodromy = getattr(piece, "monodromy", None)   # of a torus bundle or a graph
-        if monodromy is None:
+            report.append(_unknown(piece, "piece", path))
+        monodromy = getattr(piece, "monodromy", None)   # of a torus bundle, or of a graph
+        if monodromy is None and not isinstance(piece, TorusBundle):
             continue
-        if type(monodromy.a) is type(monodromy.b) is type(monodromy.c) is type(monodromy.d) is int:
+        if not isinstance(monodromy, Mat2Z):
+            report.append(_unknown(monodromy, "monodromy", f"{path}.monodromy"))
+        elif type(monodromy.a) is type(monodromy.b) is type(monodromy.c) is type(monodromy.d) is int:
             if monodromy.det() not in (1, -1):
                 report.append(Violation(f"{path}.monodromy",
                                         "monodromy determinant must be +1 or -1"))
@@ -417,9 +441,7 @@ def _rows(value, path: str, key: str, width: int):
     """A list of rows of `width` entries (cone pairs, edges, matrix rows), as written."""
     for i, row in enumerate(_listed(value, path, key)):
         if not isinstance(row, (list, tuple)) or len(row) != width:
-            raise DescriptionFormatError(
-                f"{path}.{key}[{i}]: expected a list of {width} integers, got {row!r}"
-            )
+            raise DescriptionFormatError(f"{path}.{key}[{i}]: {_row_refusal(row, width)}")
     return value
 
 
@@ -555,7 +577,7 @@ def piece_to_json(piece: PrimePiece) -> dict:
         obj = {
             "kind": "jsj",
             "vertices": [_vertex_to_json(v) for v in piece.vertices],
-            "edges": [sorted(e) for e in piece.edges],
+            "edges": [sorted((u, v)) for u, v in piece.edges],
         }
         if piece.monodromy is not None:
             obj["monodromy"] = [list(r) for r in piece.monodromy.rows()]
@@ -566,7 +588,9 @@ def piece_to_json(piece: PrimePiece) -> dict:
 def _vertex_to_json(vertex: JsjVertex) -> dict:
     if isinstance(vertex, HyperbolicCusped):
         return {"kind": "hyperbolic_cusped", "cusps": vertex.cusps}
-    return _seifert_to_json("seifert_bounded", vertex.data)
+    if isinstance(vertex, SeifertBounded):
+        return _seifert_to_json("seifert_bounded", vertex.data)
+    raise TypeError(f"unknown vertex type {type(vertex).__name__}")
 
 
 def _seifert_to_json(kind: str, data: SeifertData) -> dict:
@@ -577,7 +601,7 @@ def _seifert_to_json(kind: str, data: SeifertData) -> dict:
            "boundary_count": base.boundary_count}
     if base.cone_orders:
         obj["cone_orders"] = sorted(base.cone_orders)
-    return {"kind": kind, "base": obj, "cone_pairs": [list(p) for p in sorted(data.cone_pairs)]}
+    return {"kind": kind, "base": obj, "cone_pairs": [[a, b] for a, b in sorted(data.cone_pairs)]}
 
 
 def description_to_json(desc: ManifoldDescription) -> dict:
@@ -585,7 +609,7 @@ def description_to_json(desc: ManifoldDescription) -> dict:
     validate refuses it raises InvalidDescription."""
     try:
         return {"name": desc.name, "pieces": [piece_to_json(p) for p in desc.pieces]}
-    except TypeError:
+    except (AttributeError, TypeError, ValueError):
         report = validate(desc)
         if report:
             raise InvalidDescription(report) from None

@@ -222,7 +222,7 @@ def test_09_dihedral_tree_and_coned_complex(criterion):
         assert all(axes)
         complex_ = cone_off(tree4, axes, budget=4)
         bound = pushout_dimension_bound(
-            complex_, {name: 0 for name in complex_.cell_classes()}
+            complex_, {name: 0 for name in complex_.cell_counts()}
         )
         triple_sum = compute(corpus.load("rp3_rp3_rp3"))
         assert bound == 2 == triple_sum.value(2) == triple_sum.value(3)

@@ -15,6 +15,7 @@ from gdim3.bass_serre import (
     MissingAssignment,
     NotHyperbolic,
     SemidirectSpec,
+    TreeBall,
     UnsupportedElement,
     Vertex,
     _ball_size,
@@ -239,7 +240,7 @@ def test_a_negative_radius_is_refused_before_a_bad_cap():
         ball(Z23, -1, max_vertices=0)
 
 
-@pytest.mark.parametrize("spec,radius", [(Z23, 6), (Z33, 5), (Z222, 4)])
+@pytest.mark.parametrize("spec,radius", [(Z23, 6), (Z33, 5), (Z222, 4), (Z22, 7)])
 def test_ball_layout_and_every_vertex_cap(spec, radius):
     """Levels in order, nearer neighbours first; a cap refuses exactly the larger balls."""
     tree = ball(spec, radius)
@@ -410,8 +411,17 @@ def test_no_commuting_hyperbolics_with_crossing_axes_within_budget():
 def test_cone_off_without_axes_is_the_bare_ball():
     tree = ball(Z23, 3)
     cx = cone_off(tree, [], budget=3)
-    assert cx.cell_classes() == ("vertex", "edge")
+    assert tuple(cx.cell_counts()) == ("vertex", "edge")
     assert pushout_dimension_bound(cx, {"vertex": 0, "edge": 0}) == 1
+
+
+def test_the_dihedral_ball_is_counted_without_walking_its_levels():
+    """Z2 * Z2 repeats its levels: its ball of radius R is a line of 2R + 1 vertices, counted
+    at once however large, and only ball() refuses it past the vertex cap."""
+    cx = cone_off(TreeBall(Z22, 10**9), [])
+    assert cx.cell_counts() == {"vertex": 2 * 10**9 + 1, "edge": 2 * 10**9}
+    with pytest.raises(BallLimitExceeded):
+        ball(Z22, 10**9)
 
 
 def test_dihedral_cone_vertex_is_preserved_by_every_budgeted_word():
@@ -894,7 +904,7 @@ def test_cell_counts_match_the_cells(case):
     for cell in cx.cells():
         walked[cell.cell_class] = walked.get(cell.cell_class, 0) + 1
     assert list(cx.cell_counts().items()) == list(walked.items())
-    assert cx.cell_classes() == tuple(walked)
+    assert tuple(cx.cell_counts()) == tuple(walked)
 
 
 def test_cone_off_computes_no_cell_stabiliser(monkeypatch):
@@ -1115,14 +1125,14 @@ def test_cell_classes_and_bound_follow_the_cells():
     values = {"vertex": 3, "cone_vertex": 1, "edge": 0, "cone_edge": 2, "face": 0}
     for axes in ([], [()], [axis[:1]], [axis[:1], ()], [axis], [(), axis, axis[:1]]):
         cx = cone_off(tree, axes, budget=2)
-        assert cx.cell_classes() == tuple(dict.fromkeys(c.cell_class for c in cx.cells()))
+        assert tuple(cx.cell_counts()) == tuple(dict.fromkeys(c.cell_class for c in cx.cells()))
         assert pushout_dimension_bound(cx, values) == pushout_bound_by_walk(cx, values)
-        for missing in cx.cell_classes():
+        for missing in cx.cell_counts():
             partial = {k: v for k, v in values.items() if k != missing}
             with pytest.raises(MissingAssignment) as raised:
                 pushout_dimension_bound(cx, partial)
             assert raised.value.args == (missing,)
-        assert pushout_dimension_bound(cx, {c: 0 for c in cx.cell_classes()}) == (
+        assert pushout_dimension_bound(cx, {c: 0 for c in cx.cell_counts()}) == (
             2 if any(len(a) >= 2 for a in axes) else 1)
 
 

@@ -224,8 +224,9 @@ def jsj_json(vertices: list, edges: list, monodromy=None) -> dict:
 
 CUSPED_JSON = {"kind": "hyperbolic_cusped", "cusps": 2}
 
-# id -> (the JSON document, the same description built in Python, its refusals); the JSON
-# reader refuses the base fields it merges itself, with the same path and words
+# id -> (the JSON document, or None where only Python can build the description, the
+# description built in Python, its refusals); the JSON reader refuses the base fields it
+# merges itself, with the same path and words
 WRONG_TYPES = {
     "float-order": (doc(sph(2.0), sph(2)), desc(Spherical(2.0), Spherical(2)),
                     [("pieces[0].pi1_order", "expected an integer, got 2.0")]),
@@ -295,6 +296,26 @@ WRONG_TYPES = {
     "float-edge-end-first": (doc(jsj_json([CUSPED_JSON], [[0, 0], [0.5, 0]])),
                              desc(JsjGraph((HyperbolicCusped(2),), ((0, 0), (0.5, 0)))),
                              [("pieces[0].edges[1][0]", "expected an integer, got 0.5")]),
+    "vertex-of-another-type": (None, desc(JsjGraph((Spherical(2),))),
+                               [("pieces[0].vertices[0]", "unknown vertex type Spherical")]),
+    "closed-seifert-vertex": (None, desc(JsjGraph((SeifertClosed(SeifertData(annulus())),),
+                                                  ((0, 0),))),
+                              [("pieces[0].vertices[0]", "unknown vertex type SeifertClosed")]),
+    "data-of-another-type": (None, desc(SeifertClosed("x")),
+                             [("pieces[0]", "unknown data type str")]),
+    "base-of-another-type": (None, desc(SeifertClosed(SeifertData("S2", (), 0))),
+                             [("pieces[0].base", "unknown base type str")]),
+    "monodromy-of-another-type": (None, desc(TorusBundle("m")),
+                                  [("pieces[0].monodromy", "unknown monodromy type str")]),
+    "no-monodromy": (None, desc(TorusBundle(None)),
+                     [("pieces[0].monodromy", "unknown monodromy type NoneType")]),
+    "graph-monodromy-of-another-type": (
+        None, desc(JsjGraph((_bounded(annulus()),), ((0, 0),), "m")),
+        [("pieces[0].monodromy", "unknown monodromy type str")]),
+    "short-cone-pair": (None, desc(closed_seifert(sphere(2), ((2,),), 0)),
+                        [("pieces[0].cone_pairs[0]", "expected a list of 2 integers, got (2,)")]),
+    "short-edge": (None, desc(JsjGraph((HyperbolicCusped(1),), ((0,),))),
+                   [("pieces[0].edges[0]", "expected a list of 2 integers, got (0,)")]),
 }
 
 
@@ -311,13 +332,19 @@ def refusals_of_json(obj: dict) -> list:
 def test_a_field_of_the_wrong_type_is_refused_with_its_path(obj, description, report):
     """A JSON document and the same description built in Python are refused alike, in the
     words of `wrong_type`, with the path of the field as written, before any range check,
-    rewrite or evaluation reads the field."""
+    rewrite or evaluation reads the field.  What only Python can build, a record or a row of
+    another shape, is refused alike by the encoder, and never raises another error."""
     expected = [Violation(path, message) for path, message in report]
     assert validate(description) == expected
     with pytest.raises(InvalidDescription) as info:
         compute(description)
     assert info.value.report == expected
-    assert refusals_of_json(obj) == [str(violation) for violation in expected]
+    if obj is None:
+        with pytest.raises(InvalidDescription) as info:
+            description_to_json(description)
+        assert info.value.report == expected
+    else:
+        assert refusals_of_json(obj) == [str(violation) for violation in expected]
 
 
 # id -> (the JSON document, the same description built in Python, its refusals)

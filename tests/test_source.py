@@ -256,3 +256,28 @@ def test_model_types_fields_only_in_the_validators_and_the_base_reader():
     }
     assert "_base_from_json" in callers and callers <= {
         "validate", "_validate_seifert", "_validate_jsj", "_refuse_type", "_base_from_json"}, callers
+
+
+def test_the_package_computes_with_exact_integers_only():
+    """No float literal, no `float(` call and no true division `/`: every quantity is an
+    integer or a Fraction, as the README promises."""
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex)
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "float"
+        or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    assert not found, f"floating point in the package: {found}"
+
+
+def test_validate_checks_each_graph_vertex_in_one_function():
+    """A vertex's kind is decided once, by `_validate_vertex`, which also returns its boundary
+    tori; no separate count or typedness helper reads the vertex again."""
+    tree = ast.parse((PACKAGE / "model.py").read_text(encoding="utf-8"))
+    defined = {name for node in tree.body for name in _defined(node)}
+    assert "_validate_vertex" in defined
+    found = defined & {"_counted", "boundary_tori"}
+    assert not found, f"vertex helpers besides _validate_vertex: {sorted(found)}"
