@@ -9,7 +9,7 @@ certificates for the two group-theoretic mechanisms behind the table:
 free products acting on their Bass-Serre trees and cyclic subgroups of
 Z^2 x| Z.
 """
-from .dimension import DimensionReport, UnsupportedPiece, compute
+from .dimension import DimensionReport, compute
 from .gl2z import InvalidDeterminant, Mat2Z
 from .model import (
     DescriptionFormatError,
@@ -36,7 +36,6 @@ __all__ = [
     "NotHyperbolic",
     "SemidirectSpec",
     "UnsupportedElement",
-    "UnsupportedPiece",
     "axis_of",
     "ball",
     "compute",

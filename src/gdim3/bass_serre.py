@@ -267,9 +267,17 @@ def _ball_size(spec: FreeProductSpec, radius: int, cap: Optional[int] = None) ->
     return size
 
 
+def _at_least(value, name: str, low: int) -> None:
+    """Refuse a radius, vertex cap or budget that is not exactly an int, then one below low."""
+    if type(value) is not int:
+        raise ValueError(f"{name}: {wrong_type(value, int)}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+
+
 class TreeBall(Record):
     """Ball of given radius around the identity vertex, implicit in the words; any radius
-    is accepted, since only ball() applies the vertex cap.
+    >= 0 is accepted, since only ball() applies the vertex cap.
 
     The vertex table is built when it is first read: vertices level by
     level, each edge as (nearer, farther), and, only when adjacency itself
@@ -280,8 +288,7 @@ class TreeBall(Record):
     radius: int
 
     def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise ValueError("radius must be >= 0")
+        _at_least(self.radius, "radius", 0)
 
     def __contains__(self, v: object) -> bool:
         """Whether v is a vertex within the radius: w, or w (i, 1) for w<i>, in normal form."""
@@ -335,8 +342,7 @@ def ball(spec: FreeProductSpec, radius: int, max_vertices: int = 50000) -> TreeB
     """The ball around the identity vertex; BallLimitExceeded past max_vertices, which is
     compared with the vertex count in closed form before anything is built."""
     tree = TreeBall(spec, radius)
-    if max_vertices < 1:
-        raise ValueError("max_vertices must be >= 1")
+    _at_least(max_vertices, "max_vertices", 1)
     if _ball_size(spec, radius, max_vertices) > max_vertices:
         raise BallLimitExceeded(f"ball of radius {radius} exceeds {max_vertices} vertices")
     return tree
@@ -493,8 +499,7 @@ def setwise_axis_stabilizer(spec_ball: TreeBall, axis: Sequence[Vertex],
     by at most 2 * budget and projecting onto the axis shrinks no
     distance.
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
+    _at_least(budget, "budget", 0)
     axis, spec = _geodesic(spec_ball, axis), spec_ball.spec
     # For a kept g, let q = g^-1 * (identity vertex) and v_s the axis vertex
     # nearest q: |s - p| <= 2 * budget, and g * v_s, at depth d(q, v_s) <=
@@ -633,8 +638,7 @@ def cone_off(spec_ball: TreeBall, axes: Sequence[Sequence[Vertex]],
 
     No cell is visited: ConedComplex.stabilizer answers one cell on request.
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
+    _at_least(budget, "budget", 0)
     axes = tuple(tuple(a) for a in axes)
     reports = tuple(setwise_axis_stabilizer(spec_ball, a, budget) for a in axes)
     return ConedComplex(tree=spec_ball, axes=axes, budget=budget, axis_reports=reports)

@@ -1,11 +1,10 @@
 """Bundled example descriptions, one JSON file per manifold."""
 from __future__ import annotations
 
-import json
 from importlib import resources
 from typing import List
 
-from ..model import ManifoldDescription, description_from_json
+from ..model import ManifoldDescription, load_description
 
 
 def names() -> List[str]:
@@ -20,4 +19,4 @@ def load(name: str) -> ManifoldDescription:
     path = resources.files(__package__).joinpath(f"{name}.json")
     if not path.is_file():
         raise KeyError(f"no bundled description named {name!r}; see `gdim3 corpus`")
-    return description_from_json(json.loads(path.read_text(encoding="utf-8")))
+    return load_description(path)

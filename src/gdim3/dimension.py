@@ -19,12 +19,8 @@ from ._record import Record
 from .geometry import Geometry
 from .gl2z import classify
 from .model import (Geometric, HyperbolicCusped, JsjGraph, KleinDouble, ManifoldDescription,
-                    PrimePiece, SeifertBounded, SeifertClosed, Spherical, TorusBundle, normalize)
+                    PrimePiece, Spherical, TorusBundle, normalize, normalize_piece)
 from .orbifold2 import OrbifoldClass, classify_base
-
-
-class UnsupportedPiece(ValueError):
-    """The piece cannot be evaluated by this operation."""
 
 
 ALLOWED_VALUES = frozenset({0, 2, 3, 5})
@@ -119,8 +115,6 @@ def piece_rule(piece: PrimePiece) -> Tuple[str, str]:
     if isinstance(piece, TorusBundle):
         cls = classify(piece.monodromy)
         return f"Thm4.5-{cls.kind}", f"monodromy {piece.monodromy} is {cls}"
-    if not isinstance(piece, (SeifertClosed, SeifertBounded)):
-        raise UnsupportedPiece(f"unknown piece type {type(piece).__name__}")
     base, base_class = piece.data.base, classify_base(piece.data.base)
     seifert = f"Seifert piece, {base_class} base {base.label()}"
     if base_class in (OrbifoldClass.BAD, OrbifoldClass.SPHERICAL):
@@ -169,8 +163,9 @@ def _sum(pieces: Sequence[PrimePiece], parts: Sequence[GdResult], k: int, path: 
 
 
 def evaluate_piece(piece: PrimePiece, k: int, path: str = "piece") -> GdResult:
-    """Value of one prime piece or graph vertex in the column of k."""
-    return _prime(piece, path)[_column(k)]
+    """Value of one prime piece or graph vertex in the column of k, checked and rewritten as
+    compute checks and rewrites it (InvalidDescription, NormalizationAmbiguous)."""
+    return _prime(normalize_piece(piece, path), path)[_column(k)]
 
 
 class DimensionReport(Record):

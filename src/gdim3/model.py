@@ -16,7 +16,8 @@ validates the description as written, once, and only then removes
 trivial summands and rewrites the two torus-decomposition shapes that
 are secretly geometric (a doubled twisted I-bundle is Sol, a torus times
 interval glued to itself is a torus bundle); it raises when a rewrite
-needs data the description does not carry.
+needs data the description does not carry.  normalize_piece() checks
+and rewrites one prime piece or graph vertex the same way.
 """
 from __future__ import annotations
 
@@ -323,6 +324,36 @@ def _validate_jsj(graph: JsjGraph, path: str, report: List[Violation]) -> None:
                                         "torus-times-interval vertex in a multi-vertex graph"))
 
 
+def _validate_piece(piece: PrimePiece, path: str, report: List[Violation]) -> None:
+    """Report the violations of one prime piece at `path`."""
+    if isinstance(piece, Spherical):
+        if type(piece.pi1_order) is not int:
+            _refuse_type(piece.pi1_order, int, report, path, "pi1_order")
+        elif piece.pi1_order < 1:
+            report.append(Violation(f"{path}.pi1_order", "group order must be >= 1"))
+    elif isinstance(piece, Geometric):
+        if not isinstance(piece.geometry, Geometry):
+            report.append(Violation(f"{path}.geometry", "unknown geometry"))
+    elif isinstance(piece, SeifertClosed):
+        _validate_seifert(piece.data, path, report, closed=True)
+    elif isinstance(piece, JsjGraph):
+        _validate_jsj(piece, path, report)
+    elif not isinstance(piece, (TorusBundle, KleinDouble)):
+        report.append(_unknown(piece, "piece", path))
+    monodromy = getattr(piece, "monodromy", None)   # of a torus bundle, or of a graph
+    if monodromy is None and not isinstance(piece, TorusBundle):
+        return
+    if not isinstance(monodromy, Mat2Z):
+        report.append(_unknown(monodromy, "monodromy", f"{path}.monodromy"))
+    elif type(monodromy.a) is type(monodromy.b) is type(monodromy.c) is type(monodromy.d) is int:
+        if monodromy.det() not in (1, -1):
+            report.append(Violation(f"{path}.monodromy", "monodromy determinant must be +1 or -1"))
+    else:   # only a bad matrix pays for paths
+        for r, row in enumerate(monodromy.rows()):
+            for c, entry in enumerate(row):
+                _refuse_type(entry, int, report, path, "monodromy", r, c)
+
+
 def validate(desc: ManifoldDescription) -> List[Violation]:
     """Every violated well-formedness condition, with a path into the description."""
     report: List[Violation] = []
@@ -330,34 +361,7 @@ def validate(desc: ManifoldDescription) -> List[Violation]:
     if not desc.pieces:
         report.append(Violation("pieces", "a description needs at least one piece"))
     for i, piece in enumerate(desc.pieces):
-        path = f"pieces[{i}]"
-        if isinstance(piece, Spherical):
-            if type(piece.pi1_order) is not int:
-                _refuse_type(piece.pi1_order, int, report, path, "pi1_order")
-            elif piece.pi1_order < 1:
-                report.append(Violation(f"{path}.pi1_order", "group order must be >= 1"))
-        elif isinstance(piece, Geometric):
-            if not isinstance(piece.geometry, Geometry):
-                report.append(Violation(f"{path}.geometry", "unknown geometry"))
-        elif isinstance(piece, SeifertClosed):
-            _validate_seifert(piece.data, path, report, closed=True)
-        elif isinstance(piece, JsjGraph):
-            _validate_jsj(piece, path, report)
-        elif not isinstance(piece, (TorusBundle, KleinDouble)):
-            report.append(_unknown(piece, "piece", path))
-        monodromy = getattr(piece, "monodromy", None)   # of a torus bundle, or of a graph
-        if monodromy is None and not isinstance(piece, TorusBundle):
-            continue
-        if not isinstance(monodromy, Mat2Z):
-            report.append(_unknown(monodromy, "monodromy", f"{path}.monodromy"))
-        elif type(monodromy.a) is type(monodromy.b) is type(monodromy.c) is type(monodromy.d) is int:
-            if monodromy.det() not in (1, -1):
-                report.append(Violation(f"{path}.monodromy",
-                                        "monodromy determinant must be +1 or -1"))
-        else:   # only a bad matrix pays for paths
-            for r, row in enumerate(monodromy.rows()):
-                for c, entry in enumerate(row):
-                    _refuse_type(entry, int, report, path, "monodromy", r, c)
+        _validate_piece(piece, f"pieces[{i}]", report)
     return report
 
 
@@ -367,19 +371,21 @@ def validate(desc: ManifoldDescription) -> List[Violation]:
 _TRIVIAL = Spherical(1)
 
 
-def _rewrite_jsj(graph: JsjGraph, index: int) -> PrimePiece:
-    """A valid graph, or the geometric piece it spells: its edges are then
+def _rewrite_jsj(piece: PrimePiece, path: str) -> PrimePiece:
+    """A valid piece, or the geometric piece a valid graph spells: its edges are then
     (0, 1) between two twisted I-bundles, or (0, 0) on one T^2 x I."""
-    if len(graph.vertices) == 2 and all(_is_flat_bounded(v, 1) for v in graph.vertices):
+    if not isinstance(piece, JsjGraph):
+        return piece
+    if len(piece.vertices) == 2 and all(_is_flat_bounded(v, 1) for v in piece.vertices):
         return KleinDouble()
-    if _is_product_loop(graph):
-        if graph.monodromy is None:
+    if _is_product_loop(piece):
+        if piece.monodromy is None:
             raise NormalizationAmbiguous(
-                f"pieces[{index}]: a torus-times-interval vertex glued to itself is a "
+                f"{path}: a torus-times-interval vertex glued to itself is a "
                 "torus bundle; supply the gluing monodromy on the graph piece"
             )
-        return TorusBundle(graph.monodromy)
-    return graph
+        return TorusBundle(piece.monodromy)
+    return piece
 
 
 def normalize(desc: ManifoldDescription) -> ManifoldDescription:
@@ -393,12 +399,20 @@ def normalize(desc: ManifoldDescription) -> ManifoldDescription:
     report = validate(desc)
     if report:
         raise InvalidDescription(report)
-    pieces = [
-        _rewrite_jsj(piece, i) if isinstance(piece, JsjGraph) else piece
-        for i, piece in enumerate(desc.pieces)
-    ]
+    pieces = [_rewrite_jsj(piece, f"pieces[{i}]") for i, piece in enumerate(desc.pieces)]
     nontrivial = tuple(p for p in pieces if p != _TRIVIAL)
     return ManifoldDescription(desc.name, nontrivial or pieces[:1])
+
+
+def normalize_piece(piece: Union[PrimePiece, JsjVertex], path: str = "piece"):
+    """One prime piece or graph vertex, checked and rewritten as normalize checks and rewrites
+    a piece; InvalidDescription and NormalizationAmbiguous name paths that start at `path`."""
+    report: List[Violation] = []
+    vertex = isinstance(piece, (HyperbolicCusped, SeifertBounded))
+    (_validate_vertex if vertex else _validate_piece)(piece, path, report)
+    if report:
+        raise InvalidDescription(report)
+    return _rewrite_jsj(piece, path)
 
 
 # ---------------------------------------------------------------------------

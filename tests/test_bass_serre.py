@@ -1092,6 +1092,23 @@ def test_negative_budgets_are_refused():
         cone_off(tree, [axis], budget=-1)
 
 
+@pytest.mark.parametrize("value", [2.5, "3", True])
+def test_a_radius_cap_or_budget_that_is_no_integer_is_refused(value):
+    """In the words of FreeProductSpec, and before any range check."""
+    tree = ball(Z23, 4)
+    axis = axis_of(tree, parse_word(Z23, "ab"))
+    calls = [
+        ("radius", lambda: ball(Z23, value, max_vertices=0)),
+        ("max_vertices", lambda: ball(Z23, 3, max_vertices=value)),
+        ("budget", lambda: setwise_axis_stabilizer(tree, axis, budget=value)),
+        ("budget", lambda: cone_off(tree, [], budget=value)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"{name}: expected an integer, got {value!r}"
+
+
 def test_each_word_costs_at_most_four_actions_per_axis(monkeypatch):
     """Only the products v_j v_i^-1 of element vertices are assessed, whatever the budget."""
     calls = []

@@ -10,7 +10,6 @@ from gdim3.dimension import (
     RULES,
     GdResult,
     TraceStep,
-    UnsupportedPiece,
     compute,
     evaluate_piece,
 )
@@ -19,18 +18,21 @@ from gdim3.gl2z import Mat2Z
 from gdim3.model import (
     Geometric,
     HyperbolicCusped,
+    InvalidDescription,
     JsjGraph,
     KleinDouble,
     ManifoldDescription,
+    NormalizationAmbiguous,
     SeifertBounded,
     SeifertClosed,
     SeifertData,
     Spherical,
     TorusBundle,
 )
-from gdim3.orbifold2 import disk, mobius_band, sphere
+from gdim3.orbifold2 import annulus, disk, mobius_band, sphere
 
 from randgen import random_description
+from test_model import REWRITABLE
 
 
 def both(piece):
@@ -181,8 +183,51 @@ def test_jsj_takes_the_maximum_over_vertices():
 
 
 def test_unknown_piece_types_are_unsupported():
-    with pytest.raises(UnsupportedPiece, match="unknown piece type str"):
+    with pytest.raises(InvalidDescription, match=r"^piece: unknown piece type str$"):
         evaluate_piece("S3", 2)
+
+
+# --- one piece, checked and rewritten as compute checks and rewrites it ---
+
+@given(st.integers(0, 10_000))
+def test_evaluate_piece_agrees_with_compute_on_every_piece(seed):
+    """A piece alone takes the steps compute takes for it, before the Thm 1.1 step."""
+    for piece in random_description(seed).pieces + tuple(REWRITABLE):
+        report = compute(ManifoldDescription("", (piece,)))
+        for k, column in ((2, report.k2), (3, report.k3plus)):
+            assert evaluate_piece(piece, k, "pieces[0]").trace == column.trace[:-1]
+
+
+PRODUCT = SeifertBounded(SeifertData(base=annulus()))
+
+
+@pytest.mark.parametrize("graph,rule", [
+    (JsjGraph((TWISTED_I_BUNDLE, TWISTED_I_BUNDLE), ((0, 1),)), "Prop5.1-sol"),
+    (JsjGraph((PRODUCT,), ((0, 0),), ANOSOV), "Thm4.5-hyperbolic"),
+])
+def test_a_graph_that_spells_a_geometric_piece_is_valued_as_that_piece(graph, rule):
+    for k in (2, 3):
+        result = evaluate_piece(graph, k)
+        assert (result.value, [step.rule for step in result.trace]) == (2, [rule])
+
+
+def test_a_self_glued_product_without_its_monodromy_is_ambiguous():
+    with pytest.raises(NormalizationAmbiguous, match=r"^piece: a torus-times-interval vertex "):
+        evaluate_piece(JsjGraph((PRODUCT,), ((0, 0),)), 2)
+
+
+@pytest.mark.parametrize("piece,path,refusal", [
+    (JsjGraph((Spherical(2),)), "piece", "piece.vertices[0]: unknown vertex type Spherical"),
+    (TorusBundle("m"), "piece", "piece.monodromy: unknown monodromy type str"),
+    (Spherical(0), "piece", "piece.pi1_order: group order must be >= 1"),
+    (HyperbolicCusped(0), "pieces[1].vertices[2]",
+     "pieces[1].vertices[2].cusps: cusps must be >= 1"),
+])
+def test_an_invalid_piece_or_vertex_is_refused_at_its_path(piece, path, refusal):
+    for k in (2, 3):
+        with pytest.raises(InvalidDescription) as info:
+            evaluate_piece(piece, k, path)
+        assert str(info.value) == refusal
 
 
 # --- connected sums ---

@@ -1,6 +1,7 @@
 import json
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -474,10 +475,10 @@ def test_normalize_validates_once_before_any_rewrite(monkeypatch):
     validate_, rewrite = model.validate, model._rewrite_jsj
     monkeypatch.setattr(model, "validate", lambda d: calls.append("validate") or validate_(d))
     monkeypatch.setattr(model, "_rewrite_jsj",
-                        lambda graph, i: calls.append(f"rewrite {i}") or rewrite(graph, i))
+                        lambda piece, path: calls.append(f"rewrite {path}") or rewrite(piece, path))
     d = desc(Spherical(1), REWRITABLE[0], REWRITABLE[-1])
     assert normalize(d).pieces == (KleinDouble(), TorusBundle(Mat2Z(0, 1, 1, 0)))
-    assert calls == ["validate", "rewrite 1", "rewrite 2"]
+    assert calls == ["validate", "rewrite pieces[0]", "rewrite pieces[1]", "rewrite pieces[2]"]
 
 
 def test_normalize_raises_on_hard_violations():
@@ -503,6 +504,16 @@ def test_json_round_trip(seed):
     d = description_from_json(obj)
     assert description_to_json(d) == obj
     assert description_from_json(description_to_json(d)) == d
+
+
+def test_a_bundled_file_with_a_repeated_key_is_refused(tmp_path, monkeypatch):
+    """The corpus reads its files as load_description does, so the last key does not win."""
+    (tmp_path / "twice.json").write_text(
+        '{"pieces": [{"kind": "spherical", "pi1_order": 2, "pi1_order": 3}]}', encoding="utf-8")
+    monkeypatch.setattr(corpus, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    assert corpus.names() == ["twice"]
+    with pytest.raises(DescriptionFormatError, match="duplicate key 'pi1_order'"):
+        corpus.load("twice")
 
 
 def test_corpus_round_trips():

@@ -4,7 +4,8 @@ The ladder checks each certificate against closed forms computed on its
 own (ball size from counting reduced words, |V| = |E| + 1, 2R + 1 vertices
 on every axis, consistent stabiliser reports, a push-out bound of 2).  The
 census check pass decodes, computes, encodes and replays its first chunk
-of seeded documents against expected values.  The CLI sweep runs every
+of seeded documents against expected values, and a traced sweep of that
+chunk also calls each layer directly.  The CLI sweep runs every
 subcommand of the cli-oneshot deck once through `python -m gdim3.cli`.
 So the benchmark's checks and import paths keep running with the tests.
 Nothing here is timed.
@@ -17,7 +18,7 @@ sys.path.insert(0, str(PERFBENCH))
 
 from census import Census  # noqa: E402
 from cli_oneshot import DECK, CliOneshot  # noqa: E402
-from harness import NullTracer  # noqa: E402
+from harness import NullTracer, Tracer  # noqa: E402
 from ladder import Ladder  # noqa: E402
 
 
@@ -32,6 +33,15 @@ def test_the_census_check_pass_gets_every_document_right():
     census = Census(seed=0)
     census.prepare()
     assert census.attempted == 1000
+    assert census.failed == 0, census.problems
+
+
+def test_a_traced_census_sweep_probes_every_layer():
+    """A traced run also calls each layer directly, evaluate_piece at k = 2 and 3 on each
+    normalized piece included, outside the operation's guard: a refusal there ends the run."""
+    census = Census(seed=0)
+    census.prepare()
+    census.run(Tracer(), sweep=True)
     assert census.failed == 0, census.problems
 
 

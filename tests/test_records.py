@@ -202,6 +202,9 @@ def test_construction_normalises_sequences():
     (lambda: FreeProductSpec([True, 3]), ValueError,
      "factor_orders[0]: expected an integer, got True"),
     (lambda: TreeBall(SPEC, -1), ValueError, "radius must be >= 0"),
+    (lambda: TreeBall(SPEC, 2.5), ValueError, "radius: expected an integer, got 2.5"),
+    (lambda: TreeBall(SPEC, "3"), ValueError, "radius: expected an integer, got '3'"),
+    (lambda: TreeBall(SPEC, True), ValueError, "radius: expected an integer, got True"),
 ])
 def test_refusals_keep_their_type_and_message(make_it, error, message):
     with pytest.raises(error) as info:

@@ -281,3 +281,18 @@ def test_validate_checks_each_graph_vertex_in_one_function():
     assert "_validate_vertex" in defined
     found = defined & {"_counted", "boundary_tori"}
     assert not found, f"vertex helpers besides _validate_vertex: {sorted(found)}"
+
+
+def test_evaluate_piece_has_no_check_of_its_own():
+    """`model` alone judges what a piece is: evaluate_piece asks it, so no UnsupportedPiece
+    is left anywhere in the package and dimension.py defines no exception class."""
+    from gdim3 import dimension
+
+    found = [str(path.relative_to(PACKAGE)) for path in sorted(PACKAGE.rglob("*"))
+             if path.is_file() and "__pycache__" not in path.parts
+             and b"UnsupportedPiece" in path.read_bytes()]
+    assert not found, f"UnsupportedPiece in the package: {found}"
+    raised = [name for name, value in vars(dimension).items()
+              if isinstance(value, type) and issubclass(value, BaseException)
+              and value.__module__ == dimension.__name__]
+    assert not raised, f"exception classes in dimension.py: {raised}"
