@@ -13,14 +13,18 @@ vertex w<i> at 2|w| + 1.  A hyperbolic word h c h^-1, with c cyclically
 reduced of L >= 2 syllables, translates by 2L along the line through the
 elements h c^k (prefix of c).  Element vertices and edges have trivial
 stabilisers and a coset vertex w<i> has stabiliser w Z_{n_i} w^-1, so
-every path with at least one edge has trivial stabiliser.  Coning each
-axis to a point produces a two-complex whose cell stabilisers are
-computed per cell on request, and the push-out dimension bound
-max(gd(stabiliser class) + dim cell) is evaluated per cell class.
+every path with at least one edge has trivial stabiliser.  Left
+translation keeps the syllable that carries one element vertex of a path
+to the next, so the setwise stabiliser of an axis is read off these
+labels, one shift or mirror of the axis at a time, and no vertex is
+moved.  Coning each axis to a point produces a two-complex whose cell
+stabilisers are computed per cell on request, and the push-out dimension
+bound max(gd(stabiliser class) + dim cell) is evaluated per cell class.
 
 The breadth-first ball and distances, displacement-minimising axis
-search and word-by-word stabilisers these closed forms replace are kept
-as test oracles in tests/oracles.py.
+search, word-by-word stabilisers and the action of a word on an axis
+that these closed forms replace are kept as test oracles in
+tests/oracles.py.
 
 The second gadget is algebraic: in Gamma = Z^2 x|_A Z with hyperbolic
 monodromy A, the normaliser of the infinite cyclic subgroup generated
@@ -418,13 +422,16 @@ class AxisStabilizerReport(Record):
 
 
 def _geodesic(spec_ball: TreeBall, axis: Sequence[Vertex]) -> Tuple[Vertex, ...]:
-    """The axis as a tuple; ValueError unless it is a geodesic path in the ball.
+    """The axis as a tuple; ValueError unless it is a geodesic path of vertices in the ball.
 
-    A vertex that is the parent or a child of the ball vertex before it is checked in O(1),
-    any other in full, so a vertex outside the ball is reported before a gap in the path.
+    Each item is typed as it is reached.  A vertex that is the parent or a child of the ball
+    vertex before it is checked in O(1), any other in full, so a vertex outside the ball is
+    reported before a gap in the path.
     """
     axis, spec, gap = tuple(axis), spec_ball.spec, None
-    for u, v in zip((None,) + axis, axis):
+    for t, (u, v) in enumerate(zip((None,) + axis, axis)):
+        if not isinstance(v, Vertex):
+            raise ValueError(f"axis[{t}]: expected a Vertex, got {v!r}")
         if u is not None and _adjacent(spec, u, v):
             inside = _depth(v) <= spec_ball.radius
         else:
@@ -439,47 +446,25 @@ def _geodesic(spec_ball: TreeBall, axis: Sequence[Vertex]) -> Tuple[Vertex, ...]
     return axis
 
 
-class _AxisAction(NamedTuple):
-    """How a word moves the visible part of a geodesic axis v_0 ... v_{n-1}.
+def _axis_labels(spec: FreeProductSpec,
+                 axis: Tuple[Vertex, ...]) -> Tuple[List[Optional[Syllable]], ...]:
+    """The labels of a geodesic axis read forwards and backwards, one per vertex.
 
-    v_t goes to v_{t + value} (a translation) or to v_{value - t} (a
-    reflection), wherever its image lies in the ball.
+    A coset v_t = c<f> strictly inside the axis is labelled by the syllable (f, e) with
+    v_{t+1} = v_{t-1} (f, e), read backwards (f, -e); every other vertex by None.  Each
+    element of c Z_f is c or c (f, k), so e is a difference of last exponents.  Left
+    translation keeps the labels, since it keeps v_{t-1}^-1 v_{t+1}.
     """
-
-    reflection: bool
-    value: int
-
-
-def _axis_action(spec_ball: TreeBall, axis: Tuple[Vertex, ...],
-                 g: Word) -> Optional[_AxisAction]:
-    """The action of g on a geodesic axis, or None unless g preserves it.
-
-    g preserves the axis when at least two axis vertices have images in
-    the ball and all of those images lie on the axis.  The image of v_t
-    lies at depth |t - s| + delta, where v_s is the axis vertex nearest to
-    g^-1 * (identity vertex) at distance delta, so the two ends give s and
-    delta and the vertices with images in the ball are v_lo ... v_hi.  The
-    image of that segment is the geodesic between the images of v_lo and
-    v_hi, which lies on the axis when both of them do.  At most four
-    _act calls per word.
-    """
-    spec, last = spec_ball.spec, len(axis) - 1
-    if last < 1:
-        return None
-    head, tail = _act(spec, g, axis[0]), _act(spec, g, axis[last])
-    depth = _depth(head)
-    s = (depth - _depth(tail) + last) // 2
-    reach = spec_ball.radius - (depth - s)
-    lo, hi = max(0, s - reach), min(last, s + reach)
-    if hi <= lo:
-        return None
-    ja = _axis_position(axis, head if lo == 0 else _act(spec, g, axis[lo]))
-    jb = _axis_position(axis, tail if hi == last else _act(spec, g, axis[hi]))
-    if ja is None or jb is None:
-        return None
-    if jb - ja == hi - lo:
-        return _AxisAction(False, ja - lo)
-    return _AxisAction(True, ja + lo)
+    orders, n = spec.factor_orders, len(axis)
+    ahead: List[Optional[Syllable]] = [None] * n
+    back: List[Optional[Syllable]] = [None] * n
+    for t in range(1 + (axis[0].factor is not None), n - 1, 2):
+        coset, f = axis[t]
+        before, after = axis[t - 1].word, axis[t + 1].word
+        e = ((after[-1][1] if len(after) > len(coset) else 0)
+             - (before[-1][1] if len(before) > len(coset) else 0))
+        ahead[t], back[t] = (f, e % orders[f]), (f, -e % orders[f])
+    return ahead, back
 
 
 def _axis_position(axis: Tuple[Vertex, ...], v: Vertex) -> Optional[int]:
@@ -490,36 +475,59 @@ def _axis_position(axis: Tuple[Vertex, ...], v: Vertex) -> Optional[int]:
 
 def setwise_axis_stabilizer(spec_ball: TreeBall, axis: Sequence[Vertex],
                             budget: int = 6) -> AxisStabilizerReport:
-    """Words of syllable length <= budget preserving a geodesic axis, by action.
+    """Words of syllable length <= budget preserving a geodesic axis v_0 ... v_{n-1}.
 
-    Only the products v_j v_i^-1 of the axis's element vertices can
-    preserve it, and only those with v_i and v_j within 2 * budget + 1
-    steps of the axis vertex v_p nearest the identity vertex are tested,
-    because a word of syllable length <= budget moves the identity vertex
-    by at most 2 * budget and projecting onto the axis shrinks no
-    distance.
+    A kept word g carries the axis vertices whose images lie in the ball, at least two,
+    onto the axis: v_t to v_{t+d} (a shift d) or to v_{s-t} (a mirror sum s).  Those v_t
+    are then exactly the overlap v_a ... v_b of the axis with its shifted or mirrored
+    copy.  Labels are invariant (_axis_labels), so g exists for d or s exactly when
+    the overlap has an edge, the factors of v_a and v_b and the labels strictly between
+    them agree with those of their images (read backwards for a mirror), and each end of
+    the overlap that is not an axis end maps onto an axis end at depth radius.  From
+    there the image path climbs out of the ball at the next vertex; from a shallower end
+    it would stay inside and leave the axis.  That g is w_j w_i^-1 for any element vertex
+    v_i of the overlap and its image v_j, and it is the one word formed for d or s.  A
+    mirror fixes its middle vertex v_{s/2}, which must be a coset, since element vertices
+    have trivial stabilisers.
+
+    Only d and s from the element vertices within 2 * budget + 1 steps of the axis vertex
+    v_p nearest the identity vertex are tried, because a word of syllable length <= budget
+    moves the identity vertex by at most 2 * budget and projecting onto the axis shrinks
+    no distance.  The depth along a geodesic is |t - p| + its least value, so p comes from
+    the depths of the two ends.
     """
     _at_least(budget, "budget", 0)
     axis, spec = _geodesic(spec_ball, axis), spec_ball.spec
-    # For a kept g, let q = g^-1 * (identity vertex) and v_s the axis vertex
-    # nearest q: |s - p| <= 2 * budget, and g * v_s, at depth d(q, v_s) <=
-    # depth(v_p) + 2 * budget, also lies within 2 * budget of v_p.  The
-    # window _axis_action assesses holds v_s and a neighbour, so an element
-    # vertex v_i with |i - s| <= 1, carried onto v_j with j at most one step
-    # from the index of g * v_s.
-    p = min(range(len(axis)), key=lambda t: _depth(axis[t]), default=0)
-    near = axis[max(0, p - 2 * budget - 1):p + 2 * budget + 2]
-    words = [v.word for v in near if v.factor is None]
-    backs = [inverse(spec, w) for w in words]
-    products = (_join(spec, w, back) for w in words for back in backs)
-    candidates = {g for g in products if len(g) <= budget}
-    ordered = sorted(candidates, key=lambda w: (len(w), w))
-    actions = ((g, _axis_action(spec_ball, axis, g)) for g in ordered)
-    kept = [(g, action) for g, action in actions if action is not None]
+    n, found, kept = len(axis), [], []   # found: (i, j, reflection, d or s)
+    if n >= 2:
+        ahead, back = _axis_labels(spec, axis)
+        outer = [_depth(v) == spec_ball.radius for v in (axis[0], axis[-1])]
+        p = (_depth(axis[0]) - _depth(axis[-1]) + n - 1) // 2
+        lo, hi = max(0, p - 2 * budget - 1), min(n - 1, p + 2 * budget + 1)
+        odd = axis[0].factor is not None   # the parity of the element vertices' indices
+        first, last = lo + (lo % 2 != odd), hi - (hi % 2 != odd)
+        for d in range(first - last, last - first + 1, 2):
+            a, b = max(0, -d), min(n - 1, n - 1 - d)
+            if (b > a and (d == 0 or outer[d > 0]) and axis[a].factor == axis[a + d].factor
+                    and axis[b].factor == axis[b + d].factor
+                    and ahead[a + 1:b] == ahead[a + 1 + d:b + d]):
+                i = first if d >= 0 else last
+                found.append((i, i + d, False, d))
+        for s in range(2 * first + 2, 2 * last, 4):   # about each coset between first and last
+            a, b = max(0, s - n + 1), min(n - 1, s)
+            if ((a == 0 or outer[1]) and (b == n - 1 or outer[0])
+                    and axis[a].factor == axis[b].factor and ahead[a + 1:b] == back[b - 1:a:-1]):
+                i = max(first, s - last)
+                found.append((i, s - i, True, s))
+    for i, j, reflection, value in found:
+        g = _join(spec, axis[j].word, inverse(spec, axis[i].word))
+        if len(g) <= budget:
+            kept.append((g, reflection, value))
+    kept.sort(key=lambda item: (len(item[0]), item[0]))
     return AxisStabilizerReport(
-        elements=tuple(g for g, _ in kept),
-        translations=tuple((g, action.value) for g, action in kept if not action.reflection),
-        reflections=tuple((g, action.value) for g, action in kept if action.reflection),
+        elements=tuple(g for g, _, _ in kept),
+        translations=tuple((g, value) for g, reflection, value in kept if not reflection),
+        reflections=tuple((g, value) for g, reflection, value in kept if reflection),
         violations=(),
     )
 

@@ -16,7 +16,7 @@ def names() -> List[str]:
 
 
 def load(name: str) -> ManifoldDescription:
-    path = resources.files(__package__).joinpath(f"{name}.json")
-    if not path.is_file():
+    """The bundled description of a name that names() lists; KeyError for any other."""
+    if name not in names():
         raise KeyError(f"no bundled description named {name!r}; see `gdim3 corpus`")
-    return load_description(path)
+    return load_description(resources.files(__package__).joinpath(f"{name}.json"))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from ._record import Record
+from ._record import Record, wrong_type
 from .geometry import Geometry
 from .gl2z import classify
 from .model import (Geometric, HyperbolicCusped, JsjGraph, KleinDouble, ManifoldDescription,
@@ -27,7 +27,10 @@ ALLOWED_VALUES = frozenset({0, 2, 3, 5})
 
 
 def _column(k: int) -> int:
-    """The column of family index k: 0 for k = 2, 1 for every k >= 3."""
+    """The column of family index k: 0 for k = 2, 1 for every k >= 3.  Anything but exactly an
+    int (a bool too) is refused in `wrong_type`'s words, before the range check."""
+    if type(k) is not int:
+        raise ValueError(f"family index: {wrong_type(k, int)}")
     if k < 2:
         raise ValueError(f"family index must be >= 2, got {k}")
     return min(k, 3) - 2

@@ -7,14 +7,15 @@ a lattice basis by the extended Euclidean algorithm, the ball grown
 breadth first from each vertex's children, breadth-first distances
 inside the ball, displacement minimisation over every vertex,
 stabilisers by testing every budgeted word on every vertex, axis
-stabilisers from every product of two axis elements, the stabiliser
-record of every cell of a coned complex built in one pass, the push-out
-bound by walking every cell, the short hyperbolic words of `--axes auto`
-by filtering every word, the normaliser of a cyclic subgroup of
-Z^2 x| Z by conjugating with every element of a box) so the tests can
-compare the two.  The group operations that only these comparisons need
-(the enumeration of words, their product, the action on vertices, the
-product, inverse, powers and conjugation in Z^2 x| Z) live here too.
+stabilisers from the action of every product of two axis elements, the
+stabiliser record of every cell of a coned complex built in one pass,
+the push-out bound by walking every cell, the short hyperbolic words of
+`--axes auto` by filtering every word, the normaliser of a cyclic
+subgroup of Z^2 x| Z by conjugating with every element of a box) so the
+tests can compare the two.  The group operations that only these comparisons need
+(the enumeration of words, their product, the action on vertices and on
+a geodesic axis, the product, inverse, powers and conjugation in
+Z^2 x| Z) live here too.
 """
 from __future__ import annotations
 
@@ -35,8 +36,9 @@ from gdim3.bass_serre import (
     Vertex,
     Word,
     _act,
-    _axis_action,
+    _axis_position,
     _coset_stabilizer,
+    _depth,
     _geodesic,
     _join,
     inverse,
@@ -424,6 +426,48 @@ def setwise_by_scan(tree: TreeBall, axis: Sequence[Vertex], budget: int) -> Axis
     )
 
 
+class AxisAction(NamedTuple):
+    """How a word moves the visible part of a geodesic axis v_0 ... v_{n-1}.
+
+    v_t goes to v_{t + value} (a translation) or to v_{value - t} (a
+    reflection), wherever its image lies in the ball.
+    """
+
+    reflection: bool
+    value: int
+
+
+def axis_action(spec_ball: TreeBall, axis: Tuple[Vertex, ...], g: Word) -> Optional[AxisAction]:
+    """The action of g on a geodesic axis, or None unless g preserves it.
+
+    g preserves the axis when at least two axis vertices have images in
+    the ball and all of those images lie on the axis.  The image of v_t
+    lies at depth |t - s| + delta, where v_s is the axis vertex nearest to
+    g^-1 * (identity vertex) at distance delta, so the two ends give s and
+    delta and the vertices with images in the ball are v_lo ... v_hi.  The
+    image of that segment is the geodesic between the images of v_lo and
+    v_hi, which lies on the axis when both of them do.  At most four
+    _act calls per word.
+    """
+    spec, last = spec_ball.spec, len(axis) - 1
+    if last < 1:
+        return None
+    head, tail = _act(spec, g, axis[0]), _act(spec, g, axis[last])
+    depth = _depth(head)
+    s = (depth - _depth(tail) + last) // 2
+    reach = spec_ball.radius - (depth - s)
+    lo, hi = max(0, s - reach), min(last, s + reach)
+    if hi <= lo:
+        return None
+    ja = _axis_position(axis, head if lo == 0 else _act(spec, g, axis[lo]))
+    jb = _axis_position(axis, tail if hi == last else _act(spec, g, axis[hi]))
+    if ja is None or jb is None:
+        return None
+    if jb - ja == hi - lo:
+        return AxisAction(False, ja - lo)
+    return AxisAction(True, ja + lo)
+
+
 def setwise_by_pairs(tree: TreeBall, axis: Sequence[Vertex], budget: int) -> AxisStabilizerReport:
     """The setwise axis stabiliser from every product v_j v_i^-1 of the axis's element vertices."""
     axis = _geodesic(tree, axis)
@@ -434,7 +478,7 @@ def setwise_by_pairs(tree: TreeBall, axis: Sequence[Vertex], budget: int) -> Axi
     translations: List[Tuple[Word, int]] = []
     reflections: List[Tuple[Word, int]] = []
     for g in sorted((g for g in products if len(g) <= budget), key=lambda w: (len(w), w)):
-        action = _axis_action(tree, axis, g)
+        action = axis_action(tree, axis, g)
         if action is None:
             continue
         elements.append(g)

@@ -1013,6 +1013,78 @@ def test_products_formed_grow_with_the_budget_not_the_axis(monkeypatch):
         assert counts["join"] - counts["act"] <= (2 * budget + 2) ** 2
 
 
+LADDER_RUNGS = {
+    "big_ball": (Z23, 24, [w for w in words_up_to(Z23, 2) if len(w) == 2]),
+    "deep_budget": (Z222, 8, [parse_word(Z222, w) for w in ("ab", "bc", "ac")]),
+}
+
+
+@lru_cache(maxsize=None)
+def rung_axes(name):
+    spec, radius, words = LADDER_RUNGS[name]
+    tree = ball(spec, radius)
+    return tree, list(dict.fromkeys(axis_of(tree, w) for w in words))
+
+
+@pytest.mark.parametrize("budget", range(0, 7))
+@pytest.mark.parametrize("name", sorted(LADDER_RUNGS))
+def test_the_ladder_rungs_read_as_every_product_of_two_axis_elements(name, budget):
+    tree, axes = rung_axes(name)
+    for axis in axes:
+        assert len(axis) == 2 * tree.radius + 1
+        assert setwise_axis_stabilizer(tree, axis, budget) == setwise_by_pairs(tree, axis, budget)
+
+
+def test_each_word_formed_is_a_new_element_of_the_stabiliser_and_no_vertex_is_moved(
+        monkeypatch):
+    """No _act call, and at most one _join for each shift or mirror sum whose labels match:
+    every product formed preserves the axis, and none is formed twice."""
+    formed, acted = [], []
+    real_join, real_act = bass_serre._join, bass_serre._act
+
+    def counting_join(spec, u, v):
+        formed.append(real_join(spec, u, v))
+        return formed[-1]
+
+    def counting_act(spec, g, v):
+        acted.append(g)
+        return real_act(spec, g, v)
+
+    for name in sorted(LADDER_RUNGS):
+        tree, axes = rung_axes(name)
+        for axis in axes:
+            preserving = set(setwise_by_pairs(tree, axis, 2 * tree.radius).elements)
+            with monkeypatch.context() as patch:
+                patch.setattr(bass_serre, "_join", counting_join)
+                patch.setattr(bass_serre, "_act", counting_act)
+                for budget in range(0, 7):
+                    formed.clear()
+                    report = setwise_axis_stabilizer(tree, axis, budget)
+                    assert acted == []
+                    assert len(set(formed)) == len(formed)
+                    assert set(report.elements) <= set(formed) <= preserving
+
+
+@pytest.mark.parametrize("spec,radius,word", [
+    (Z23, 9, "ab"), (Z23, 8, "ab"), (Z222, 7, "abc"), (Z22, 7, "ab"), (Z33, 6, "ab2"),
+])
+def test_paths_ending_at_a_coset_or_inside_the_ball_match_the_oracles(spec, radius, word):
+    """A coset end has no step before it to read, and an end below the radius refuses every
+    shift and mirror that would carry an axis vertex past it."""
+    tree = ball(spec, radius)
+    axis = axis_of(tree, parse_word(spec, word))
+    paths = [axis[1:], axis[:-1], axis[1:-1], axis[2:-3], axis[3:], axis[:-4], axis[5:9]]
+    paths += [axis[::-1]] + [path[::-1] for path in paths]
+    ends = [v for path in paths for v in (path[0], path[-1])]
+    assert any(v.factor is not None for v in ends)
+    assert any(tree.distance(BASE_VERTEX, v) < radius for v in ends)
+    for path in paths:
+        for budget in range(0, 7):
+            report = setwise_axis_stabilizer(tree, path, budget)
+            assert report == setwise_by_pairs(tree, path, budget)
+            assert report == setwise_by_scan(tree, path, budget)
+
+
 def outcome(check, *args):
     try:
         return check(*args)
@@ -1081,6 +1153,17 @@ def test_non_geodesic_axes_are_refused():
         with pytest.raises(ValueError):
             cone_off(tree, [axis, bad], budget=2)
     assert setwise_axis_stabilizer(tree, branch, budget=3) == setwise_by_scan(tree, branch, 3)
+    # an item that is no Vertex is refused at its position, before a gap found earlier
+    for bad, message in (([BASE_VERTEX, 5], "axis[1]: expected a Vertex, got 5"),
+                         (["x"], "axis[0]: expected a Vertex, got 'x'"),
+                         ([((), None)], "axis[0]: expected a Vertex, got ((), None)"),
+                         ([axis[0], axis[2], None], "axis[2]: expected a Vertex, got None")):
+        with pytest.raises(ValueError) as info:
+            setwise_axis_stabilizer(tree, bad, budget=2)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            cone_off(tree, [axis, bad], budget=2)
+        assert str(info.value) == message
 
 
 def test_negative_budgets_are_refused():

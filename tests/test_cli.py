@@ -817,6 +817,8 @@ def exit_code(argv):
      "itself is a torus bundle; supply the gluing monodromy on the graph piece"),
     (["probe-normalizer", "--monodromy", "2,1;1,1", "--element", "0,0,0"],
      "error: the identity generates no infinite cyclic subgroup"),
+    (["compute", "corpus:../corpus/rp3_rp3"],
+     "error: no bundled description named '../corpus/rp3_rp3'; see `gdim3 corpus`"),
 ])
 def test_bad_arguments_and_inputs_exit_2(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -126,6 +126,16 @@ def test_family_index_rejects_small_k():
             report.value(k)
 
 
+@pytest.mark.parametrize("k", [2.5, "3", True])
+def test_a_family_index_that_is_no_integer_is_refused(k):
+    """In the words of the tree calls, and before the range check: True is no index 1."""
+    report = compute(corpus.load("e3_rp3"))
+    for call in (lambda: evaluate_piece(Spherical(2), k), lambda: report.value(k)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"family index: expected an integer, got {k!r}"
+
+
 def test_family_index_clamps_at_three():
     report = compute(corpus.load("e3_rp3"))
     assert (report.value(2), report.value(3), report.value(7)) == (5, 2, 2)

@@ -516,6 +516,16 @@ def test_a_bundled_file_with_a_repeated_key_is_refused(tmp_path, monkeypatch):
         corpus.load("twice")
 
 
+def test_the_corpus_loads_only_the_names_it_lists():
+    """A path that reaches a bundled file by another name is no name of the corpus."""
+    assert "rp3_rp3" in corpus.names()
+    for name in ("../corpus/rp3_rp3", "./rp3_rp3", "rp3_rp3/../rp3_rp3"):
+        with pytest.raises(KeyError) as info:
+            corpus.load(name)
+        assert info.value.args == (f"no bundled description named {name!r}; see `gdim3 corpus`",)
+    assert corpus.load("rp3_rp3").name == "rp3_rp3"
+
+
 def test_corpus_round_trips():
     for name in corpus.names():
         d = corpus.load(name)

@@ -47,7 +47,7 @@ def test_the_certificate_path_builds_no_vertex_table():
                 if isinstance(node, ast.ClassDef) and node.name == "ConedComplex"]
     functions.update({f"ConedComplex.{node.name}": node for node in coned.body
                       if isinstance(node, ast.FunctionDef)})
-    names = ("ball", "axis_of", "_geodesic", "_axis_action", "_axis_position",
+    names = ("ball", "axis_of", "_geodesic", "_axis_labels", "_axis_position",
              "setwise_axis_stabilizer", "cone_off", "ConedComplex.cell_counts",
              "ConedComplex.stabilizer")
     assert set(names) <= set(functions), sorted(set(names) - set(functions))
@@ -61,13 +61,14 @@ def test_the_certificate_path_builds_no_vertex_table():
 
 
 def test_bass_serre_assesses_axes_without_a_vertex_scan():
-    """Axis stabilisers come from the endpoint test; the scan is a test oracle."""
+    """Axis stabilisers are read off the axis labels; the scan is a test oracle."""
     found = _names(PACKAGE / "bass_serre.py") & {"_preserving"}
     assert not found, f"per-vertex axis scan in bass_serre.py: {sorted(found)}"
 
 
 def test_axis_stabilisers_do_not_enumerate_words():
-    """cone_off and setwise_axis_stabilizer test the products v_j v_i^-1, not every word."""
+    """cone_off and setwise_axis_stabilizer read shifts and mirrors off the axis labels and
+    form one product v_j v_i^-1 for each kept one, not every word."""
     tree = ast.parse((PACKAGE / "bass_serre.py").read_text(encoding="utf-8"))
     bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
               and node.name in ("cone_off", "setwise_axis_stabilizer")}
