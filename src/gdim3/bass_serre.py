@@ -6,12 +6,12 @@ central trivial vertex group: its vertices are the group elements (one
 per reduced word) and the cosets w * Z_{n_i}, and each element w is
 joined to its m cosets.  Every geometric fact is read off normal forms
 (Serre, *Trees*, I.4) rather than searched for, so a ball of the tree is
-implicit: membership, distance, parents and the vertex count are closed
-forms, and the vertex table is built only when it is read.  An element
-vertex w lies at distance 2|w| from the identity vertex and a coset
-vertex w<i> at 2|w| + 1.  A hyperbolic word h c h^-1, with c cyclically
-reduced of L >= 2 syllables, translates by 2L along the line through the
-elements h c^k (prefix of c).  Element vertices and edges have trivial
+implicit: membership, distance, degree, parents and the element and
+coset counts are closed forms, and the vertex table is built only when
+it is read.  An element vertex w lies at distance 2|w| from the identity
+vertex and a coset vertex w<i> at 2|w| + 1.  A hyperbolic word h c h^-1,
+with c cyclically reduced of L >= 2 syllables, translates by 2L along
+the line through the elements h c^k (prefix of c).  Element vertices and edges have trivial
 stabilisers and a coset vertex w<i> has stabiliser w Z_{n_i} w^-1, so
 every path with at least one edge has trivial stabiliser.  Left
 translation keeps the syllable that carries one element vertex of a path
@@ -21,10 +21,10 @@ moved.  Coning each axis to a point produces a two-complex whose cell
 stabilisers are computed per cell on request, and the push-out dimension
 bound max(gd(stabiliser class) + dim cell) is evaluated per cell class.
 
-The breadth-first ball and distances, displacement-minimising axis
-search, word-by-word stabilisers and the action of a word on an axis
-that these closed forms replace are kept as test oracles in
-tests/oracles.py.
+The breadth-first ball and its adjacency and distances,
+displacement-minimising axis search, word-by-word stabilisers and the
+action of a word on a vertex or an axis that these closed forms replace
+are kept as test oracles in tests/oracles.py.
 
 The second gadget is algebraic: in Gamma = Z^2 x|_A Z with hyperbolic
 monodromy A, the normaliser of the infinite cyclic subgroup generated
@@ -37,8 +37,9 @@ length <= B".
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import isqrt
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ._record import Record, wrong_type
 from .gl2z import Mat2Z, MatKind, classify
@@ -88,10 +89,18 @@ class FreeProductSpec(Record):
 # words
 
 def normal_form(spec: FreeProductSpec, syllables: Sequence[Syllable]) -> Word:
-    """Confluent reduction: merge adjacent same-factor syllables, drop zeros."""
+    """Confluent reduction: merge adjacent same-factor syllables, drop zeros.  ValueError
+    unless every syllable is a pair of exact ints (a bool is no int) with a factor in range."""
     orders = spec.factor_orders
-    out: List[List[int]] = []
-    for factor, exponent in syllables:
+    out: List[Syllable] = []
+    for pair in syllables:
+        try:
+            factor, exponent = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"syllable {pair!r}: expected a pair of integers") from None
+        if type(factor) is not int or type(exponent) is not int:
+            bad = exponent if type(factor) is int else factor
+            raise ValueError(f"syllable {pair!r}: {wrong_type(bad, int)}")
         if not 0 <= factor < len(orders):
             raise ValueError(f"factor index {factor} out of range")
         exponent %= orders[factor]
@@ -102,10 +111,10 @@ def normal_form(spec: FreeProductSpec, syllables: Sequence[Syllable]) -> Word:
             if merged == 0:
                 out.pop()
             else:
-                out[-1][1] = merged
+                out[-1] = (factor, merged)
         else:
-            out.append([factor, exponent])
-    return tuple((f, e) for f, e in out)
+            out.append((factor, exponent))
+    return tuple(out)
 
 
 def _join(spec: FreeProductSpec, u: Word, v: Word) -> Word:
@@ -123,7 +132,7 @@ def _join(spec: FreeProductSpec, u: Word, v: Word) -> Word:
 
 
 def inverse(spec: FreeProductSpec, w: Sequence[Syllable]) -> Word:
-    return normal_form(spec, tuple((f, -e) for f, e in reversed(tuple(w))))
+    return tuple((f, spec.factor_orders[f] - e) for f, e in reversed(normal_form(spec, w)))
 
 
 def _peel(spec: FreeProductSpec, g: Word) -> Tuple[Word, Word, int]:
@@ -201,12 +210,6 @@ def coset_canonical(word: Word, factor: int) -> Word:
     return word[:-1] if word and word[-1][0] == factor else word
 
 
-def _act(spec: FreeProductSpec, g: Word, v: Vertex) -> Vertex:
-    """The left translation g * v, for a normal-form g and a canonical vertex."""
-    moved = _join(spec, g, v.word)
-    return Vertex(moved if v.factor is None else coset_canonical(moved, v.factor), v.factor)
-
-
 BASE_VERTEX = Vertex((), None)
 
 
@@ -228,9 +231,9 @@ def _adjacent(spec: FreeProductSpec, u: Vertex, v: object) -> bool:
         if i is None:
             last = a[-1][0] if a else None
             parent = bool(a) and b == a[:-1] and j == last
-            return j is not None and (parent or b == a and j != last and 0 <= j < spec.num_factors)
-        return j is None and (b == a or b[:-1] == a and b[-1][0] == i
-                              and 0 < b[-1][1] < spec.factor_orders[i])
+            return type(j) is int and (parent or b == a and j != last and 0 <= j < spec.num_factors)
+        return j is None and (b == a or b[:-1] == a and type(b[-1][0]) is type(b[-1][1]) is int
+                              and b[-1][0] == i and 0 < b[-1][1] < spec.factor_orders[i])
     except (TypeError, ValueError, IndexError):
         return False
 
@@ -252,23 +255,24 @@ def _distance(u: Vertex, v: Vertex) -> int:
     return _depth(u) + _depth(v) - 2 * shared
 
 
-def _ball_size(spec: FreeProductSpec, radius: int, cap: Optional[int] = None) -> int:
-    """The vertices within radius, counted level by level until the count passes cap: the
-    words of L syllables at 2L, and at 2L + 1 their cosets w<i>, i not the last factor of w.
-    A level that repeats the one before it repeats for good, so the rest are counted at once;
-    only Z_2 * Z_2 does this, and its ball is a line."""
-    ends, words, size = [0] * spec.num_factors, 1, 0   # the words of L syllables, by last factor
+def _ball_size(spec: FreeProductSpec, radius: int, cap: Optional[int] = None) -> Tuple[int, int]:
+    """The element and the coset vertices within radius, counted level by level until their
+    sum passes cap: the words of L syllables at 2L, and at 2L + 1 their cosets w<i>, i not the
+    last factor of w.  A level that repeats the one before it repeats for good, so the rest
+    are counted at once; only Z_2 * Z_2 does this, and its ball is a line."""
+    ends, words = [0] * spec.num_factors, 1   # the words of L syllables, by last factor
+    elements = cosets = 0
     for depth in range(0, radius + 1, 2):
-        cosets = spec.num_factors * words - sum(ends)
-        size += words + (cosets if depth < radius else 0)
-        if cap is not None and size > cap:
+        level_cosets = spec.num_factors * words - sum(ends)
+        elements, cosets = elements + words, cosets + (level_cosets if depth < radius else 0)
+        if cap is not None and elements + cosets > cap:
             break
         level = [(n - 1) * (words - e) for n, e in zip(spec.factor_orders, ends)]
         if level == ends:   # and so is every later level
-            return (size + len(range(depth + 2, radius + 1, 2)) * words
-                    + len(range(depth + 2, radius, 2)) * cosets)
+            return (elements + len(range(depth + 2, radius + 1, 2)) * words,
+                    cosets + len(range(depth + 2, radius, 2)) * level_cosets)
         ends, words = level, sum(level)
-    return size
+    return elements, cosets
 
 
 def _at_least(value, name: str, low: int) -> None:
@@ -283,9 +287,9 @@ class TreeBall(Record):
     """Ball of given radius around the identity vertex, implicit in the words; any radius
     >= 0 is accepted, since only ball() applies the vertex cap.
 
-    The vertex table is built when it is first read: vertices level by
-    level, each edge as (nearer, farther), and, only when adjacency itself
-    is read, lists starting with the neighbour nearer the identity vertex.
+    Membership, distance and degree are read off the words.  The vertex
+    table is built when it is first read: vertices level by level, and
+    each edge as (nearer, farther).
     """
 
     spec: FreeProductSpec
@@ -322,17 +326,17 @@ class TreeBall(Record):
                 level = [child for _, child in pairs]
                 vertices += level
             self.__dict__.update(vertices=tuple(vertices), edges=tuple(edges))
-        elif name == "adjacency":
-            near = {v: (_parent(v),) if v != BASE_VERTEX else () for v in self.vertices}
-            for u, v in self.edges:
-                near[u] += (v,)
-            self.__dict__[name] = near
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return self.__dict__[name]
+            return self.__dict__[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def degree(self, v: Vertex) -> int:
-        return len(self.adjacency[v])
+        """The neighbours of a vertex of the ball (KeyError outside it): below the radius all
+        of them, m for an element vertex and n_i for a coset w<i>, and at it the parent alone."""
+        if v not in self:
+            raise KeyError(v)
+        if _depth(v) < self.radius:
+            return self.spec.num_factors if v.factor is None else self.spec.factor_orders[v.factor]
+        return int(v != BASE_VERTEX)
 
     def distance(self, u: Vertex, v: Vertex) -> int:
         """Tree distance between two vertices of the ball (KeyError outside it)."""
@@ -347,7 +351,7 @@ def ball(spec: FreeProductSpec, radius: int, max_vertices: int = 50000) -> TreeB
     compared with the vertex count in closed form before anything is built."""
     tree = TreeBall(spec, radius)
     _at_least(max_vertices, "max_vertices", 1)
-    if _ball_size(spec, radius, max_vertices) > max_vertices:
+    if sum(_ball_size(spec, radius, max_vertices)) > max_vertices:
         raise BallLimitExceeded(f"ball of radius {radius} exceeds {max_vertices} vertices")
     return tree
 
@@ -421,13 +425,24 @@ class AxisStabilizerReport(Record):
         return not self.violations
 
 
+def _typed(v: Vertex) -> bool:
+    """Whether a vertex is made of exact ints: its factor None or an int, its word int pairs."""
+    try:
+        return (v.factor is None or type(v.factor) is int) and all(
+            type(f) is type(e) is int for f, e in v.word)
+    except (TypeError, ValueError):
+        return False
+
+
 def _geodesic(spec_ball: TreeBall, axis: Sequence[Vertex]) -> Tuple[Vertex, ...]:
     """The axis as a tuple; ValueError unless it is a geodesic path of vertices in the ball.
 
-    Each item is typed as it is reached.  A vertex that is the parent or a child of the ball
-    vertex before it is checked in O(1), any other in full, so a vertex outside the ball is
-    reported before a gap in the path.
+    The axis must be a sequence, and each item is typed as it is reached.  A vertex that is
+    the parent or a child of the ball vertex before it is checked in O(1), any other in full,
+    so a vertex outside the ball is reported before a gap in the path.
     """
+    if not isinstance(axis, Sequence):
+        raise ValueError(f"axis: expected a sequence of vertices, got {axis!r}")
     axis, spec, gap = tuple(axis), spec_ball.spec, None
     for t, (u, v) in enumerate(zip((None,) + axis, axis)):
         if not isinstance(v, Vertex):
@@ -437,6 +452,8 @@ def _geodesic(spec_ball: TreeBall, axis: Sequence[Vertex]) -> Tuple[Vertex, ...]
         else:
             inside, gap = v in spec_ball, gap or (u is not None and (u, v))
         if not inside:
+            if not _typed(v):
+                raise ValueError(f"axis[{t}]: expected a Vertex of integers, got {v!r}")
             raise ValueError(f"axis vertex {v.label()} lies outside the ball")
     if gap:
         raise ValueError(f"axis vertices {gap[0].label()} and {gap[1].label()} are not adjacent")
@@ -590,7 +607,7 @@ class ConedComplex(Record):
     def cell_counts(self) -> Dict[str, int]:
         """The number of cells of each class present, in the order cells() first yields them."""
         lengths = [len(axis) for axis in self.axes]
-        vertices = _ball_size(self.tree.spec, self.tree.radius)
+        vertices = sum(_ball_size(self.tree.spec, self.tree.radius))
         counts = {
             "vertex": vertices,
             "cone_vertex": len(lengths),
@@ -647,6 +664,11 @@ def cone_off(spec_ball: TreeBall, axes: Sequence[Sequence[Vertex]],
     No cell is visited: ConedComplex.stabilizer answers one cell on request.
     """
     _at_least(budget, "budget", 0)
+    if not isinstance(axes, Sequence):
+        raise ValueError(f"axes: expected a sequence of axes, got {axes!r}")
+    for k, axis in enumerate(axes):
+        if not isinstance(axis, Sequence):
+            raise ValueError(f"axes[{k}]: expected a sequence of vertices, got {axis!r}")
     axes = tuple(tuple(a) for a in axes)
     reports = tuple(setwise_axis_stabilizer(spec_ball, a, budget) for a in axes)
     return ConedComplex(tree=spec_ball, axes=axes, budget=budget, axis_reports=reports)

@@ -191,7 +191,7 @@ def _positive(text: str) -> int:
 
 
 def _cmd_ball(args: argparse.Namespace) -> int:
-    from .bass_serre import ball
+    from .bass_serre import _ball_size, _depth, ball
 
     tree = ball(args.factors, args.radius, max_vertices=args.max_vertices)
     if args.format == "json":
@@ -205,16 +205,14 @@ def _cmd_ball(args: argparse.Namespace) -> int:
             indent=2,
         ))
         return EX_OK
-    element = sum(1 for v in tree.vertices if v.factor is None)
-    coset = len(tree.vertices) - element
+    element, coset = _ball_size(args.factors, args.radius)
     orders = " * ".join(f"Z{n}" for n in args.factors.factor_orders)
     print(f"{orders}, ball of radius {args.radius}")
-    print(f"vertices: {len(tree.vertices)} ({element} element, {coset} coset)")
-    print(f"edges: {len(tree.edges)}")
+    print(f"vertices: {element + coset} ({element} element, {coset} coset)")
+    print(f"edges: {element + coset - 1}")
     if args.list:
         for v in tree.vertices:
-            print(f"  {v.label()} (distance {tree.distance(v, tree.vertices[0])},"
-                  f" degree {tree.degree(v)})")
+            print(f"  {v.label()} (distance {_depth(v)}, degree {tree.degree(v)})")
     return EX_OK
 
 

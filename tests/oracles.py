@@ -4,8 +4,9 @@ The package classifies GL(2, Z) matrices by trace and determinant and
 measures tree geometry in closed form; these helpers recompute the same
 facts by search and enumeration (the order of a matrix by taking powers,
 a lattice basis by the extended Euclidean algorithm, the ball grown
-breadth first from each vertex's children, breadth-first distances
-inside the ball, displacement minimisation over every vertex,
+breadth first from each vertex's children with its adjacency lists,
+breadth-first distances and paths inside that ball, displacement
+minimisation over each of its vertices,
 stabilisers by testing every budgeted word on every vertex, axis
 stabilisers from the action of every product of two axis elements, the
 stabiliser record of every cell of a coned complex built in one pass,
@@ -35,12 +36,12 @@ from gdim3.bass_serre import (
     TreeBall,
     Vertex,
     Word,
-    _act,
     _axis_position,
     _coset_stabilizer,
     _depth,
     _geodesic,
     _join,
+    coset_canonical,
     inverse,
     normal_form,
     setwise_axis_stabilizer,
@@ -165,8 +166,10 @@ def mul(spec: FreeProductSpec, u: Sequence[Syllable], v: Sequence[Syllable]) -> 
 
 
 def act(spec: FreeProductSpec, g: Sequence[Syllable], v: Vertex) -> Vertex:
-    """Left translation action on vertex labels (defined on the whole tree)."""
-    return _act(spec, normal_form(spec, g), Vertex(normal_form(spec, v.word), v.factor))
+    """Left translation action on vertex labels (defined on the whole tree): g w, and for a
+    coset g w<i> with the word's own last syllable of factor i dropped."""
+    moved = mul(spec, g, v.word)
+    return Vertex(moved if v.factor is None else coset_canonical(moved, v.factor), v.factor)
 
 
 def translation_syllables(spec: FreeProductSpec, w: Sequence[Syllable]) -> int:
@@ -248,10 +251,10 @@ def geodesic_by_adjacency(oracle: BfsBall, axis: Sequence[Vertex]) -> Tuple[Vert
 
 
 class BfsDistances:
-    """Graph distances inside a ball, one breadth-first search per source."""
+    """Graph distances inside a breadth-first ball, one breadth-first search per source."""
 
-    def __init__(self, tree: TreeBall | BfsBall) -> None:
-        self.tree = tree
+    def __init__(self, oracle: BfsBall) -> None:
+        self.oracle = oracle
         self.tables: Dict[Vertex, Dict[Vertex, int]] = {}
 
     def __call__(self, u: Vertex, v: Vertex) -> int:
@@ -261,7 +264,7 @@ class BfsDistances:
             queue = deque([u])
             while queue:
                 current = queue.popleft()
-                for neighbour in self.tree.adjacency[current]:
+                for neighbour in self.oracle.adjacency[current]:
                     if neighbour not in table:
                         table[neighbour] = table[current] + 1
                         queue.append(neighbour)
@@ -273,10 +276,10 @@ def _vertex_key(v: Vertex) -> tuple:
     return (v.word, -1 if v.factor is None else v.factor)
 
 
-def axis_by_displacement(tree: TreeBall, w: Sequence[Syllable],
-                         distance: Optional[BfsDistances] = None
-                         ) -> Optional[Tuple[Vertex, ...]]:
-    """Visible axis of w found by minimising the displacement d(v, w.v).
+def axis_by_displacement(spec: FreeProductSpec, w: Sequence[Syllable],
+                         distance: BfsDistances) -> Optional[Tuple[Vertex, ...]]:
+    """Visible axis of w found by minimising the displacement d(v, w.v) over the vertices
+    of the breadth-first ball that distance measures.
 
     The displacement can only be measured where both endpoints lie in the
     ball, so the minimiser set is a window strictly inside the visible
@@ -284,17 +287,16 @@ def axis_by_displacement(tree: TreeBall, w: Sequence[Syllable],
     w- and w^-1-translates is the axis inside the ball, ordered from the
     end with the smaller (word, factor) key.
     """
-    spec = tree.spec
-    distance = distance or BfsDistances(tree)
+    oracle = distance.oracle
     g = normal_form(spec, w)
     reduced = rotate_to_cyclically_reduced(spec, g)
     if len(reduced) <= 1:
         return None
     expected = 2 * len(reduced)
     window: List[Vertex] = []
-    for v in tree.vertices:
+    for v in oracle.vertices:
         image = act(spec, g, v)
-        if image not in tree:
+        if image not in oracle.adjacency:
             continue
         displacement = distance(v, image)
         if displacement < expected:
@@ -303,12 +305,12 @@ def axis_by_displacement(tree: TreeBall, w: Sequence[Syllable],
             window.append(v)
     if not window:
         return None
-    order_path(tree, window)   # the minimal displacement set must be a path
+    order_path(oracle, window)   # the minimal displacement set must be a path
     points = set(window)
     for direction in (g, inverse(spec, g)):
         for v in window:
             image = act(spec, direction, v)
-            if image in tree:
+            if image in oracle.adjacency:
                 points.add(image)
     ordered = sorted(points, key=_vertex_key)
     end_a, end_b, span = ordered[0], ordered[0], 0
@@ -316,18 +318,19 @@ def axis_by_displacement(tree: TreeBall, w: Sequence[Syllable],
         for v in ordered[i:]:
             if distance(u, v) > span:
                 end_a, end_b, span = u, v, distance(u, v)
-    line = [x for x in tree.vertices if distance(end_a, x) + distance(end_b, x) == span]
+    line = [x for x in oracle.vertices if distance(end_a, x) + distance(end_b, x) == span]
     if not points <= set(line):
         raise AssertionError("axis translates are not collinear")
     line.sort(key=lambda x: distance(end_a, x))
     return tuple(line)
 
 
-def order_path(tree: TreeBall, vertices: Sequence[Vertex]) -> Tuple[Vertex, ...]:
-    """The vertices in path order; AssertionError unless they form a path."""
+def order_path(oracle: BfsBall, vertices: Sequence[Vertex]) -> Tuple[Vertex, ...]:
+    """The vertices in path order in a breadth-first ball; AssertionError unless they form
+    a path."""
     vertex_set = set(vertices)
     local = {
-        v: [n for n in tree.adjacency[v] if n in vertex_set]
+        v: [n for n in oracle.adjacency[v] if n in vertex_set]
         for v in vertices
     }
     ends = sorted(
@@ -447,20 +450,20 @@ def axis_action(spec_ball: TreeBall, axis: Tuple[Vertex, ...], g: Word) -> Optio
     delta and the vertices with images in the ball are v_lo ... v_hi.  The
     image of that segment is the geodesic between the images of v_lo and
     v_hi, which lies on the axis when both of them do.  At most four
-    _act calls per word.
+    act calls per word.
     """
     spec, last = spec_ball.spec, len(axis) - 1
     if last < 1:
         return None
-    head, tail = _act(spec, g, axis[0]), _act(spec, g, axis[last])
+    head, tail = act(spec, g, axis[0]), act(spec, g, axis[last])
     depth = _depth(head)
     s = (depth - _depth(tail) + last) // 2
     reach = spec_ball.radius - (depth - s)
     lo, hi = max(0, s - reach), min(last, s + reach)
     if hi <= lo:
         return None
-    ja = _axis_position(axis, head if lo == 0 else _act(spec, g, axis[lo]))
-    jb = _axis_position(axis, tail if hi == last else _act(spec, g, axis[hi]))
+    ja = _axis_position(axis, head if lo == 0 else act(spec, g, axis[lo]))
+    jb = _axis_position(axis, tail if hi == last else act(spec, g, axis[hi]))
     if ja is None or jb is None:
         return None
     if jb - ja == hi - lo:

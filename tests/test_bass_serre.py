@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
@@ -152,6 +153,26 @@ def test_word_str_round_trips(raw):
     assert parse_word(Z33, word_str(w)) == w
 
 
+@pytest.mark.parametrize("word,message", [
+    (((0, 1.5), (1, 1)), "syllable (0, 1.5): expected an integer, got 1.5"),
+    (((0, True), (1, 1)), "syllable (0, True): expected an integer, got True"),
+    (((1, 1), (True, 1)), "syllable (True, 1): expected an integer, got True"),
+    (((0, 1), "b"), "syllable 'b': expected a pair of integers"),
+    ("ab", "syllable 'a': expected a pair of integers"),
+    (((0, 1, 1),), "syllable (0, 1, 1): expected a pair of integers"),
+    ([(0, 1), None], "syllable None: expected a pair of integers"),
+])
+def test_a_syllable_that_is_no_pair_of_integers_is_refused(word, message):
+    """Every way a word enters refuses a syllable that is no pair of exact ints, naming it,
+    in the words of wrong_type where one entry is no int."""
+    tree = ball(Z23, 4)
+    for call in (normal_form, inverse, cyclically_reduce):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(Z23, word)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        axis_of(tree, word)
+
+
 def test_parse_word_rejects_garbage():
     with pytest.raises(ValueError):
         parse_word(Z23, "xyz")
@@ -179,7 +200,7 @@ def test_infinite_dihedral_ball_is_a_line():
 
 
 def test_z2_z3_ball_is_bipartite_with_factor_degrees():
-    tree = ball(Z23, 4)
+    tree, oracle = ball(Z23, 4), bfs_ball(Z23, 4)
     for v in tree.vertices:
         if tree.distance(BASE_VERTEX, v) < tree.radius:
             if v.factor is None:
@@ -187,7 +208,7 @@ def test_z2_z3_ball_is_bipartite_with_factor_degrees():
             else:
                 assert tree.degree(v) == Z23.factor_orders[v.factor]
         # every edge joins an element vertex to a coset vertex
-        for n in tree.adjacency[v]:
+        for n in oracle.adjacency[v]:
             assert (v.factor is None) != (n.factor is None)
 
 
@@ -242,16 +263,15 @@ def test_a_negative_radius_is_refused_before_a_bad_cap():
 
 @pytest.mark.parametrize("spec,radius", [(Z23, 6), (Z33, 5), (Z222, 4), (Z22, 7)])
 def test_ball_layout_and_every_vertex_cap(spec, radius):
-    """Levels in order, nearer neighbours first; a cap refuses exactly the larger balls."""
+    """Levels in order, each edge from its nearer end, each degree the edges that meet the
+    vertex; a cap refuses exactly the larger balls."""
     tree = ball(spec, radius)
     size = len(tree.vertices)
     depth = [tree.distance(BASE_VERTEX, v) for v in tree.vertices]
     assert tree.vertices[0] == BASE_VERTEX and depth == sorted(depth) and depth[-1] == radius
-    assert list(tree.adjacency) == list(tree.vertices)
-    assert tree.edges == tuple((tree.adjacency[v][0], v) for v in tree.vertices[1:])
-    for v, d in zip(tree.vertices, depth):
-        steps = [tree.distance(BASE_VERTEX, n) - d for n in tree.adjacency[v]]
-        assert steps == sorted(steps) and steps.count(-1) == (d > 0)
+    assert tree.edges == tuple((_parent(v), v) for v in tree.vertices[1:])
+    ends = Counter(v for edge in tree.edges for v in edge)
+    assert [tree.degree(v) for v in tree.vertices] == [ends[v] for v in tree.vertices]
     for cap in range(1, size + 2):
         if cap < size:
             with pytest.raises(BallLimitExceeded) as info:
@@ -272,12 +292,12 @@ def test_action_is_by_isometries_and_composes():
 
 
 def test_action_preserves_adjacency():
-    tree = ball(Z23, 4)
+    oracle = bfs_ball(Z23, 4)
     g = parse_word(Z23, "ab")
-    for u, v in tree.edges:
+    for u, v in oracle.edges:
         gu, gv = act(Z23, g, u), act(Z23, g, v)
-        if gu in tree and gv in tree:
-            assert gv in tree.adjacency[gu]
+        if gu in oracle.adjacency and gv in oracle.adjacency:
+            assert gv in oracle.adjacency[gu]
 
 
 def test_coset_canonical_strips_own_factor_syllable():
@@ -328,7 +348,7 @@ def test_axis_of_ab_in_the_dihedral_line():
     assert axis is not None
     assert set(axis) == set(tree.vertices)
     for u, v in zip(axis, axis[1:]):
-        assert v in tree.adjacency[u]
+        assert v in bfs_ball(Z22, 6).adjacency[u]
     # the ordered path is carried into itself four steps along
     index = {v: i for i, v in enumerate(axis)}
     for v in axis:
@@ -392,7 +412,7 @@ def test_orientation_only_axis_in_z3_z3():
 def test_no_commuting_hyperbolics_with_crossing_axes_within_budget():
     # bounded check: any two commuting hyperbolic words must share their
     # axis line, so the union of the visible windows is still a path
-    tree = ball(Z23, 6)
+    tree, oracle = ball(Z23, 6), bfs_ball(Z23, 6)
     words = [w for w in words_up_to(Z23, 3)
              if len(cyclically_reduce(Z23, w)) >= 2]
     for g in words:
@@ -403,7 +423,7 @@ def test_no_commuting_hyperbolics_with_crossing_axes_within_budget():
             if axis_g is None or axis_h is None:
                 continue
             union = list(set(axis_g) | set(axis_h))
-            assert order_path(tree, union)
+            assert order_path(oracle, union)
 
 
 # --- coned complexes ---
@@ -609,7 +629,7 @@ ORACLE_BALLS = {
     for spec, radii in ((Z22, (2, 5, 8)), (Z23, (3, 6, 9)), (Z33, (3, 5)), (Z222, (3, 4, 6)))
     for radius in radii
 }
-ORACLE_DISTANCES = {key: BfsDistances(tree) for key, tree in ORACLE_BALLS.items()}
+ORACLE_DISTANCES = {key: BfsDistances(bfs_ball(*key)) for key in ORACLE_BALLS}
 
 
 @st.composite
@@ -625,7 +645,7 @@ def ball_and_word(draw):
 def test_axis_matches_displacement_minimisation(case):
     key, w = case
     tree = ORACLE_BALLS[key]
-    assert axis_of(tree, w) == axis_by_displacement(tree, w, ORACLE_DISTANCES[key])
+    assert axis_of(tree, w) == axis_by_displacement(key[0], w, ORACLE_DISTANCES[key])
 
 
 @pytest.mark.parametrize("key", [(Z22, 8), (Z23, 6), (Z33, 3), (Z222, 4)])
@@ -633,14 +653,14 @@ def test_every_axis_of_short_words_matches_displacement_minimisation(key):
     tree = ORACLE_BALLS[key]
     words = list(words_up_to(key[0], 4))
     axes = [axis_of(tree, w) for w in words]
-    assert axes == [axis_by_displacement(tree, w, ORACLE_DISTANCES[key]) for w in words]
+    assert axes == [axis_by_displacement(key[0], w, ORACLE_DISTANCES[key]) for w in words]
     assert any(axis is None for axis in axes) and any(axis is not None for axis in axes)
 
 
 @pytest.mark.parametrize("spec,radius", [(Z22, 8), (Z23, 6), (Z33, 4), (Z222, 4)])
 def test_distance_matches_breadth_first_search_on_every_pair(spec, radius):
     tree = ball(spec, radius)
-    bfs = BfsDistances(tree)
+    bfs = BfsDistances(bfs_ball(spec, radius))
     for u in tree.vertices:
         for v in tree.vertices:
             assert tree.distance(u, v) == bfs(u, v)
@@ -682,16 +702,25 @@ def non_members(spec, radius, v):
     return found + list(deeper[:3])                         # depth radius + 1
 
 
+UNTYPED = [
+    Vertex(((0, 1.5),), None), Vertex(((0, True),), None), Vertex(((True, 1),), None),
+    Vertex(((0, 1.0),), None), Vertex((), True), Vertex("ab", None), Vertex(((0, 1, 1),), None),
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(IMPLICIT_SPECS), st.integers(0, 9), st.data())
 def test_the_implicit_ball_matches_breadth_first_search(spec, radius, data):
-    """Membership, distance, parent and size come from the words; the vertex table, built
-    when it is read, is the breadth-first one in the same order."""
+    """Membership, distance, parent, degree and the element and coset counts come from the
+    words; the vertex table, built when it is read, is the breadth-first one in the same
+    order."""
     oracle = oracle_ball(spec, radius)
     tree = ball(spec, radius)
-    assert _ball_size(spec, radius) == len(oracle.vertices)
+    elements = sum(v.factor is None for v in oracle.vertices)
+    assert _ball_size(spec, radius) == (elements, len(oracle.vertices) - elements)
     assert all(v in tree for v in oracle.vertices)
     assert all(_parent(v) == oracle.adjacency[v][0] for v in oracle.vertices[1:])
+    assert all(tree.degree(u) == len(oracle.adjacency[u]) for u in oracle.vertices)
     v = data.draw(st.sampled_from(oracle.vertices))
     distances = BfsDistances(oracle)
     assert all(tree.distance(v, u) == distances(v, u) for u in oracle.vertices)
@@ -699,11 +728,15 @@ def test_the_implicit_ball_matches_breadth_first_search(spec, radius, data):
         assert outside not in tree
         with pytest.raises(KeyError):
             tree.distance(v, outside)
+        with pytest.raises(KeyError):
+            tree.degree(outside)
+    for untyped in UNTYPED:                                 # no Vertex of exact ints
+        assert untyped not in tree
+        with pytest.raises(KeyError):
+            tree.degree(untyped)
     assert tuple(v) not in tree                             # equal to a vertex, but no Vertex
     assert "vertices" not in vars(tree)
     assert tree.vertices == oracle.vertices and tree.edges == oracle.edges
-    assert "adjacency" not in vars(tree)
-    assert list(tree.adjacency.items()) == list(oracle.adjacency.items())
 
 
 @pytest.mark.parametrize("spec", [Z22, Z23, Z234])
@@ -860,8 +893,8 @@ FOREIGN_TREE = ball(Z222, 4)
 FOREIGN_AXES = [axis_of(FOREIGN_TREE, parse_word(Z222, w)) for w in ("ab", "bc")]
 OUTSIDE = Vertex(parse_word(Z222, "abcab"), None)
 OFF_AXIS = next(v for v in FOREIGN_AXES[1] if v not in FOREIGN_AXES[0])
-CHILD = FOREIGN_TREE.adjacency[BASE_VERTEX][0]
-GRANDCHILD = FOREIGN_TREE.adjacency[CHILD][1]
+CHILD = bfs_ball(Z222, 4).adjacency[BASE_VERTEX][0]
+GRANDCHILD = bfs_ball(Z222, 4).adjacency[CHILD][1]
 FOREIGN_CELLS = {
     "vertex outside the ball": Cell("vertex", 0, (OUTSIDE,)),
     "coset outside the ball": Cell("vertex", 0, (Vertex(parse_word(Z222, "abc"), 0),)),
@@ -944,7 +977,7 @@ def test_cone_off_and_stabilizer_never_walk_the_ball():
     assert cx.cell_counts() == walked_counts
     assert pushout_dimension_bound(cx, dict.fromkeys(walked_counts, 0)) == 2
     assert [setwise_axis_stabilizer(tree, axis, 4) for axis in axes] == list(cx.axis_reports)
-    assert not {"vertices", "edges", "adjacency"} & set(vars(tree)), sorted(vars(tree))
+    assert not {"vertices", "edges"} & set(vars(tree)), sorted(vars(tree))
 
 
 def tree_geodesic(tree, u, v):
@@ -953,7 +986,7 @@ def tree_geodesic(tree, u, v):
     while up[-1] != down[-1]:
         a, b = up[-1], down[-1]
         deeper = up if tree.distance(BASE_VERTEX, a) >= tree.distance(BASE_VERTEX, b) else down
-        deeper.append(tree.adjacency[deeper[-1]][0])
+        deeper.append(oracle_ball(tree.spec, tree.radius).adjacency[deeper[-1]][0])
     return tuple(up + down[-2::-1])
 
 
@@ -993,24 +1026,18 @@ def test_products_formed_grow_with_the_budget_not_the_axis(monkeypatch):
     tree = ball(Z23, 24)
     axis = axis_of(tree, parse_word(Z23, "ab"))
     assert sum(v.factor is None for v in axis) == 25
-    counts = {"join": 0, "act": 0}
-    real_join, real_act = bass_serre._join, bass_serre._act
+    joins = []
+    real_join = bass_serre._join
 
     def counting_join(spec, u, v):
-        counts["join"] += 1
+        joins.append(u)
         return real_join(spec, u, v)
 
-    def counting_act(spec, g, v):
-        counts["act"] += 1
-        return real_act(spec, g, v)
-
     monkeypatch.setattr(bass_serre, "_join", counting_join)
-    monkeypatch.setattr(bass_serre, "_act", counting_act)
     for budget in range(0, 7):
-        counts.update(join=0, act=0)
+        joins.clear()
         setwise_axis_stabilizer(tree, axis, budget)
-        # each _act call forms one product of its own with _join
-        assert counts["join"] - counts["act"] <= (2 * budget + 2) ** 2
+        assert len(joins) <= (2 * budget + 2) ** 2
 
 
 LADDER_RUNGS = {
@@ -1037,30 +1064,29 @@ def test_the_ladder_rungs_read_as_every_product_of_two_axis_elements(name, budge
 
 def test_each_word_formed_is_a_new_element_of_the_stabiliser_and_no_vertex_is_moved(
         monkeypatch):
-    """No _act call, and at most one _join for each shift or mirror sum whose labels match:
-    every product formed preserves the axis, and none is formed twice."""
-    formed, acted = [], []
-    real_join, real_act = bass_serre._join, bass_serre._act
+    """Every _join is a product w_j w_i^-1 of two element vertices of the axis, never a word
+    applied to a vertex, and at most one is formed for each shift or mirror sum whose labels
+    match: every product formed preserves the axis, and none is formed twice."""
+    formed, factors = [], []
+    real_join = bass_serre._join
 
     def counting_join(spec, u, v):
+        factors.append((u, inverse(spec, v)))
         formed.append(real_join(spec, u, v))
         return formed[-1]
-
-    def counting_act(spec, g, v):
-        acted.append(g)
-        return real_act(spec, g, v)
 
     for name in sorted(LADDER_RUNGS):
         tree, axes = rung_axes(name)
         for axis in axes:
             preserving = set(setwise_by_pairs(tree, axis, 2 * tree.radius).elements)
+            elements = {v.word for v in axis if v.factor is None}
             with monkeypatch.context() as patch:
                 patch.setattr(bass_serre, "_join", counting_join)
-                patch.setattr(bass_serre, "_act", counting_act)
                 for budget in range(0, 7):
                     formed.clear()
+                    factors.clear()
                     report = setwise_axis_stabilizer(tree, axis, budget)
-                    assert acted == []
+                    assert {w for pair in factors for w in pair} <= elements
                     assert len(set(formed)) == len(formed)
                     assert set(report.elements) <= set(formed) <= preserving
 
@@ -1144,7 +1170,7 @@ def test_non_geodesic_axes_are_refused():
     gap = axis[:3] + axis[4:]                         # consecutive vertices not adjacent
     backtrack = axis[:3] + (axis[1],)                 # adjacent steps, ends too close
     k = next(k for k, v in enumerate(axis) if k and v.factor is None)
-    off = next(n for n in tree.adjacency[axis[k]] if n not in axis)
+    off = next(n for n in oracle_ball(Z222, 6).adjacency[axis[k]] if n not in axis)
     branch = axis[:k + 1] + (off,)                    # leaves the line: still a geodesic
     outside = axis + (Vertex(parse_word(Z222, "abcabc"), None),)
     for bad in (gap, backtrack, axis[::2], outside):
@@ -1163,6 +1189,29 @@ def test_non_geodesic_axes_are_refused():
         assert str(info.value) == message
         with pytest.raises(ValueError) as info:
             cone_off(tree, [axis, bad], budget=2)
+        assert str(info.value) == message
+    # so is one that is no Vertex of exact ints, however it is reached
+    coset_a = Vertex((), 0)
+    for bad, k in (([Vertex(((0, 1.5),), None)], 0), ([Vertex("ab", None)], 0),
+                   ([BASE_VERTEX, Vertex((), True)], 1),
+                   ([coset_a, Vertex(((0, True),), None)], 1),
+                   ([BASE_VERTEX, coset_a, Vertex(((0, 1), (1, 1.0)), None)], 2)):
+        message = f"axis[{k}]: expected a Vertex of integers, got {bad[k]!r}"
+        for call in (lambda: setwise_axis_stabilizer(tree, bad, budget=2),
+                     lambda: cone_off(tree, [axis, bad], budget=2)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+    # and an axis, or a list of axes, that is no sequence, before any item is read
+    for call, message in (
+            (lambda: setwise_axis_stabilizer(tree, 5),
+             "axis: expected a sequence of vertices, got 5"),
+            (lambda: cone_off(tree, 5), "axes: expected a sequence of axes, got 5"),
+            (lambda: cone_off(tree, [5]), "axes[0]: expected a sequence of vertices, got 5"),
+            (lambda: cone_off(tree, [[5], {BASE_VERTEX}]),
+             "axes[1]: expected a sequence of vertices, got {Vertex(word=(), factor=None)}")):
+        with pytest.raises(ValueError) as info:
+            call()
         assert str(info.value) == message
 
 
@@ -1192,22 +1241,23 @@ def test_a_radius_cap_or_budget_that_is_no_integer_is_refused(value):
         assert str(info.value) == f"{name}: expected an integer, got {value!r}"
 
 
-def test_each_word_costs_at_most_four_actions_per_axis(monkeypatch):
-    """Only the products v_j v_i^-1 of element vertices are assessed, whatever the budget."""
+def test_each_axis_forms_at_most_one_product_per_pair_of_element_vertices(monkeypatch):
+    """Only the products v_j v_i^-1 of element vertices are formed, one _join each, whatever
+    the budget."""
     calls = []
-    real_act = bass_serre._act
+    real_join = bass_serre._join
 
-    def counting_act(spec, g, v):
-        calls.append(g)
-        return real_act(spec, g, v)
+    def counting_join(spec, u, v):
+        calls.append(u)
+        return real_join(spec, u, v)
 
-    monkeypatch.setattr(bass_serre, "_act", counting_act)
+    monkeypatch.setattr(bass_serre, "_join", counting_join)
     for spec, radius, words, budget in ((Z23, 10, ("ab", "bab"), 3),
                                         (Z222, 8, ("ab", "bc", "ac", "cabc"), 6),
                                         (Z222, 8, ("ab", "cabc"), 12)):
         tree = ball(spec, radius)
         axes = [axis_of(tree, parse_word(spec, w)) for w in words]
-        bounds = [4 * sum(v.factor is None for v in axis) ** 2 for axis in axes]
+        bounds = [sum(v.factor is None for v in axis) ** 2 for axis in axes]
         for axis, bound in zip(axes, bounds):
             calls.clear()
             setwise_axis_stabilizer(tree, axis, budget)

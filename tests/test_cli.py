@@ -308,13 +308,29 @@ def test_cone_off_with_bound(capsys):
     assert "push-out dimension bound: 2" in stdout
 
 
+def unbuilt(tree, name):
+    """A TreeBall.__getattr__ that refuses to build the vertex table."""
+    if name in ("vertices", "edges"):
+        raise AssertionError(f"built the vertex table to read {name}")
+    raise AttributeError(name)
+
+
+def test_text_ball_never_builds_the_vertex_table(capsys, monkeypatch):
+    """The text report counts the ball in closed form; only --list and --format json list
+    the table."""
+    monkeypatch.setattr(TreeBall, "__getattr__", unbuilt)
+    argv = ["ball", "--factors", "2,3", "--radius", "40"]
+    assert run(argv) == EX_OK
+    stdout, _ = out(capsys)
+    assert stdout == ("Z2 * Z3, ball of radius 40\n"
+                      "vertices: 12277 (7162 element, 5115 coset)\nedges: 12276\n")
+    for extra in (["--list"], ["--format", "json"]):
+        with pytest.raises(AssertionError, match="built the vertex table to read vertices"):
+            run(argv + extra)
+
+
 def test_text_cone_off_never_builds_the_vertex_table(capsys, monkeypatch):
     """The text report counts the cells in closed form; only --format json walks the ball."""
-    def unbuilt(tree, name):
-        if name in ("vertices", "edges", "adjacency"):
-            raise AssertionError(f"built the vertex table to read {name}")
-        raise AttributeError(name)
-
     monkeypatch.setattr(TreeBall, "__getattr__", unbuilt)
     argv = ["cone-off", "--factors", "2,3", "--radius", "40", "--budget", "2",
             "--assign", "vertex=0", "--assign", "cone_vertex=0", "--assign", "edge=0",

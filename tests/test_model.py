@@ -11,6 +11,7 @@ from gdim3 import compute, corpus
 from gdim3.gl2z import Mat2Z
 from gdim3.model import (
     DescriptionFormatError,
+    Geometric,
     HyperbolicCusped,
     InvalidDescription,
     JsjGraph,
@@ -317,6 +318,9 @@ WRONG_TYPES = {
                         [("pieces[0].cone_pairs[0]", "expected a list of 2 integers, got (2,)")]),
     "short-edge": (None, desc(JsjGraph((HyperbolicCusped(1),), ((0,),))),
                    [("pieces[0].edges[0]", "expected a list of 2 integers, got (0,)")]),
+    "geometry-of-another-type": (None, desc(Geometric("H3")),
+                                 [("pieces[0].geometry", "unknown geometry")]),
+    "piece-of-another-type": (None, desc("x"), [("pieces[0]", "unknown piece type str")]),
 }
 
 
@@ -361,6 +365,17 @@ AS_WRITTEN = {
     "edge": (doc(jsj_json([{"kind": "hyperbolic_cusped", "cusps": 4}], [[0, 0], [5, 0]])),
              desc(JsjGraph((HyperbolicCusped(4),), ((0, 0), (5, 0)))),
              [("pieces[0].edges[1]", "vertex index out of range: (5, 0)")]),
+    "alpha": (doc(closed_json({"cone_orders": [2, 3, 7]}, [[1, 0], [3, 1], [7, 1]], -1)),
+              desc(closed_seifert(sphere(2, 3, 7), ((1, 0), (3, 1), (7, 1)), -1)),
+              [("pieces[0].cone_pairs[0]", "alpha must be >= 2"),
+               ("pieces[0].cone_pairs", "cone order mismatch: pairs carry orders [1, 3, 7] "
+                                        "but the base carries [2, 3, 7]")]),
+    "bounded-vertex-over-a-closed-base": (
+        doc(jsj_json([bounded_json({"cone_orders": [2, 3, 7]}, [[2, 1], [3, 1], [7, 1]])], [])),
+        desc(JsjGraph((_bounded(sphere(2, 3, 7), ((2, 1), (3, 1), (7, 1))),), ())),
+        [("pieces[0].vertices[0].base", "bounded Seifert piece over a closed base")]),
+    "graph-without-vertices": (doc(jsj_json([], [])), desc(JsjGraph((), ())),
+                               [("pieces[0].vertices", "graph needs at least one vertex")]),
 }
 
 
@@ -689,6 +704,7 @@ def test_scalar_fields_are_read_strictly(piece, path):
     (seifert(cone_pairs=[2, 1]), "pieces[1].cone_pairs[0]"),
     ({"kind": "torus_bundle", "monodromy": [[1, 0]]}, "pieces[1].monodromy"),
     ({"kind": "jsj", "vertices": {"kind": "hyperbolic_cusped"}}, "pieces[1].vertices"),
+    (seifert(base=5), "pieces[1].base"),
 ])
 def test_the_reader_refuses_what_it_cannot_build_with_its_path(piece, path):
     """A missing group order, a wrong shape, and a base field that is merged or negated;

@@ -128,6 +128,7 @@ def test_labels():
     assert disk(2, 2).label() == "D2(2,2)"
     assert annulus().label() == "annulus"
     assert mobius_band().label() == "Mobius band"
+    assert OrbifoldBase(3, False, 2).label() == "crosscap-3 surface with 2 boundary"
 
 
 def test_cone_orders_are_stored_as_written_and_labelled_ascending():

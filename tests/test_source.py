@@ -39,25 +39,37 @@ def test_bass_serre_measures_the_tree_without_breadth_first_search():
 
 
 def test_the_certificate_path_builds_no_vertex_table():
-    """The ball, its axes, their stabilisers, the coned complex's counts and its cell
-    stabilisers read the tree in closed form: none of them reads the vertex table."""
+    """The ball, its degrees and distances, its axes, their stabilisers, the coned complex's
+    counts and its cell stabilisers read the tree in closed form: none of them reads the
+    vertex table."""
     tree = ast.parse((PACKAGE / "bass_serre.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    (coned,) = [node for node in tree.body
-                if isinstance(node, ast.ClassDef) and node.name == "ConedComplex"]
-    functions.update({f"ConedComplex.{node.name}": node for node in coned.body
-                      if isinstance(node, ast.FunctionDef)})
+    for record in ("TreeBall", "ConedComplex"):
+        (body,) = [node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == record]
+        functions.update({f"{record}.{node.name}": node for node in body.body
+                          if isinstance(node, ast.FunctionDef)})
     names = ("ball", "axis_of", "_geodesic", "_axis_labels", "_axis_position",
-             "setwise_axis_stabilizer", "cone_off", "ConedComplex.cell_counts",
-             "ConedComplex.stabilizer")
+             "setwise_axis_stabilizer", "cone_off", "TreeBall.degree", "TreeBall.distance",
+             "ConedComplex.cell_counts", "ConedComplex.stabilizer")
     assert set(names) <= set(functions), sorted(set(names) - set(functions))
     found = [
         f"{name}:{inner.lineno}"
         for name in names
         for inner in ast.walk(functions[name])
-        if isinstance(inner, ast.Attribute) and inner.attr in ("vertices", "edges", "adjacency")
+        if isinstance(inner, ast.Attribute) and inner.attr in ("vertices", "edges")
     ]
     assert not found, f"vertex table read on the certificate path: {found}"
+
+
+def test_bass_serre_keeps_no_code_that_only_the_tests_read():
+    """The action of a word on a vertex and the adjacency lists are test oracles:
+    bass_serre.py neither defines nor names `_act` or `adjacency`, not even as a string."""
+    path = PACKAGE / "bass_serre.py"
+    strings = {node.value for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    found = (_names(path) | strings) & {"_act", "adjacency"}
+    assert not found, f"test-only code in bass_serre.py: {sorted(found)}"
 
 
 def test_bass_serre_assesses_axes_without_a_vertex_scan():
