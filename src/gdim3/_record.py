@@ -4,9 +4,10 @@ A subclass of `Record` names its fields as class annotations, in order,
 with optional defaults.  Creating the class compiles three methods for
 it, once:
 
-- `__init__` takes the fields positionally or by keyword, stores them,
-  then calls the class's `__post_init__`, if it has one, to normalise
-  (through `object.__setattr__`) or refuse;
+- `__init__` takes the fields positionally or by keyword, writes them
+  into the instance `__dict__` (past the `__setattr__` that refuses
+  assignment), then calls the class's `__post_init__`, if it has one, to
+  normalise (through `object.__setattr__`) or refuse;
 - `__eq__` holds only for the same class with equal field values;
 - `__hash__` is the hash of the tuple of field values.
 
@@ -31,7 +32,8 @@ class Record:
         theirs = "(" + "".join(f"other.{f}, " for f in fields) + ")"
         source = "\n".join([
             f"def __init__(self{params}):",
-            *(f"    _set(self, {f!r}, {f})" for f in fields),
+            "    _stored = self.__dict__" if fields else "    pass",
+            *(f"    _stored[{f!r}] = {f}" for f in fields),
             "    self.__post_init__()" if hasattr(cls, "__post_init__") else "    pass",
             "def __eq__(self, other):",
             "    if other.__class__ is self.__class__:",
@@ -41,7 +43,6 @@ class Record:
             f"    return hash({mine})",
         ])
         namespace = {f"_default_{f}": own[f] for f in fields if f in own}
-        namespace["_set"] = object.__setattr__
         exec(source, namespace)
         for name in ("__init__", "__eq__", "__hash__"):
             method = namespace[name]

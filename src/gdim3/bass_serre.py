@@ -715,6 +715,11 @@ class NormalizerProbe(Record):
     certificate: Tuple[str, ...]
 
 
+#: The largest |l| that normalizer_probe accepts: at |l| = 10^5 with A = [[2, 1], [1, 1]] A^l
+#: has about 42,000 digits and the probe takes a fraction of a second; at 10^6 it takes seconds.
+PROBE_EXPONENT_CAP = 100_000
+
+
 def normalizer_probe(spec: SemidirectSpec, c: SdElement) -> NormalizerProbe:
     """The normaliser of <c> in Z^2 x|_A Z, A hyperbolic, in closed form.
 
@@ -727,11 +732,27 @@ def normalizer_probe(spec: SemidirectSpec, c: SdElement) -> NormalizerProbe:
     and contains <c> with index |l| / m.  For l = 0, g sends c to
     (A^m v, 0), and no A^m with m != 0 has an eigenvalue +-1, so the
     normaliser is the fibre Z^2 (rank 2).
+
+    The cost grows with |l|, since A^l has about |l| log10(lambda) digits, so
+    an |l| above PROBE_EXPONENT_CAP is refused before any power is taken.
     """
+    if not isinstance(spec, SemidirectSpec):
+        raise ValueError(f"spec: unknown spec type {type(spec).__name__}")
     matrix = spec.monodromy
+    if not isinstance(matrix, Mat2Z):
+        raise ValueError(f"monodromy: unknown monodromy type {type(matrix).__name__}")
+    try:
+        (x, y), l = c
+    except (TypeError, ValueError):
+        raise ValueError(f"element: expected ((x, y), l), got {c!r}") from None
+    for name, value in (("x", x), ("y", y), ("l", l)):
+        if type(value) is not int:
+            raise ValueError(f"element {name}: {wrong_type(value, int)}")
+    if abs(l) > PROBE_EXPONENT_CAP:
+        raise ValueError(f"element l: |l| = {abs(l)} is above the probe's cap of "
+                         f"{PROBE_EXPONENT_CAP} (A^l has a number of digits proportional to |l|)")
     if classify(matrix).kind is not MatKind.HYPERBOLIC:
         raise NotHyperbolic(f"monodromy {matrix} is {classify(matrix)}")
-    (x, y), l = c
     if l == 0:
         if (x, y) == (0, 0):
             raise UnsupportedElement("the identity generates no infinite cyclic subgroup")

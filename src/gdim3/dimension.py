@@ -140,13 +140,23 @@ def _combine(parts: Sequence[GdResult], path: str, rule: str, inputs: str) -> Gd
 
 
 def _prime(piece: PrimePiece, path: str) -> Tuple[GdResult, GdResult]:
-    """Both columns of one prime piece, classifying each geometric piece once."""
-    if isinstance(piece, JsjGraph):
-        vertices = [_prime(v, f"{path}.vertices[{i}]") for i, v in enumerate(piece.vertices)]
-        return tuple(_combine(col, path, "Thm1.2-max", f"vertex values {[p.value for p in col]}")
-                     for col in zip(*vertices))
-    rule, inputs = piece_rule(piece)
-    return tuple(GdResult((TraceStep(path, rule, inputs, v),)) for v in TABLE[rule][:2])
+    """Both columns of one prime piece, classifying each geometric piece or vertex once; a
+    graph's column is its vertex steps and then its Thm1.2-max step."""
+    if not isinstance(piece, JsjGraph):
+        rule, inputs = piece_rule(piece)
+        return tuple(GdResult((TraceStep(path, rule, inputs, v),)) for v in TABLE[rule][:2])
+    columns = ([], [])
+    for i, vertex in enumerate(piece.vertices):
+        rule, inputs = piece_rule(vertex)
+        where = f"{path}.vertices[{i}]"
+        for column, v in zip(columns, TABLE[rule][:2]):
+            column.append(TraceStep(where, rule, inputs, v))
+    results = []
+    for column in columns:
+        values = [step.value for step in column]
+        column.append(TraceStep(path, "Thm1.2-max", f"vertex values {values}", max(values)))
+        results.append(GdResult(tuple(column)))
+    return tuple(results)
 
 
 def _sum(pieces: Sequence[PrimePiece], parts: Sequence[GdResult], k: int, path: str) -> GdResult:

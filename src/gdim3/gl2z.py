@@ -25,7 +25,7 @@ from enum import Enum
 from math import gcd
 from typing import Optional, Tuple
 
-from ._record import Record
+from ._record import Record, wrong_type
 from .geometry import Geometry
 
 
@@ -141,6 +141,12 @@ def _elliptic(order: int) -> MatClass:
 
 
 def _require_unimodular(m: Mat2Z) -> None:
+    """Refuse an entry that is not exactly an int (a bool too), in `wrong_type`'s words, then
+    a determinant other than +-1."""
+    if not (type(m.a) is type(m.b) is type(m.c) is type(m.d) is int):
+        entry, value = next((e, v) for e, v in zip("abcd", (m.a, m.b, m.c, m.d))
+                            if type(v) is not int)
+        raise ValueError(f"matrix entry {entry}: {wrong_type(value, int)}")
     if m.det() not in (1, -1):
         raise InvalidDeterminant(f"determinant of {m} is {m.det()}, must be +1 or -1")
 

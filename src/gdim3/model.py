@@ -355,7 +355,10 @@ def _validate_piece(piece: PrimePiece, path: str, report: List[Violation]) -> No
 
 
 def validate(desc: ManifoldDescription) -> List[Violation]:
-    """Every violated well-formedness condition, with a path into the description."""
+    """Every violated well-formedness condition, with a path into the description.  Anything
+    but a ManifoldDescription has no fields to report on and raises InvalidDescription."""
+    if not isinstance(desc, ManifoldDescription):
+        raise InvalidDescription([_unknown(desc, "description", "description")])
     report: List[Violation] = []
     _refuse_type(desc.name, str, report, "name")
     if not desc.pieces:

@@ -8,8 +8,13 @@ Conventions.  Genus of a nonorientable surface counts crosscaps, so the
 underlying Euler characteristic is 2 - genus - boundary_count (projective
 plane = genus 1, Klein bottle = genus 2); for orientable surfaces it is
 2 - 2*genus - boundary_count.  The orbifold Euler characteristic
-subtracts 1 - 1/alpha for each cone point of order alpha and is computed
-as an exact rational.
+subtracts 1 - 1/alpha for each cone point of order alpha;
+euler_characteristic_orb gives it as an exact rational.
+
+The classification reads only its sign, and reads it in integers: with
+k cone points and L the least common multiple of their orders,
+L * chi^orb = (chi(underlying surface) - k) * L + sum of L / alpha, an
+integer of the same sign, since L > 0.
 
 The classification is the standard one.  A closed orbifold whose
 underlying surface is the sphere is bad (admits no geometric structure)
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import List, Tuple
 
 from ._record import Record, wrong_type
@@ -126,18 +132,20 @@ def euler_characteristic_orb(base: OrbifoldBase) -> Fraction:
 
 
 def classify_base(base: OrbifoldBase) -> OrbifoldClass:
+    """The class of `base`: BAD by its cone data on the sphere, else by the sign of chi^orb,
+    read off the integer L * chi^orb with L the lcm of the cone orders (no Fraction)."""
+    orders = base.cone_orders
     if base.closed and base.orientable and base.genus == 0:
-        orders = base.cone_orders
         if len(orders) == 1:
             return OrbifoldClass.BAD
         if len(orders) == 2 and orders[0] != orders[1]:
             return OrbifoldClass.BAD
-    chi = euler_characteristic_orb(base)
-    if base.closed:
-        if chi > 0:
-            return OrbifoldClass.SPHERICAL
-    elif chi > 0:
-        return OrbifoldClass.ELEMENTARY
+    scale = lcm(*orders)
+    chi = (base.underlying_euler - len(orders)) * scale
+    for alpha in orders:
+        chi += scale // alpha
+    if chi > 0:
+        return OrbifoldClass.SPHERICAL if base.closed else OrbifoldClass.ELEMENTARY
     if chi == 0:
         return OrbifoldClass.FLAT
     return OrbifoldClass.HYPERBOLIC

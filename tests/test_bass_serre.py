@@ -15,6 +15,7 @@ from gdim3.bass_serre import (
     FreeProductSpec,
     MissingAssignment,
     NotHyperbolic,
+    PROBE_EXPONENT_CAP,
     SemidirectSpec,
     TreeBall,
     UnsupportedElement,
@@ -583,6 +584,44 @@ def test_probe_rejects_bad_inputs():
         normalizer_probe(SemidirectSpec(Mat2Z(1, 1, 0, 1)), ((0, 0), 1))
     with pytest.raises(UnsupportedElement):
         normalizer_probe(SemidirectSpec(ANOSOV), ((0, 0), 0))
+
+
+@pytest.mark.parametrize("spec,element,refusal", [
+    (SemidirectSpec("x"), ((0, 0), 1), "monodromy: unknown monodromy type str"),
+    (ANOSOV, ((0, 0), 1), "spec: unknown spec type Mat2Z"),
+    (None, ((0, 0), 1), "spec: unknown spec type NoneType"),
+    (SemidirectSpec(Mat2Z(2, 1, 1, 1.0)), ((0, 0), 1),
+     "matrix entry d: expected an integer, got 1.0"),
+    (SemidirectSpec(ANOSOV), ((0, 0), 1.5), "element l: expected an integer, got 1.5"),
+    (SemidirectSpec(ANOSOV), ((0, 0), True), "element l: expected an integer, got True"),
+    (SemidirectSpec(ANOSOV), (("0", 0), 1), "element x: expected an integer, got '0'"),
+    (SemidirectSpec(ANOSOV), ((0, None), 0), "element y: expected an integer, got None"),
+    (SemidirectSpec(ANOSOV), ((0, 0, 0), 1), "element: expected ((x, y), l), got ((0, 0, 0), 1)"),
+    (SemidirectSpec(ANOSOV), (0, 0, 1), "element: expected ((x, y), l), got (0, 0, 1)"),
+    (SemidirectSpec(ANOSOV), None, "element: expected ((x, y), l), got None"),
+])
+def test_probe_refuses_arguments_of_the_wrong_type(spec, element, refusal):
+    with pytest.raises(ValueError) as info:
+        normalizer_probe(spec, element)
+    assert str(info.value) == refusal
+
+
+@pytest.mark.parametrize("l", [PROBE_EXPONENT_CAP, -PROBE_EXPONENT_CAP])
+def test_probe_accepts_the_exponent_cap(l):
+    assert PROBE_EXPONENT_CAP == 100_000
+    probe = normalizer_probe(SemidirectSpec(ANOSOV), ((1, 0), l))
+    assert probe.rank == 1 and len(probe.certificate) == 2
+
+
+@pytest.mark.parametrize("l", [PROBE_EXPONENT_CAP + 1, -PROBE_EXPONENT_CAP - 1, 10 ** 100])
+def test_probe_refuses_an_exponent_past_the_cap_before_taking_a_power(l, monkeypatch):
+    def trapped(*args):
+        raise AssertionError("a power was taken")
+
+    monkeypatch.setattr(Mat2Z, "pow", trapped)
+    with pytest.raises(ValueError, match=rf"^element l: \|l\| = {abs(l)} is above the probe's "
+                                         rf"cap of 100000 \(A\^l has a number of digits "):
+        normalizer_probe(SemidirectSpec(ANOSOV), ((1, 0), l))
 
 
 HYPERBOLIC_MATRICES = [m for m in unimodular_matrices() if classify(m).kind is MatKind.HYPERBOLIC]

@@ -1,10 +1,12 @@
+import random
+import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdim3 import corpus, dimension
+from gdim3 import corpus, dimension, model, orbifold2
 from gdim3.dimension import (
     ALLOWED_VALUES,
     RULES,
@@ -28,10 +30,11 @@ from gdim3.model import (
     SeifertData,
     Spherical,
     TorusBundle,
+    Violation,
 )
-from gdim3.orbifold2 import annulus, disk, mobius_band, sphere
+from gdim3.orbifold2 import OrbifoldClass, annulus, classify_base, disk, mobius_band, sphere
 
-from randgen import random_description
+from randgen import random_description, random_jsj
 from test_model import REWRITABLE
 
 
@@ -195,6 +198,14 @@ def test_jsj_takes_the_maximum_over_vertices():
 def test_unknown_piece_types_are_unsupported():
     with pytest.raises(InvalidDescription, match=r"^piece: unknown piece type str$"):
         evaluate_piece("S3", 2)
+
+
+@pytest.mark.parametrize("desc", ["x", None, (Spherical(2),), Spherical(2)])
+def test_compute_refuses_what_is_no_description(desc):
+    kind = type(desc).__name__
+    with pytest.raises(InvalidDescription) as info:
+        compute(desc)
+    assert info.value.report == [Violation("description", f"unknown description type {kind}")]
 
 
 # --- one piece, checked and rewritten as compute checks and rewrites it ---
@@ -395,3 +406,65 @@ def test_compute_classifies_each_piece_at_most_once(monkeypatch):
         assert calls["base"] <= seifert and calls["matrix"] <= bundles, desc.name
         seen.update(calls)
     assert seen["base"] and seen["matrix"]
+
+
+def test_compute_builds_a_fraction_only_for_a_flat_euler_number(monkeypatch):
+    """Bases are classified in integers: the one Fraction left on the compute path is the
+    Euler number of a closed Seifert piece over a flat base (Table1-row5 or row6)."""
+    callers = Counter()
+
+    def counted(real):
+        def fraction(*args):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return real(*args)
+        return fraction
+
+    monkeypatch.setattr(model, "Fraction", counted(model.Fraction))
+    monkeypatch.setattr(orbifold2, "Fraction", counted(orbifold2.Fraction))
+    seen = Counter()
+    for seed in range(300):
+        callers.clear()
+        pieces = compute(random_description(seed)).description.pieces
+        flat = [p for p in pieces if isinstance(p, SeifertClosed)
+                and classify_base(p.data.base) is OrbifoldClass.FLAT]
+        assert set(callers) <= ({"euler_number"} if flat else set()), (seed, callers)
+        seen.update(callers)
+    assert seen["euler_number"]
+
+
+def test_a_graph_column_is_its_vertex_steps_then_their_maximum():
+    """The one-pass graph valuation against evaluate_piece on each vertex alone."""
+    for seed in range(200):
+        graph = random_jsj(random.Random(seed))
+        report = compute(ManifoldDescription("graph", (graph,)))
+        assert report.description.pieces == (graph,)
+        for k, column in ((2, report.k2), (3, report.k3plus)):
+            *vertex_steps, graph_step, sum_step = column.trace
+            vertices = [evaluate_piece(v, k, f"pieces[0].vertices[{i}]")
+                        for i, v in enumerate(graph.vertices)]
+            assert vertex_steps == [step for v in vertices for step in v.trace]
+            values = [v.value for v in vertices]
+            assert graph_step == TraceStep("pieces[0]", "Thm1.2-max",
+                                           f"vertex values {values}", max(values))
+            assert sum_step.rule == "Thm1.1-case3"
+
+
+def test_compute_builds_one_result_per_piece_and_column_and_the_sums(monkeypatch):
+    """No result is built per graph vertex: a one-graph description builds 2 for the graph
+    and 2 for the sums, whatever its vertex count."""
+    built = Counter()
+
+    def counted(trace):
+        built["results"] += 1
+        return GdResult(trace)
+
+    monkeypatch.setattr(dimension, "GdResult", counted)
+    middle = SeifertBounded(SeifertData(base=annulus(2), cone_pairs=((2, 1),)))
+    graph = JsjGraph((HyperbolicCusped(1), middle, HyperbolicCusped(1)),
+                     ((0, 1), (1, 2)))
+    compute(ManifoldDescription("chain", (graph,)))
+    assert built["results"] == 4
+    for seed in range(300):
+        built.clear()
+        pieces = compute(random_description(seed)).description.pieces
+        assert built["results"] == 2 * len(pieces) + 2, seed

@@ -81,6 +81,21 @@ def test_inverse_needs_unit_determinant():
         Mat2Z(2, 0, 0, 1).inverse()
 
 
+@pytest.mark.parametrize("m,refusal", [
+    (Mat2Z("1", 0, 0, 1), "matrix entry a: expected an integer, got '1'"),
+    (Mat2Z(1, 0.0, 0, 1), "matrix entry b: expected an integer, got 0.0"),
+    (Mat2Z(1, 0, None, 1), "matrix entry c: expected an integer, got None"),
+    (Mat2Z(1, 0, 0, True), "matrix entry d: expected an integer, got True"),
+])
+def test_an_entry_that_is_no_integer_is_refused(m, refusal):
+    """Each call that needs a unimodular matrix types its entries first."""
+    for call in (Mat2Z.inverse, classify, lambda m: m.pow(-2)):
+        with pytest.raises(ValueError) as info:
+            call(m)
+        assert str(info.value) == refusal
+        assert not isinstance(info.value, InvalidDeterminant)
+
+
 # --- classification against the brute-force order oracle ---
 
 def test_classify_known_matrices():

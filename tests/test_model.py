@@ -77,6 +77,14 @@ def test_empty_description_is_rejected():
     assert any(v.path == "pieces" for v in report)
 
 
+@pytest.mark.parametrize("value", ["x", None, [Spherical(2)], Spherical(2)])
+def test_validate_refuses_what_is_no_description(value):
+    """There is no field to report on, so validate raises where it would list violations."""
+    with pytest.raises(InvalidDescription) as info:
+        validate(value)
+    assert str(info.value) == f"description: unknown description type {type(value).__name__}"
+
+
 def test_spherical_order_must_be_positive():
     report = validate(desc(Spherical(0)))
     assert any("pi1_order" in v.path for v in report)
@@ -785,9 +793,10 @@ def test_unknown_fields_are_refused_at_every_level(obj, path):
         description_from_json(obj)
 
 
-# the fields that a reader of a description may find missing and fill in
-OPTIONAL = {"name", "b", "base", "genus", "orientable", "boundary_count", "cone_orders",
-            "cone_pairs", "cusps", "vertices", "edges"}
+# the fields that a reader of a description may find missing and fill in, and those that it
+# refuses as missing
+OPTIONAL = {"name", "b", "genus", "orientable", "boundary_count", "cone_orders", "cone_pairs"}
+REQUIRED = {"pi1_order", "base", "cusps", "vertices", "edges"}
 
 
 def _places(obj):
@@ -796,6 +805,17 @@ def _places(obj):
         yield obj, key
         if isinstance(value, (dict, list)):
             yield from _places(value)
+
+
+def _fields(obj, path: str = ""):
+    """Every (object, key, path of the object) of the JSON objects in a document, outermost
+    first, with paths as the reader writes them."""
+    for key, value in list(obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        if isinstance(obj, dict):
+            yield obj, key, path
+        inner = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key
+        if isinstance(value, (dict, list)):
+            yield from _fields(value, inner)
 
 
 def _in_file(obj, keys) -> bool:
@@ -820,20 +840,33 @@ def test_no_path_is_reported_for_a_field_missing_from_the_file(seed, data):
     """Delete fields of a valid document and spoil some entries: every refusal's path runs
     through the file.  A path may name a field the file omits only when the omission is the
     fault (a missing `b`, too few cusps); a type refusal, or an entry of a list (such as cone
-    orders that the reader fills in from the pairs), is always in the file."""
+    orders that the reader fills in from the pairs), is always in the file.  The reader
+    refuses a document that lacks a required field, and a `<path>.<key>: missing` refusal
+    names a field that was dropped."""
     obj = description_to_json(random_description(seed))
-    for container, key in list(_places(obj)):
-        if key in OPTIONAL and isinstance(container, dict) and data.draw(st.booleans()):
+    dropped = set()   # the paths of the required fields deleted
+    for container, key, path in list(_fields(obj)):
+        if key in OPTIONAL | REQUIRED and data.draw(st.booleans()):
             del container[key]
+            if key in REQUIRED:
+                dropped.add(f"{path}.{key}")
     leaves = [(container, key) for container, key in _places(obj)
               if key != "kind" and not isinstance(container[key], (dict, list))]
-    for container, key in data.draw(st.lists(st.sampled_from(leaves), max_size=3)
-                                    if leaves else st.just([])):
+    spoiled = data.draw(st.lists(st.sampled_from(leaves), max_size=3)
+                        if leaves else st.just([]))
+    for container, key in spoiled:
         container[key] = data.draw(st.sampled_from([1, 0, 2.0, True, "2", None]))
     try:
         description = description_from_json(obj)
-    except DescriptionFormatError:
+    except DescriptionFormatError as exc:
+        # nothing stands in for a required field, and its refusal names it
+        missing = re.fullmatch(r"(.*): missing", str(exc))
+        if missing:
+            assert missing[1] in dropped, (str(exc), obj)
+        else:
+            assert spoiled, (str(exc), obj)
         return
+    assert not dropped, (dropped, obj)
     for violation in validate(description):
         keys = _keys(violation.path)
         assert _in_file(obj, keys[:-1]), (violation, obj)

@@ -1,5 +1,8 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -97,15 +100,29 @@ def test_bounded_classification():
     assert classify_base(mobius_band(2)) is OrbifoldClass.HYPERBOLIC
 
 
-@given(st.lists(st.integers(2, 9), max_size=4), st.integers(0, 2),
-       st.booleans(), st.integers(0, 2))
+def oracle_class(base):
+    """The class from the exact Fraction chi^orb and the bad list, as in Scott's table."""
+    orders = base.cone_orders
+    if (base.closed and base.orientable and base.genus == 0
+            and (len(orders) == 1 or len(orders) == 2 and orders[0] != orders[1])):
+        return OrbifoldClass.BAD
+    value = chi(base)
+    if value > 0:
+        return OrbifoldClass.SPHERICAL if base.closed else OrbifoldClass.ELEMENTARY
+    return OrbifoldClass.FLAT if value == 0 else OrbifoldClass.HYPERBOLIC
+
+
+@given(st.lists(st.integers(2, 60), max_size=8), st.integers(0, 4),
+       st.booleans(), st.integers(0, 3))
 def test_class_matches_sign_of_chi(orders, genus, orientable, boundary):
+    """classify_base reads the sign in integers; the exact Fraction is the oracle."""
     if not orientable and genus == 0:
         genus = 1
     base = OrbifoldBase(genus=genus, orientable=orientable,
                         boundary_count=boundary, cone_orders=tuple(orders))
     value = chi(base)
     cls = classify_base(base)
+    assert cls is oracle_class(base)
     if cls in (OrbifoldClass.BAD, OrbifoldClass.SPHERICAL, OrbifoldClass.ELEMENTARY):
         assert value > 0
     elif cls is OrbifoldClass.FLAT:
@@ -117,6 +134,41 @@ def test_class_matches_sign_of_chi(orders, genus, orientable, boundary):
         assert cls is not OrbifoldClass.BAD and cls is not OrbifoldClass.SPHERICAL
     else:
         assert cls is not OrbifoldClass.ELEMENTARY
+
+
+def test_every_small_base_is_classified_as_its_fraction_says():
+    """Every base of Euler characteristic 2 - genus - boundary >= 0 with up to four cone
+    points of order 2 to 12: the bases whose chi^orb is near zero, where a wrong scale or a
+    lost count term shows."""
+    surfaces = [OrbifoldBase(g, o, b) for g in range(3) for o in (True, False)
+                for b in range(3) if (o or g) and OrbifoldBase(g, o, b).underlying_euler >= 0]
+    checked = 0
+    for count in range(5):
+        for orders in combinations_with_replacement(range(2, 13), count):
+            for surface in surfaces:
+                base = OrbifoldBase(surface.genus, surface.orientable, surface.boundary_count,
+                                    orders)
+                assert classify_base(base) is oracle_class(base), base
+                checked += 1
+    assert len(surfaces) == 7
+    assert checked == 7 * sum(comb(10 + count, count) for count in range(5))
+
+
+@pytest.mark.parametrize("base,cls", [
+    (sphere(2, 3, 5), OrbifoldClass.SPHERICAL),       # chi 1/30; lcm 30, max 5
+    (sphere(2, 2, 3), OrbifoldClass.SPHERICAL),       # chi 1/3; lcm 6, max 3
+    (sphere(4, 6, 12), OrbifoldClass.HYPERBOLIC),     # chi -1/6; lcm 12
+    (sphere(3, 4, 4), OrbifoldClass.HYPERBOLIC),      # chi -1/12
+    (disk(3, 4), OrbifoldClass.HYPERBOLIC),           # chi -5/12
+    (sphere(*[2] * 4), OrbifoldClass.FLAT),
+    (sphere(*[2] * 5), OrbifoldClass.HYPERBOLIC),
+    (sphere(59, 60), OrbifoldClass.BAD),
+    (sphere(59, 59), OrbifoldClass.SPHERICAL),
+])
+def test_bases_whose_sign_needs_the_lcm_and_every_cone_point(base, cls):
+    """Cone orders that do not divide their maximum, and counts of cone points, that move
+    the sign if the scale or the count term is wrong."""
+    assert classify_base(base) is cls
 
 
 def test_labels():
