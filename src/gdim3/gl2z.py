@@ -141,8 +141,10 @@ def _elliptic(order: int) -> MatClass:
 
 
 def _require_unimodular(m: Mat2Z) -> None:
-    """Refuse an entry that is not exactly an int (a bool too), in `wrong_type`'s words, then
-    a determinant other than +-1."""
+    """Refuse anything but a Mat2Z, then an entry that is not exactly an int (a bool too), in
+    `wrong_type`'s words, then a determinant other than +-1."""
+    if not isinstance(m, Mat2Z):
+        raise ValueError(f"matrix: unknown matrix type {type(m).__name__}")
     if not (type(m.a) is type(m.b) is type(m.c) is type(m.d) is int):
         entry, value = next((e, v) for e, v in zip("abcd", (m.a, m.b, m.c, m.d))
                             if type(v) is not int)

@@ -15,9 +15,10 @@ description as written instead of raising on the first one.  normalize()
 validates the description as written, once, and only then removes
 trivial summands and rewrites the two torus-decomposition shapes that
 are secretly geometric (a doubled twisted I-bundle is Sol, a torus times
-interval glued to itself is a torus bundle); it raises when a rewrite
-needs data the description does not carry.  normalize_piece() checks
-and rewrites one prime piece or graph vertex the same way.
+interval glued to itself is a torus bundle), read off the key (boundary
+circles, underlying Euler characteristic, cone orders) of a vertex's
+base, which is never classified; it raises when a rewrite needs data the
+description lacks.  normalize_piece() does both for one piece or vertex.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 from ._record import Record, wrong_type
 from .geometry import Geometry
 from .gl2z import Mat2Z
-from .orbifold2 import SURFACES, OrbifoldBase, OrbifoldClass, classify_base
+from .orbifold2 import SURFACES, OrbifoldBase
 
 
 class DescriptionFormatError(ValueError):
@@ -160,23 +161,23 @@ class ManifoldDescription(Record):
 # ---------------------------------------------------------------------------
 # validation
 
-def _is_flat_bounded(vertex: JsjVertex, boundary_count: int) -> bool:
-    """A Seifert vertex over a flat base with boundary_count boundary circles.
+#: The keys of the bases of the twisted I-bundle over the Klein bottle (the Mobius band, D2(2,2))
+#: and of T^2 x I (the annulus): Scott, The geometries of 3-manifolds (1983).
+_TWISTED_I_BUNDLE = frozenset({(1, 0, ()), (1, 1, (2, 2))})
+_T2_TIMES_I = frozenset({(2, 0, ())})
 
-    One circle is the twisted-I-bundle shape, two the T^2 x I shape (the
-    bare annulus).
-    """
+
+def _is_shape(vertex: JsjVertex, shape: frozenset) -> bool:
+    """Whether `vertex` is a Seifert vertex whose typed base has its key in `shape`."""
     if not isinstance(vertex, SeifertBounded):
         return False
     base = vertex.data.base
-    if base.boundary_count != boundary_count or any(a < 2 for a in base.cone_orders):
-        return False
-    return classify_base(base) is OrbifoldClass.FLAT
+    return (base.boundary_count, base.underlying_euler, base.cone_orders) in shape
 
 
 def _is_product_loop(graph: JsjGraph) -> bool:
     """One T^2 x I vertex: the only graph that consumes a monodromy."""
-    return len(graph.vertices) == 1 and _is_flat_bounded(graph.vertices[0], 2)
+    return len(graph.vertices) == 1 and _is_shape(graph.vertices[0], _T2_TIMES_I)
 
 
 def _refuse_type(value, kind: type, report: List[Violation], path: str, *keys) -> None:
@@ -317,11 +318,10 @@ def _validate_jsj(graph: JsjGraph, path: str, report: List[Violation]) -> None:
         report.append(Violation(f"{path}.edges", "graph is not connected"))
 
     # minimality rejection: this shape is geometric, not a torus decomposition
-    if n >= 2:
-        for i, vertex in enumerate(graph.vertices):
-            if _is_flat_bounded(vertex, 2):
-                report.append(Violation(f"{path}.vertices[{i}]", "non-minimal: "
-                                        "torus-times-interval vertex in a multi-vertex graph"))
+    for i, vertex in enumerate(graph.vertices):
+        if n >= 2 and _is_shape(vertex, _T2_TIMES_I):
+            report.append(Violation(f"{path}.vertices[{i}]", "non-minimal: "
+                                    "torus-times-interval vertex in a multi-vertex graph"))
 
 
 def _validate_piece(piece: PrimePiece, path: str, report: List[Violation]) -> None:
@@ -375,11 +375,11 @@ _TRIVIAL = Spherical(1)
 
 
 def _rewrite_jsj(piece: PrimePiece, path: str) -> PrimePiece:
-    """A valid piece, or the geometric piece a valid graph spells: its edges are then
-    (0, 1) between two twisted I-bundles, or (0, 0) on one T^2 x I."""
+    """A valid piece, or the geometric piece a valid graph spells, each vertex known by its
+    base's key: (0, 1) between two twisted I-bundles, or (0, 0) on one T^2 x I."""
     if not isinstance(piece, JsjGraph):
         return piece
-    if len(piece.vertices) == 2 and all(_is_flat_bounded(v, 1) for v in piece.vertices):
+    if len(piece.vertices) == 2 and all(_is_shape(v, _TWISTED_I_BUNDLE) for v in piece.vertices):
         return KleinDouble()
     if _is_product_loop(piece):
         if piece.monodromy is None:

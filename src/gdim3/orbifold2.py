@@ -133,7 +133,14 @@ def euler_characteristic_orb(base: OrbifoldBase) -> Fraction:
 
 def classify_base(base: OrbifoldBase) -> OrbifoldClass:
     """The class of `base`: BAD by its cone data on the sphere, else by the sign of chi^orb,
-    read off the integer L * chi^orb with L the lcm of the cone orders (no Fraction)."""
+    read off the integer L * chi^orb with L the lcm of the cone orders (no Fraction).  Anything
+    but an OrbifoldBase, or a base with violations(), raises ValueError naming the first."""
+    if not isinstance(base, OrbifoldBase):
+        raise ValueError(f"base: unknown base type {type(base).__name__}")
+    refused = base.violations()
+    if refused:
+        field, message = refused[0]
+        raise ValueError(f"base.{field}: {message}")
     orders = base.cone_orders
     if base.closed and base.orientable and base.genus == 0:
         if len(orders) == 1:

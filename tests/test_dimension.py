@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdim3 import corpus, dimension, model, orbifold2
+from gdim3 import corpus, dimension, gl2z, model, orbifold2
 from gdim3.dimension import (
     ALLOWED_VALUES,
     RULES,
@@ -31,6 +31,7 @@ from gdim3.model import (
     Spherical,
     TorusBundle,
     Violation,
+    normalize,
 )
 from gdim3.orbifold2 import OrbifoldClass, annulus, classify_base, disk, mobius_band, sphere
 
@@ -384,6 +385,8 @@ def test_rank_cap_detects_euclidean_pieces():
 # --- one pass ---
 
 def test_compute_classifies_each_piece_at_most_once(monkeypatch):
+    """Counted in every gdim3 module that binds a classifier; normalize, and so validate,
+    classifies nothing."""
     calls = Counter()
 
     def counted(name, classifier):
@@ -392,8 +395,15 @@ def test_compute_classifies_each_piece_at_most_once(monkeypatch):
             return classifier(argument)
         return wrapper
 
-    monkeypatch.setattr(dimension, "classify_base", counted("base", dimension.classify_base))
-    monkeypatch.setattr(dimension, "classify", counted("matrix", dimension.classify))
+    wrappers = {id(orbifold2.classify_base): counted("base", orbifold2.classify_base),
+                id(gl2z.classify): counted("matrix", gl2z.classify)}
+    bound = []
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "gdim3"]:
+        for attribute, value in list(vars(module).items()):
+            if id(value) in wrappers:
+                monkeypatch.setattr(module, attribute, wrappers[id(value)])
+                bound.append(module.__name__)
+    assert {"gdim3.dimension", "gdim3.orbifold2", "gdim3.gl2z"} <= set(bound)
     descriptions = [corpus.load(name) for name in corpus.names()]
     descriptions += [random_description(seed) for seed in range(300)]
     seen = Counter()
@@ -405,6 +415,9 @@ def test_compute_classifies_each_piece_at_most_once(monkeypatch):
         bundles = sum(isinstance(p, TorusBundle) for p in pieces)
         assert calls["base"] <= seifert and calls["matrix"] <= bundles, desc.name
         seen.update(calls)
+        calls.clear()
+        normalize(desc)
+        assert not calls, desc.name
     assert seen["base"] and seen["matrix"]
 
 

@@ -1,13 +1,14 @@
 import json
 import re
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdim3 import compute, corpus
+from gdim3 import compute, corpus, model
 from gdim3.gl2z import Mat2Z
 from gdim3.model import (
     DescriptionFormatError,
@@ -30,7 +31,8 @@ from gdim3.model import (
     normalize,
     validate,
 )
-from gdim3.orbifold2 import OrbifoldBase, annulus, disk, mobius_band, sphere
+from gdim3.orbifold2 import (OrbifoldBase, OrbifoldClass, annulus, classify_base, disk,
+                             mobius_band, sphere)
 
 from randgen import random_description
 
@@ -465,6 +467,30 @@ INVALID = [
               Mat2Z(2, 1, 1, 1)), ".vertices[0].base.genus"),
     (JsjGraph(tuple(TWISTED), ((0, 1),), Mat2Z(1, 0, 0, 1)), ".monodromy"),
 ]
+
+
+def test_the_rewritable_shapes_are_the_flat_bounded_bases():
+    """The shape keys against the classifier, over every valid base of genus 0 to 4, either
+    orientability, one or two boundary circles and up to four cone points of order 2 to 7:
+    a vertex is a twisted I-bundle (one circle) or T^2 x I (two) exactly when its base is
+    flat."""
+    twisted, t2_times_i = model._TWISTED_I_BUNDLE, model._T2_TIMES_I
+    checked, flat = 0, []
+    for genus, orientable, boundary in product(range(5), (True, False), (1, 2)):
+        if not orientable and genus == 0:
+            continue
+        for count in range(5):
+            for orders in combinations_with_replacement(range(2, 8), count):
+                base = OrbifoldBase(genus, orientable, boundary, orders)
+                vertex = SeifertBounded(SeifertData(base))
+                is_flat = classify_base(base) is OrbifoldClass.FLAT
+                assert model._is_shape(vertex, twisted) is (is_flat and boundary == 1), base
+                assert model._is_shape(vertex, t2_times_i) is (is_flat and boundary == 2), base
+                if is_flat:
+                    flat.append(base)
+                checked += 1
+    assert checked == 3_780
+    assert sorted(flat, key=repr) == sorted([mobius_band(), disk(2, 2), annulus()], key=repr)
 
 
 @given(seed=st.integers(0, 10_000), data=st.data())

@@ -17,10 +17,10 @@ from gdim3.bass_serre import (BASE_VERTEX, AxisStabilizerReport, ConedComplex,
                               FreeProductSpec, NormalizerProbe, SemidirectSpec, TreeBall)
 from gdim3.dimension import DimensionReport, GdResult, TraceStep
 from gdim3.geometry import Geometry
-from gdim3.gl2z import Mat2Z, MatClass, MatKind
+from gdim3.gl2z import Mat2Z, MatClass, MatKind, classify
 from gdim3.model import (Geometric, HyperbolicCusped, JsjGraph, KleinDouble, ManifoldDescription,
                          SeifertBounded, SeifertClosed, SeifertData, Spherical, TorusBundle)
-from gdim3.orbifold2 import OrbifoldBase
+from gdim3.orbifold2 import OrbifoldBase, classify_base
 
 M = Mat2Z(2, 1, 1, 1)
 M_REPR = "Mat2Z(a=2, b=1, c=1, d=1)"
@@ -205,6 +205,18 @@ def test_construction_normalises_sequences():
     (lambda: TreeBall(SPEC, 2.5), ValueError, "radius: expected an integer, got 2.5"),
     (lambda: TreeBall(SPEC, "3"), ValueError, "radius: expected an integer, got '3'"),
     (lambda: TreeBall(SPEC, True), ValueError, "radius: expected an integer, got True"),
+    (lambda: classify("x"), ValueError, "matrix: unknown matrix type str"),
+    (lambda: classify(None), ValueError, "matrix: unknown matrix type NoneType"),
+    (lambda: classify_base(None), ValueError, "base: unknown base type NoneType"),
+    (lambda: classify_base("x"), ValueError, "base: unknown base type str"),
+    (lambda: classify_base(OrbifoldBase(cone_orders=(0,))), ValueError,
+     "base.cone_orders[0]: cone orders must be >= 2"),
+    (lambda: classify_base(OrbifoldBase(cone_orders=(2, "x"))), ValueError,
+     "base.cone_orders[1]: expected an integer, got 'x'"),
+    (lambda: classify_base(OrbifoldBase(genus=1.5)), ValueError,
+     "base.genus: expected an integer, got 1.5"),
+    (lambda: classify_base(OrbifoldBase(-1, False, -1, (1,))), ValueError,
+     "base.genus: genus must be >= 0"),
 ])
 def test_refusals_keep_their_type_and_message(make_it, error, message):
     with pytest.raises(error) as info:
