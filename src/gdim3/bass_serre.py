@@ -288,8 +288,10 @@ class TreeBall(Record):
     >= 0 is accepted, since only ball() applies the vertex cap.
 
     Membership, distance and degree are read off the words.  The vertex
-    table is built when it is first read: vertices level by level, and
-    each edge as (nearer, farther).
+    counts (element, coset) are counted on first read, unless ball() has
+    stored the ones it compared with its cap.  The vertex table is built
+    when it is first read: vertices level by level, and each edge as
+    (nearer, farther).
     """
 
     spec: FreeProductSpec
@@ -308,6 +310,9 @@ class TreeBall(Record):
             return False
 
     def __getattr__(self, name: str):
+        if name == "counts":
+            self.__dict__[name] = _ball_size(self.spec, self.radius)
+            return self.__dict__[name]
         if name in ("vertices", "edges"):
             # each level from the one before it, in the order of a breadth-first search
             new, factors = tuple.__new__, range(self.spec.num_factors)
@@ -351,8 +356,10 @@ def ball(spec: FreeProductSpec, radius: int, max_vertices: int = 50000) -> TreeB
     compared with the vertex count in closed form before anything is built."""
     tree = TreeBall(spec, radius)
     _at_least(max_vertices, "max_vertices", 1)
-    if sum(_ball_size(spec, radius, max_vertices)) > max_vertices:
+    counts = _ball_size(spec, radius, max_vertices)   # whole, unless past the cap
+    if sum(counts) > max_vertices:
         raise BallLimitExceeded(f"ball of radius {radius} exceeds {max_vertices} vertices")
+    tree.__dict__["counts"] = counts
     return tree
 
 
@@ -607,7 +614,7 @@ class ConedComplex(Record):
     def cell_counts(self) -> Dict[str, int]:
         """The number of cells of each class present, in the order cells() first yields them."""
         lengths = [len(axis) for axis in self.axes]
-        vertices = sum(_ball_size(self.tree.spec, self.tree.radius))
+        vertices = sum(self.tree.counts)
         counts = {
             "vertex": vertices,
             "cone_vertex": len(lengths),

@@ -17,14 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 from . import corpus
 from .dimension import RULES, TABLE, DimensionReport, compute, piece_rule
-from .gl2z import (
-    Mat2Z,
-    MatKind,
-    classify,
-    geometry_of_monodromy,
-    invariant_eigenvector,
-    parabolic_quotient_type,
-)
+from .gl2z import Mat2Z, MatKind, classify, invariant_eigenvector
 from .model import (
     InvalidDescription,
     ManifoldDescription,
@@ -40,6 +33,9 @@ from .orbifold2 import SURFACES, OrbifoldBase, classify_base, euler_characterist
 EX_OK = 0
 EX_DATA = 2
 EX_RESOURCE = 3
+
+#: The geometry of the mapping torus of a monodromy, by its dynamical type (Scott, 1983).
+_TORUS_GEOMETRY = {MatKind.ELLIPTIC: "E3", MatKind.PARABOLIC: "Nil", MatKind.HYPERBOLIC: "Sol"}
 
 
 def _load_target(target: str) -> ManifoldDescription:
@@ -136,8 +132,9 @@ def _cmd_classify_matrix(args: argparse.Namespace) -> int:
     if cls.kind is MatKind.PARABOLIC:
         vector, eigenvalue = invariant_eigenvector(matrix)
         print(f"invariant axis: {vector}, eigenvalue {eigenvalue}")
-        print(f"quotient by the axis: {parabolic_quotient_type(matrix).value}")
-    print(f"mapping torus geometry: {geometry_of_monodromy(matrix)}")
+        # det = +1 puts matrix = [[lam, *], [0, lam]] in a basis {v, w}: t w t^-1 = w^lam mod <v>
+        print(f"quotient by the axis: {'Z2' if eigenvalue == 1 else 'KleinBottleGroup'}")
+    print(f"mapping torus geometry: {_TORUS_GEOMETRY[cls.kind]}")
     at2, at3, _ = TABLE[piece_rule(TorusBundle(matrix))[0]]
     print(f"mapping torus gd: k = 2 -> {at2}, k >= 3 -> {at3}")
     return EX_OK
@@ -191,7 +188,7 @@ def _positive(text: str) -> int:
 
 
 def _cmd_ball(args: argparse.Namespace) -> int:
-    from .bass_serre import _ball_size, _depth, ball
+    from .bass_serre import _depth, ball
 
     tree = ball(args.factors, args.radius, max_vertices=args.max_vertices)
     if args.format == "json":
@@ -205,7 +202,7 @@ def _cmd_ball(args: argparse.Namespace) -> int:
             indent=2,
         ))
         return EX_OK
-    element, coset = _ball_size(args.factors, args.radius)
+    element, coset = tree.counts
     orders = " * ".join(f"Z{n}" for n in args.factors.factor_orders)
     print(f"{orders}, ball of radius {args.radius}")
     print(f"vertices: {element + coset} ({element} element, {coset} coset)")

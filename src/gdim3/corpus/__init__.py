@@ -1,22 +1,20 @@
-"""Bundled example descriptions, one JSON file per manifold."""
+"""Bundled example descriptions, one JSON file per manifold, beside this module."""
 from __future__ import annotations
 
-from importlib import resources
+import os
 from typing import List
 
 from ..model import ManifoldDescription, load_description
 
+_DIR = os.path.dirname(__file__)
+
 
 def names() -> List[str]:
-    out = []
-    for entry in resources.files(__package__).iterdir():
-        if entry.name.endswith(".json"):
-            out.append(entry.name[: -len(".json")])
-    return sorted(out)
+    return sorted(entry[: -len(".json")] for entry in os.listdir(_DIR) if entry.endswith(".json"))
 
 
 def load(name: str) -> ManifoldDescription:
     """The bundled description of a name that names() lists; KeyError for any other."""
     if name not in names():
         raise KeyError(f"no bundled description named {name!r}; see `gdim3 corpus`")
-    return load_description(resources.files(__package__).joinpath(f"{name}.json"))
+    return load_description(os.path.join(_DIR, f"{name}.json"))

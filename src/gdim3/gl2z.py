@@ -26,7 +26,6 @@ from math import gcd
 from typing import Optional, Tuple
 
 from ._record import Record, wrong_type
-from .geometry import Geometry
 
 
 class InvalidDeterminant(ValueError):
@@ -72,6 +71,9 @@ class Mat2Z(Record):
         return Mat2Z(det * self.d, -det * self.b, -det * self.c, det * self.a)
 
     def pow(self, n: int) -> "Mat2Z":
+        """self^n for an exponent that is exactly an int (a bool is refused), negative or not."""
+        if type(n) is not int:
+            raise ValueError(f"exponent: {wrong_type(n, int)}")
         base = self if n >= 0 else self.inverse()
         n = abs(n)
         result = IDENTITY
@@ -210,39 +212,3 @@ def invariant_eigenvector(m: Mat2Z) -> Tuple[Tuple[int, int], int]:
     else:
         v = (r2[1], -r2[0])
     return _primitive(v), lam
-
-
-class ParabolicQuotient(Enum):
-    """Isomorphism type of (Z^2 semidirect Z) / N, N the invariant axis in Z^2."""
-
-    Z2 = "Z2"
-    KLEIN_BOTTLE_GROUP = "KleinBottleGroup"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-def parabolic_quotient_type(m: Mat2Z) -> ParabolicQuotient:
-    """Quotient of Gamma = Z^2 semidirect_m Z by the invariant axis N = <v>.
-
-    Extend the invariant eigenvector v to a lattice basis {v, w}.  In that
-    basis m = [[lam, alpha], [0, beta]], and the stable letter acts on
-    Z^2 / N, an infinite cyclic group generated by the image of w, as
-    multiplication by beta.  Every parabolic matrix has determinant +1
-    (with determinant -1, classify() finds only elliptic and hyperbolic
-    classes), so lam * beta = 1 and beta = lam.  Hence Gamma / N is Z^2
-    for trace 2 (lam = +1) and the Klein bottle group Z semidirect Z for
-    trace -2 (lam = -1).
-    """
-    _, lam = invariant_eigenvector(m)
-    return ParabolicQuotient.Z2 if lam == 1 else ParabolicQuotient.KLEIN_BOTTLE_GROUP
-
-
-def geometry_of_monodromy(m: Mat2Z) -> Geometry:
-    """Geometry of the torus bundle with monodromy m."""
-    kind = classify(m).kind
-    if kind is MatKind.ELLIPTIC:
-        return Geometry.E3
-    if kind is MatKind.PARABOLIC:
-        return Geometry.NIL
-    return Geometry.SOL

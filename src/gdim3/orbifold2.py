@@ -123,8 +123,20 @@ class OrbifoldClass(Enum):
         return self.value
 
 
+def _require_valid(base: OrbifoldBase) -> None:
+    """Refuse anything but an OrbifoldBase, or a base with violations(), naming the first."""
+    if not isinstance(base, OrbifoldBase):
+        raise ValueError(f"base: unknown base type {type(base).__name__}")
+    refused = base.violations()
+    if refused:
+        field, message = refused[0]
+        raise ValueError(f"base.{field}: {message}")
+
+
 def euler_characteristic_orb(base: OrbifoldBase) -> Fraction:
-    """chi^orb = chi(underlying surface) - sum over cone points of (1 - 1/alpha)."""
+    """chi^orb = chi(underlying surface) - sum over cone points of (1 - 1/alpha); refuses what
+    classify_base refuses."""
+    _require_valid(base)
     chi = Fraction(base.underlying_euler)
     for alpha in base.cone_orders:
         chi -= 1 - Fraction(1, alpha)
@@ -135,12 +147,7 @@ def classify_base(base: OrbifoldBase) -> OrbifoldClass:
     """The class of `base`: BAD by its cone data on the sphere, else by the sign of chi^orb,
     read off the integer L * chi^orb with L the lcm of the cone orders (no Fraction).  Anything
     but an OrbifoldBase, or a base with violations(), raises ValueError naming the first."""
-    if not isinstance(base, OrbifoldBase):
-        raise ValueError(f"base: unknown base type {type(base).__name__}")
-    refused = base.violations()
-    if refused:
-        field, message = refused[0]
-        raise ValueError(f"base.{field}: {message}")
+    _require_valid(base)
     orders = base.cone_orders
     if base.closed and base.orientable and base.genus == 0:
         if len(orders) == 1:

@@ -40,6 +40,14 @@ class Mutant(NamedTuple):
 
 SHAPE_BOX = "tests/test_model.py::test_the_rewritable_shapes_are_the_flat_bounded_bases"
 REFUSALS = "tests/test_records.py::test_refusals_keep_their_type_and_message"
+QUOTIENT = ("tests/test_gl2z.py::test_parabolic_quotient_matches_group_level_oracle",
+            "tests/test_gl2z.py::test_parabolic_quotient_known_cases")
+GEOMETRY = ("tests/test_gl2z.py::test_geometry_of_monodromy",
+            "tests/test_cli.py::test_classify_matrix_parabolic")
+CORPUS = ("tests/test_golden.py::test_corpus_reports_are_byte_identical",
+          "tests/test_model.py::test_corpus_round_trips")
+ONE_WALK = ("tests/test_cli.py::test_each_tree_command_counts_its_ball_once",
+            "tests/test_bass_serre.py::test_a_ball_is_counted_once")
 SIGN = ("tests/test_orbifold2.py::test_every_small_base_is_classified_as_its_fraction_says",
         "tests/test_orbifold2.py::test_bases_whose_sign_needs_the_lcm_and_every_cone_point")
 
@@ -69,6 +77,23 @@ MUTANTS = (
     Mutant("classify-base-drops-the-cone-count", "src/gdim3/orbifold2.py",
            "chi = (base.underlying_euler - len(orders)) * scale",
            "chi = base.underlying_euler * scale", SIGN),
+    Mutant("quotient-test-inverted", "src/gdim3/cli.py",
+           "'Z2' if eigenvalue == 1 else", "'Z2' if eigenvalue != 1 else", QUOTIENT),
+    Mutant("torus-geometries-swapped", "src/gdim3/cli.py",
+           '{MatKind.ELLIPTIC: "E3", MatKind.PARABOLIC: "Nil",',
+           '{MatKind.ELLIPTIC: "Nil", MatKind.PARABOLIC: "E3",', GEOMETRY),
+    Mutant("corpus-lists-every-file", "src/gdim3/corpus/__init__.py",
+           ' for entry in os.listdir(_DIR) if entry.endswith(".json"))',
+           " for entry in os.listdir(_DIR))", CORPUS),
+    Mutant("ball-keeps-no-counts", "src/gdim3/bass_serre.py",
+           '    tree.__dict__["counts"] = counts\n', "", ONE_WALK),
+    Mutant("pow-takes-any-exponent", "src/gdim3/gl2z.py",
+           "        if type(n) is not int:\n"
+           "            raise ValueError(f\"exponent: {wrong_type(n, int)}\")\n",
+           "", (REFUSALS,)),
+    Mutant("euler-characteristic-takes-a-bad-base", "src/gdim3/orbifold2.py",
+           "    _require_valid(base)\n    chi = Fraction(base.underlying_euler)",
+           "    chi = Fraction(base.underlying_euler)", (REFUSALS,)),
 )
 
 

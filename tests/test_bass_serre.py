@@ -280,6 +280,26 @@ def test_ball_layout_and_every_vertex_cap(spec, radius):
             assert str(info.value) == f"ball of radius {radius} exceeds {cap} vertices"
         else:
             assert ball(spec, radius, max_vertices=cap) == tree
+            assert ball(spec, radius, max_vertices=cap).counts == _ball_size(spec, radius)
+
+
+def test_a_ball_is_counted_once(monkeypatch):
+    """ball() keeps the counts it compared with its cap, and cell_counts() and the push-out
+    bound read them; a TreeBall built directly counts itself when its counts are first read."""
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return _ball_size(*args)
+
+    monkeypatch.setattr(bass_serre, "_ball_size", counted)
+    tree = ball(Z23, 8)
+    cone = cone_off(tree, [axis_of(tree, ((0, 1), (1, 1)))], budget=2)
+    assert pushout_dimension_bound(cone, dict.fromkeys(cone.cell_counts(), 0)) == 2
+    assert walks == [(Z23, 8, 50000)] and tree.counts == (22, 15)
+    walks.clear()
+    built = TreeBall(Z23, 8)
+    assert not walks and built.counts == built.counts == (22, 15) and len(walks) == 1
 
 
 def test_action_is_by_isometries_and_composes():
@@ -757,6 +777,7 @@ def test_the_implicit_ball_matches_breadth_first_search(spec, radius, data):
     tree = ball(spec, radius)
     elements = sum(v.factor is None for v in oracle.vertices)
     assert _ball_size(spec, radius) == (elements, len(oracle.vertices) - elements)
+    assert tree.counts == TreeBall(spec, radius).counts == _ball_size(spec, radius)
     assert all(v in tree for v in oracle.vertices)
     assert all(_parent(v) == oracle.adjacency[v][0] for v in oracle.vertices[1:])
     assert all(tree.degree(u) == len(oracle.adjacency[u]) for u in oracle.vertices)

@@ -343,6 +343,23 @@ def test_text_cone_off_never_builds_the_vertex_table(capsys, monkeypatch):
         run(argv + ["--format", "json"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["ball"], ["ball", "--list"], ["ball", "--format", "json"],
+    ["cone-off"], ["cone-off", "--format", "json"],
+    ["cone-off", "--assign", "vertex=0", "--assign", "cone_vertex=0", "--assign", "edge=0",
+     "--assign", "cone_edge=0", "--assign", "face=0"],
+], ids=" ".join)
+def test_each_tree_command_counts_its_ball_once(argv, capsys, monkeypatch):
+    """The counts that ball() compared with the cap are the ones the report reads."""
+    from gdim3 import bass_serre
+
+    walks = []
+    real = bass_serre._ball_size
+    monkeypatch.setattr(bass_serre, "_ball_size", lambda *args: walks.append(args) or real(*args))
+    assert run([*argv, "--factors", "2,3", "--radius", "6"]) == EX_OK
+    assert len(walks) == 1
+
+
 def test_cone_off_missing_assignment(capsys):
     assert run([
         "cone-off", "--factors", "2,2", "--radius", "6", "--axes", "ab",

@@ -1,12 +1,20 @@
+import ast
 import random
+import sys
+from collections import Counter
+from contextlib import redirect_stdout
+from io import StringIO
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gdim3 import gl2z
 from gdim3.bass_serre import SemidirectSpec
+from gdim3.cli import EX_OK, run
 from gdim3.geometry import Geometry
 from gdim3.gl2z import (
     IDENTITY,
@@ -14,11 +22,8 @@ from gdim3.gl2z import (
     Mat2Z,
     MatKind,
     NotParabolic,
-    ParabolicQuotient,
     classify,
-    geometry_of_monodromy,
     invariant_eigenvector,
-    parabolic_quotient_type,
 )
 
 from oracles import complete_basis, conjugate, order
@@ -173,7 +178,7 @@ def test_complete_basis_is_unimodular(x, y):
     assert x * w[1] - y * w[0] == 1
 
 
-def _quotient_oracle(m: Mat2Z) -> ParabolicQuotient:
+def _quotient_oracle(m: Mat2Z) -> str:
     """Project t w t^-1 into Z^2 / <v> and read off the sign directly.
 
     The quotient of Z^2 x|_m Z by the invariant axis <v> is generated by
@@ -192,43 +197,82 @@ def _quotient_oracle(m: Mat2Z) -> ParabolicQuotient:
     c = cx * w[1] - cy * w[0]
     assert (c * v[0] + d * w[0], c * v[1] + d * w[1]) == (cx, cy)
     assert d in (1, -1)
-    return ParabolicQuotient.Z2 if d == 1 else ParabolicQuotient.KLEIN_BOTTLE_GROUP
+    return "Z2" if d == 1 else "KleinBottleGroup"
+
+
+def classify_matrix_report(m: Mat2Z) -> dict:
+    """The `gdim3 classify-matrix` lines after the first, by their label."""
+    buffer = StringIO()
+    with redirect_stdout(buffer):
+        assert run(["classify-matrix", "--", str(m)]) == EX_OK
+    first, *lines = buffer.getvalue().splitlines()
+    assert first == f"matrix {m}  det {m.det():+d}  trace {m.trace()}"
+    return dict(line.split(": ", 1) for line in lines)
 
 
 def test_parabolic_quotient_matches_group_level_oracle():
     parabolics = [m for m in ALL_UNIMODULAR if classify(m).kind is MatKind.PARABOLIC]
     assert len(parabolics) > 20
     for m in parabolics:
-        assert parabolic_quotient_type(m) == _quotient_oracle(m)
+        assert classify_matrix_report(m)["quotient by the axis"] == _quotient_oracle(m), m
 
 
 def test_parabolic_quotient_known_cases():
+    quotient = {m: classify_matrix_report(m)["quotient by the axis"] for m in (
+        Mat2Z(1, 1, 0, 1), Mat2Z(1, -3, 0, 1), Mat2Z(-1, 1, 0, -1), Mat2Z(-1, 0, 4, -1))}
     # trace +2: the fibre direction is preserved, quotient stays abelian
-    assert parabolic_quotient_type(Mat2Z(1, 1, 0, 1)) is ParabolicQuotient.Z2
-    assert parabolic_quotient_type(Mat2Z(1, -3, 0, 1)) is ParabolicQuotient.Z2
+    assert quotient[Mat2Z(1, 1, 0, 1)] == quotient[Mat2Z(1, -3, 0, 1)] == "Z2"
     # trace -2: the complement direction is reversed, giving the Klein
     # bottle relation t w t^-1 = w^-1
-    assert (
-        parabolic_quotient_type(Mat2Z(-1, 1, 0, -1))
-        is ParabolicQuotient.KLEIN_BOTTLE_GROUP
-    )
-    assert (
-        parabolic_quotient_type(Mat2Z(-1, 0, 4, -1))
-        is ParabolicQuotient.KLEIN_BOTTLE_GROUP
-    )
+    assert quotient[Mat2Z(-1, 1, 0, -1)] == quotient[Mat2Z(-1, 0, 4, -1)] == "KleinBottleGroup"
 
 
 def test_parabolic_quotient_rejects_non_parabolic():
+    """Only a parabolic matrix has an invariant axis, so no other report names a quotient."""
+    for m in ALL_UNIMODULAR:
+        if classify(m).kind is not MatKind.PARABOLIC:
+            assert "quotient by the axis" not in classify_matrix_report(m), m
     with pytest.raises(NotParabolic):
-        parabolic_quotient_type(Mat2Z(2, 1, 1, 1))
+        invariant_eigenvector(Mat2Z(2, 1, 1, 1))
+
+
+def test_classify_matrix_classifies_twice_and_a_parabolic_three_times(monkeypatch):
+    """Counted in every gdim3 module that binds classify: the report's own call and the table
+    row's, and for a parabolic matrix the invariant axis's."""
+    calls = Counter()
+
+    def counted(m):
+        calls[m] += 1
+        return real(m)
+
+    real, bound = gl2z.classify, []
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "gdim3"]:
+        for attribute, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, attribute, counted)
+                bound.append(module.__name__)
+    assert {"gdim3.cli", "gdim3.dimension", "gdim3.gl2z"} <= set(bound)
+    for m in ALL_UNIMODULAR:
+        classify_matrix_report(m)
+        assert calls.pop(m) == (3 if real(m).kind is MatKind.PARABOLIC else 2), m
+    assert not calls
 
 
 # --- geometry dispatch ---
 
 def test_geometry_of_monodromy():
-    assert geometry_of_monodromy(Mat2Z(0, -1, 1, 0)) is Geometry.E3
-    assert geometry_of_monodromy(IDENTITY) is Geometry.E3
-    assert geometry_of_monodromy(Mat2Z(1, 1, 0, 1)) is Geometry.NIL
-    assert geometry_of_monodromy(Mat2Z(-1, 1, 0, -1)) is Geometry.NIL
-    assert geometry_of_monodromy(Mat2Z(2, 1, 1, 1)) is Geometry.SOL
-    assert geometry_of_monodromy(Mat2Z(1, 1, 1, 0)) is Geometry.SOL
+    """The mapping torus is E3, Nil or Sol by the dynamical type of its monodromy."""
+    for m, geometry in ((Mat2Z(0, -1, 1, 0), Geometry.E3), (IDENTITY, Geometry.E3),
+                        (Mat2Z(1, 1, 0, 1), Geometry.NIL), (Mat2Z(-1, 1, 0, -1), Geometry.NIL),
+                        (Mat2Z(2, 1, 1, 1), Geometry.SOL), (Mat2Z(1, 1, 1, 0), Geometry.SOL)):
+        assert classify_matrix_report(m)["mapping torus geometry"] == str(geometry), m
+
+
+def test_the_layers_over_classify_are_gone():
+    """classify-matrix reads the quotient and the geometry off the type it already holds."""
+    for name in ("ParabolicQuotient", "parabolic_quotient_type", "geometry_of_monodromy"):
+        assert not hasattr(gl2z, name), name
+    source = ast.parse(Path(gl2z.__file__).read_text(encoding="utf-8"))
+    imported = [(getattr(node, "module", None) or "", *(alias.name for alias in node.names))
+                for node in ast.walk(source) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not [names for names in imported if any("geometry" in name for name in names)]

@@ -3,8 +3,10 @@
 `gdim3.bass_serre` is imported on first use: by the certificate commands
 of the CLI and by the package's module `__getattr__`.  The public names
 stay importable from `gdim3`.  No command loads `dataclasses` or the
-`inspect` module it pulls in: the value types are `_record.Record`s.
+`inspect` module it pulls in: the value types are `_record.Record`s, and
+none loads `importlib.resources`: the corpus reads its files with `os`.
 """
+import ast
 import os
 import re
 import subprocess
@@ -56,14 +58,19 @@ print(" ".join(sorted(name for name in ("dataclasses", "inspect") if name in sys
 """
 
 
-def _fresh_run(code: str, *args: str):
-    """The gdim3 modules and the modules of {dataclasses, inspect} a fresh process loaded."""
+def _fresh_stdout(code: str, *args: str, flags=()):
+    """The lines that a fresh interpreter, started with flags, printed running code."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", code, *args],
+    result = subprocess.run([sys.executable, *flags, "-c", code, *args],
                             capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
-    gdim3_modules, unwanted = result.stdout.split("\n")[:2]
+    return result.stdout.split("\n")
+
+
+def _fresh_run(code: str, *args: str):
+    """The gdim3 modules and the modules of {dataclasses, inspect} a fresh process loaded."""
+    gdim3_modules, unwanted = _fresh_stdout(code, *args)[:2]
     return set(gdim3_modules.split()), unwanted.split()
 
 
@@ -72,6 +79,23 @@ def test_the_compute_commands_never_import_bass_serre(tmp_path):
     assert {"gdim3.cli", "gdim3.dimension", "gdim3.model"} <= loaded
     assert "gdim3.bass_serre" not in loaded
     assert unwanted == []
+
+
+def test_no_compute_command_imports_importlib_resources(tmp_path):
+    """Under -S, since a site package may load it first: the corpus lists and opens its
+    files with os, and compute reads a file path (here a bundled file) the same way."""
+    code = (COMPUTE_COMMANDS + 'run("compute", sys.argv[2])\n'
+            'print("site" in sys.modules, "importlib.resources" in sys.modules)\n')
+    description = SRC / "gdim3" / "corpus" / "e3_rp3.json"
+    lines = _fresh_stdout(code, str(tmp_path / "report.json"), str(description), flags=["-S"])
+    assert lines[2] == "False False"
+
+
+def test_the_corpus_imports_nothing_from_importlib():
+    source = ast.parse((SRC / "gdim3" / "corpus" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [getattr(node, "module", None) or alias.name for node in ast.walk(source)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert not [name for name in imported if name.startswith("importlib")]
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,6 @@ import json
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -559,7 +558,7 @@ def test_a_bundled_file_with_a_repeated_key_is_refused(tmp_path, monkeypatch):
     """The corpus reads its files as load_description does, so the last key does not win."""
     (tmp_path / "twice.json").write_text(
         '{"pieces": [{"kind": "spherical", "pi1_order": 2, "pi1_order": 3}]}', encoding="utf-8")
-    monkeypatch.setattr(corpus, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    monkeypatch.setattr(corpus, "_DIR", str(tmp_path))
     assert corpus.names() == ["twice"]
     with pytest.raises(DescriptionFormatError, match="duplicate key 'pi1_order'"):
         corpus.load("twice")

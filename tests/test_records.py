@@ -20,7 +20,7 @@ from gdim3.geometry import Geometry
 from gdim3.gl2z import Mat2Z, MatClass, MatKind, classify
 from gdim3.model import (Geometric, HyperbolicCusped, JsjGraph, KleinDouble, ManifoldDescription,
                          SeifertBounded, SeifertClosed, SeifertData, Spherical, TorusBundle)
-from gdim3.orbifold2 import OrbifoldBase, classify_base
+from gdim3.orbifold2 import OrbifoldBase, classify_base, euler_characteristic_orb
 
 M = Mat2Z(2, 1, 1, 1)
 M_REPR = "Mat2Z(a=2, b=1, c=1, d=1)"
@@ -217,6 +217,14 @@ def test_construction_normalises_sequences():
      "base.genus: expected an integer, got 1.5"),
     (lambda: classify_base(OrbifoldBase(-1, False, -1, (1,))), ValueError,
      "base.genus: genus must be >= 0"),
+    (lambda: M.pow(2.5), ValueError, "exponent: expected an integer, got 2.5"),
+    (lambda: M.pow("2"), ValueError, "exponent: expected an integer, got '2'"),
+    (lambda: M.pow(True), ValueError, "exponent: expected an integer, got True"),
+    (lambda: euler_characteristic_orb(OrbifoldBase(cone_orders=(2, 0))), ValueError,
+     "base.cone_orders[1]: cone orders must be >= 2"),
+    # an explicit id, since classify_base(None)'s row has this message
+    pytest.param(lambda: euler_characteristic_orb(None), ValueError,
+                 "base: unknown base type NoneType", id="euler_characteristic_orb-None"),
 ])
 def test_refusals_keep_their_type_and_message(make_it, error, message):
     with pytest.raises(error) as info:
@@ -289,16 +297,17 @@ def test_copies_and_pickles_are_equal(name):
 
 @pytest.mark.parametrize("name", TREE_RECORDS)
 def test_tree_balls_and_coned_complexes_are_frozen_too(name):
-    """Reading the vertex table changes no value, hash or repr, and the table is frozen too."""
+    """Reading the vertex table or counts changes no value, hash or repr, and they are frozen
+    too."""
     record = make(name)
     _, _, fields, expected, text = CASES[name]
     tree = record if name == "TreeBall" else record.tree
-    assert "vertices" not in vars(tree)
+    assert "vertices" not in vars(tree) and "counts" not in vars(tree)
     table = (tree.vertices, tree.edges)
-    assert table == ((BASE_VERTEX,), ())
+    assert table == ((BASE_VERTEX,), ()) and tree.counts == (1, 0)
     assert record == make(name) and hash(record) == hash(make(name)) and repr(record) == text
     targets = [(record, field) for field in fields]
-    targets += [(tree, attribute) for attribute in ("vertices", "edges")]
+    targets += [(tree, attribute) for attribute in ("vertices", "edges", "counts")]
     for target, attribute in targets:
         with pytest.raises(AttributeError, match=f"cannot assign to field {attribute!r}"):
             setattr(target, attribute, 1)
